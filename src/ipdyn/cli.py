@@ -303,7 +303,9 @@ def _cmd_return_set(args) -> int:
     v = _cylinder_for(cfg, _require(cfg.run.get("v"), "v"), system_name)
     window = int(_require(_run_value(cfg, args, "window"), "window"))
     result = dynamics.return_set(system, u, v, window)
-    needed = window + max(len(u.word), len(v.word))
+    needed = dynamics.required_span(
+        [intpoly.IntegralPolynomial.from_monomials([0, 1])], u, [v], window
+    )
     lines = ["return-set", ""] + _params_lines(dict(result.provenance))
     lines += ["", _feasibility_line(system, needed),
               f"members = {len(result.members)}"]

@@ -44,14 +44,6 @@ class ExperimentConfig:
     truncations: dict[str, tuple[int, ...]]
     run: dict[str, str] = field(default_factory=dict)
 
-    def cylinder(self, name: str) -> tuple[dynamics.SubstitutionSystem, dynamics.CylinderSet]:
-        spec = self.sets[name]
-        if not isinstance(spec, CylinderSpec):
-            raise ValidationError(f"set {name!r} is an arc, not a cylinder")
-        system = self.systems[spec.system]
-        assert isinstance(system, dynamics.SubstitutionSystem)
-        return system, dynamics.CylinderSet(spec.word)
-
     def arc(self, name: str) -> dynamics.Arc:
         spec = self.sets[name]
         if not isinstance(spec, ArcSpec):

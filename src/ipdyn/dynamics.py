@@ -2,11 +2,11 @@
 cylinder sets, return-time sets, descending open-set chains, and an
 exact rotation control system.
 
-Points are never materialized: a query about open sets is answered by
-scanning admissible words (factors of a long expansion of the
-substitution).  All answers are exact at window scale and every
-feasibility bound is checked up front and reported, never silently
-truncated.
+Points are never materialized: a query about open sets is answered from
+the occurrence positions of its words inside long expansions of the
+substitution, held as Python-int bitmasks.  All answers are exact at
+window scale and every feasibility bound is checked up front and
+reported, never silently truncated.
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ class SubstitutionSystem:
                         f"rule for {sym!r} uses unknown symbol {c!r}"
                     )
         self.rules = dict(rules)
+        self._images = {ord(sym): image for sym, image in self.rules.items()}
         self.alphabet = alphabet
         self.seeds = tuple(seeds) if seeds is not None else (alphabet[0],)
         for s in self.seeds:
@@ -89,9 +90,10 @@ class SubstitutionSystem:
         self.depth = depth
         self.max_word_length = max_word_length
         self._factor_cache: dict[int, frozenset[str]] = {}
+        self._index: _Occurrences | None = None
 
     def _apply(self, word: str) -> str:
-        return "".join(self.rules[c] for c in word)
+        return word.translate(self._images)
 
     def _grow(self, seed: str, target: int) -> str:
         word = seed
@@ -117,6 +119,14 @@ class SubstitutionSystem:
         target = self._target_length(factor_length)
         return tuple(self._grow(seed, target) for seed in self.seeds)
 
+    def _occurrences(self, span: int) -> _Occurrences:
+        """The occurrence index of ``self.expansions(span)``.  One index is
+        kept; a query that needs another expansion length replaces it."""
+        target = self._target_length(span)
+        if self._index is None or self._index.target != target:
+            self._index = _Occurrences(target, self.expansions(span))
+        return self._index
+
     def factors(self, length: int) -> frozenset[str]:
         """All admissible words of exactly the given length."""
         if length < 1:
@@ -133,12 +143,7 @@ class SubstitutionSystem:
             for i in range(len(word) - length + 1):
                 found.add(word[i : i + length])
         if not found:
-            # only possible when every expansion is shorter than length
-            # (a fixed depth that was set too small)
-            raise WindowTooLarge(
-                f"no expansion reaches length {length}; raise depth or use "
-                "automatic growth"
-            )
+            raise _no_expansion_reaches(length)
         result = frozenset(found)
         self._factor_cache[length] = result
         return result
@@ -163,6 +168,61 @@ class SubstitutionSystem:
 
     def __repr__(self) -> str:
         return f"<SubstitutionSystem {self.describe()}>"
+
+
+class _Occurrences:
+    """Start positions of every letter in the joined expansions.
+
+    Bit p of ``letters[c]`` is set when letter c stands at position p of
+    the joined text.  The starts of a word are the AND of its shifted
+    letter masks, and a pattern of (offset, word) cells holds at p when
+    every cell's word starts at p + offset: the Shift-And idea of
+    Baeza-Yates and Gonnet, "A new approach to text searching", CACM
+    35(10), 1992.
+    """
+
+    def __init__(self, target: int, texts: Sequence[str]):
+        self.target = target
+        self.text = "".join(texts)
+        self.lengths = tuple(len(t) for t in texts)
+        backwards = self.text[::-1]  # int() reads its most significant digit first
+        zeros = {ord(c): "0" for c in set(self.text)}
+        self.letters = {
+            chr(c): int(backwards.translate({**zeros, c: "1"}), 2) for c in zeros
+        }
+
+    def starts(self, word: str) -> int:
+        """Positions at which ``word`` begins."""
+        found = -1
+        for j, c in enumerate(word):
+            found &= self.letters.get(c, 0) >> j
+        return found
+
+    def fits(self, span: int) -> int:
+        """Positions at which ``span`` letters lie inside one expansion."""
+        mask = start = 0
+        for length in self.lengths:
+            if length >= span:
+                mask |= ((1 << (length - span + 1)) - 1) << start
+            start += length
+        return mask
+
+
+def _carriers(positions: int, cells: Iterable[Constraint], starts: Mapping[str, int]) -> int:
+    """The positions p among ``positions`` at which every (offset, word)
+    cell's word starts at p + offset."""
+    for off, w in cells:
+        positions &= starts[w] >> off
+    return positions
+
+
+def _no_expansion_reaches(span: int) -> WindowTooLarge:
+    # only possible when every expansion is shorter than span
+    # (a fixed depth that was set too small)
+    return WindowTooLarge(
+        f"no expansion reaches length {span}; raise depth or use "
+        "automatic growth"
+    )
 
 
 def parse_rules(text: str) -> dict[str, str]:
@@ -209,9 +269,6 @@ class CylinderSet:
         return self.word == ""
 
 
-WHOLE_SPACE = CylinderSet("")
-
-
 def require_admissible(sys: SubstitutionSystem, cyl: CylinderSet) -> None:
     if not sys.is_admissible(cyl.word):
         raise ValueError(f"cylinder word {cyl.word!r} is not admissible")
@@ -250,15 +307,13 @@ def _pattern(constraints: Sequence[Constraint]) -> tuple[tuple[Constraint, ...],
     return tuple((off - base, w) for off, w in cells), span
 
 
-def _matches(word: str, cells: Sequence[Constraint]) -> bool:
-    return all(word[off : off + len(w)] == w for off, w in cells)
-
-
-def _members_by_language(
+def _members(
     sys: SubstitutionSystem,
     ns: Sequence[int],
     constraints_for: Callable[[int], Sequence[Constraint]],
 ) -> frozenset[int]:
+    """The n whose pattern some admissible word of the query's largest
+    span carries."""
     patterns = {n: _pattern(constraints_for(n)) for n in ns}
     max_span = max((span for _, span in patterns.values()), default=0)
     if max_span > sys.max_word_length:
@@ -266,84 +321,16 @@ def _members_by_language(
             f"query needs words of length {max_span}, bound is "
             f"{sys.max_word_length}"
         )
-    factor_set = sys.factors(max_span) if max_span else None
-    members = set()
-    for n in ns:
-        cells, span = patterns[n]
-        if span == 0:
-            members.add(n)
-            continue
-        assert factor_set is not None
-        if any(_matches(f, cells) for f in factor_set):
-            members.add(n)
-    return frozenset(members)
-
-
-def _members_by_orbit(
-    sys: SubstitutionSystem,
-    ns: Sequence[int],
-    constraints_for: Callable[[int], Sequence[Constraint]],
-) -> frozenset[int]:
-    """Independent route: match occurrence positions inside long
-    expansions of the substitution instead of scanning factor sets."""
-    patterns = {n: _pattern(constraints_for(n)) for n in ns}
-    max_span = max((span for _, span in patterns.values()), default=0)
-    if max_span > sys.max_word_length:
-        raise WindowTooLarge(
-            f"query needs words of length {max_span}, bound is "
-            f"{sys.max_word_length}"
-        )
-    words = sorted({w for cells, _ in patterns.values() for _, w in cells})
-    expansions = sys.expansions(max_span) if max_span else ()
-    occ: list[dict[str, set[int]]] = []
-    for text in expansions:
-        table: dict[str, set[int]] = {}
-        for w in words:
-            positions: set[int] = set()
-            start = text.find(w)
-            while start != -1:
-                positions.add(start)
-                start = text.find(w, start + 1)
-            table[w] = positions
-        occ.append(table)
-    members = set()
-    for n in ns:
-        cells, span = patterns[n]
-        if span == 0:
-            members.add(n)
-            continue
-        anchor_off, anchor_word = min(
-            cells, key=lambda c: sum(len(table[c[1]]) for table in occ)
-        )
-        hit = False
-        for i, text in enumerate(expansions):
-            table = occ[i]
-            limit = len(text) - span
-            for a in table[anchor_word]:
-                q = a - anchor_off
-                if q < 0 or q > limit:
-                    continue
-                if all(q + off in table[w] for off, w in cells):
-                    hit = True
-                    break
-            if hit:
-                break
-        if hit:
-            members.add(n)
-    return frozenset(members)
-
-
-def _compute_members(
-    sys: SubstitutionSystem,
-    ns: Sequence[int],
-    constraints_for: Callable[[int], Sequence[Constraint]],
-    method: str,
-) -> frozenset[int]:
-    if method == "language":
-        return _members_by_language(sys, ns, constraints_for)
-    if method == "orbit":
-        return _members_by_orbit(sys, ns, constraints_for)
-    raise ValueError(f"unknown method {method!r}")
+    if not max_span:
+        return frozenset(ns)
+    occ = sys._occurrences(max_span)
+    fits = occ.fits(max_span)
+    if not fits:
+        raise _no_expansion_reaches(max_span)
+    starts = {w: occ.starts(w) for cells, _ in patterns.values() for _, w in cells}
+    return frozenset(
+        n for n, (cells, _) in patterns.items() if _carriers(fits, cells, starts)
+    )
 
 
 def return_set(
@@ -351,8 +338,6 @@ def return_set(
     u: CylinderSet,
     v: CylinderSet,
     window: int,
-    *,
-    method: str = "language",
 ) -> ReturnSet:
     """{n in [-W, W] : some admissible word carries u at 0 and v at n}.
 
@@ -364,9 +349,7 @@ def return_set(
     require_admissible(sys, u)
     require_admissible(sys, v)
     ns = range(-window, window + 1)
-    members = _compute_members(
-        sys, ns, lambda n: ((0, u.word), (n, v.word)), method
-    )
+    members = _members(sys, ns, lambda n: ((0, u.word), (n, v.word)))
     return ReturnSet(
         window=window,
         members=members,
@@ -385,14 +368,12 @@ def return_set_any(
     u: CylinderSet,
     vs: Sequence[CylinderSet],
     window: int,
-    *,
-    method: str = "language",
 ) -> ReturnSet:
     """Return set against a finite union of cylinders: the union of the
     per-cylinder return sets.  Enlarging the union never shrinks it."""
     members: frozenset[int] = frozenset()
     for v in vs:
-        members |= return_set(sys, u, v, window, method=method).members
+        members |= return_set(sys, u, v, window).members
     return ReturnSet(
         window=window,
         members=members,
@@ -425,8 +406,6 @@ def poly_return_set(
     vs: Sequence[CylinderSet],
     polys: Sequence[IntegralPolynomial],
     window: int,
-    *,
-    method: str = "language",
 ) -> ReturnSet:
     """{n : one admissible word carries u at 0 and each v_i at p_i(n)}."""
     if len(vs) != len(polys):
@@ -446,7 +425,7 @@ def poly_return_set(
         return cells
 
     ns = range(-window, window + 1)
-    members = _compute_members(sys, ns, constraints_for, method)
+    members = _members(sys, ns, constraints_for)
     return ReturnSet(
         window=window,
         members=members,
@@ -483,13 +462,11 @@ def power_return_set(
     u: CylinderSet,
     v: CylinderSet,
     window: int,
-    *,
-    method: str = "language",
 ) -> ReturnSet:
     """{n : k*n lies in the plain return set over the inflated window}."""
     if k == 0:
         raise ZeroPower("power must be nonzero")
-    base = return_set(sys, u, v, abs(k) * window, method=method)
+    base = return_set(sys, u, v, abs(k) * window)
     members = frozenset(
         n for n in range(-window, window + 1) if k * n in base.members
     )
@@ -508,8 +485,6 @@ def product_return_set(
     us: Sequence[CylinderSet],
     vs: Sequence[CylinderSet],
     window: int,
-    *,
-    method: str = "language",
 ) -> ReturnSet:
     """Return set of a product of (possibly powered) systems against
     box open sets: the window intersection of the component sets."""
@@ -521,7 +496,7 @@ def product_return_set(
     described = []
     for t, u, v in zip(transforms, us, vs):
         sys_i, k = t if isinstance(t, tuple) else (t, 1)
-        comp = power_return_set(sys_i, k, u, v, window, method=method)
+        comp = power_return_set(sys_i, k, u, v, window)
         described.append(f"{sys_i.describe()}^{k}")
         members = comp.members if members is None else members & comp.members
     assert members is not None
@@ -666,13 +641,10 @@ def pattern_realizable(sys: SubstitutionSystem, pattern: Pattern) -> bool:
         raise WindowTooLarge(
             f"pattern span {span} exceeds bound {sys.max_word_length}"
         )
+    occ = sys._occurrences(span)
     cells = tuple((pos - lo, sym) for pos, sym in pattern.cells)
-    for text in sys.expansions(span):
-        limit = len(text) - span
-        for a in range(limit + 1):
-            if all(text[a + off] == sym for off, sym in cells):
-                return True
-    return False
+    starts = {sym: occ.starts(sym) for _, sym in cells}
+    return bool(_carriers(occ.fits(span), cells, starts))
 
 
 def open_set_nonempty(sys: SubstitutionSystem, oset: SymbolicOpenSet) -> bool:
@@ -694,6 +666,41 @@ class Lemma213Chain:
     base_power: int
 
 
+def _check_chain_inputs(
+    sys: SubstitutionSystem,
+    cylinders: Sequence[CylinderSet],
+    gammas: Sequence[GammaPolynomial],
+) -> None:
+    if len(cylinders) != len(gammas):
+        raise ValueError("need one exponent element per cylinder")
+    for cyl in cylinders:
+        require_admissible(sys, cyl)
+
+
+def _next_level(
+    sys: SubstitutionSystem,
+    cylinders: Sequence[CylinderSet],
+    gammas: Sequence[GammaPolynomial],
+    current: Sequence[SymbolicOpenSet],
+    n: int,
+    m: int,
+    base_power: int,
+) -> tuple[SymbolicOpenSet, ...] | None:
+    """Level n of the chain from level n-1 (``current``) and shift m,
+    or None when one of its open sets is empty."""
+    nxt = tuple(
+        oset.intersect(
+            SymbolicOpenSet.from_cylinder(
+                cyl, offset=_gamma_shift(g, m) - n * base_power
+            )
+        )
+        for oset, cyl, g in zip(current, cylinders, gammas)
+    )
+    if not all(open_set_nonempty(sys, o) for o in nxt):
+        return None
+    return nxt
+
+
 def lemma213_chain(
     sys: SubstitutionSystem,
     cylinders: Sequence[CylinderSet],
@@ -710,30 +717,21 @@ def lemma213_chain(
     must satisfy |m_n| > n, mirroring the transitivity bookkeeping the
     recursion encodes.
     """
-    if len(cylinders) != len(gammas):
-        raise ValueError("need one exponent element per cylinder")
-    for cyl in cylinders:
-        require_admissible(sys, cyl)
+    _check_chain_inputs(sys, cylinders, gammas)
     shifts = tuple(int(m) for m in shifts)
     for n, m in enumerate(shifts):
         if abs(m) <= n:
             raise ValueError(f"shift {m} at depth {n} must satisfy |m| > {n}")
-    current = [SymbolicOpenSet.from_cylinder(cyl) for cyl in cylinders]
+    current = tuple(SymbolicOpenSet.from_cylinder(cyl) for cyl in cylinders)
     levels: list[tuple[SymbolicOpenSet, ...]] = []
     for n, m in enumerate(shifts):
-        nxt = []
-        for i, (cyl, g) in enumerate(zip(cylinders, gammas)):
-            s = _gamma_shift(g, m) - n * base_power
-            refined = current[i].intersect(
-                SymbolicOpenSet.from_cylinder(cyl, offset=s)
-            )
-            nxt.append(refined)
-        if not all(open_set_nonempty(sys, o) for o in nxt):
+        nxt = _next_level(sys, cylinders, gammas, current, n, m, base_power)
+        if nxt is None:
             raise WitnessExhausted(
                 n, Lemma213Chain(shifts[:n], tuple(levels), base_power)
             )
         current = nxt
-        levels.append(tuple(current))
+        levels.append(current)
     return Lemma213Chain(shifts, tuple(levels), base_power)
 
 
@@ -747,30 +745,27 @@ def find_chain_shifts(
     base_power: int = 1,
 ) -> Lemma213Chain:
     """Greedy shift search: at each level take the least strictly larger
-    candidate in [1, search_window] that keeps every level nonempty."""
+    candidate in [1, search_window] that keeps every level nonempty.
+    Earlier levels are fixed once found, so a candidate only builds its
+    own level."""
+    _check_chain_inputs(sys, cylinders, gammas)
     shifts: list[int] = []
-    prev = 0
+    current = tuple(SymbolicOpenSet.from_cylinder(cyl) for cyl in cylinders)
+    levels: list[tuple[SymbolicOpenSet, ...]] = []
     for n in range(depth + 1):
-        found = None
+        prev = shifts[-1] if shifts else 0
         for m in range(max(prev + 1, n + 1), search_window + 1):
-            try:
-                chain = lemma213_chain(
-                    sys, cylinders, gammas, shifts + [m], base_power=base_power
-                )
-            except WitnessExhausted:
-                continue
-            found = m
-            break
-        if found is None:
+            nxt = _next_level(sys, cylinders, gammas, current, n, m, base_power)
+            if nxt is not None:
+                break
+        else:
             raise WitnessExhausted(
-                n,
-                lemma213_chain(
-                    sys, cylinders, gammas, shifts, base_power=base_power
-                ),
+                n, Lemma213Chain(tuple(shifts), tuple(levels), base_power)
             )
-        shifts.append(found)
-        prev = found
-    return lemma213_chain(sys, cylinders, gammas, shifts, base_power=base_power)
+        shifts.append(m)
+        current = nxt
+        levels.append(current)
+    return Lemma213Chain(tuple(shifts), tuple(levels), base_power)
 
 
 @dataclass(frozen=True)
@@ -784,8 +779,8 @@ class ContainmentCheck:
 def _pattern_contained_in_cylinder(
     sys: SubstitutionSystem, pattern: Pattern, cyl: CylinderSet
 ) -> bool:
-    """Brute-force inclusion: every admissible word matching the pattern
-    must also spell the cylinder word at position 0."""
+    """Inclusion: every admissible word of the span that carries the
+    pattern must also spell the cylinder word at position 0."""
     word = cyl.word
     if word == "":
         return True
@@ -797,14 +792,14 @@ def _pattern_contained_in_cylinder(
         raise WindowTooLarge(
             f"inclusion span {span} exceeds bound {sys.max_word_length}"
         )
+    occ = sys._occurrences(span)
+    fits = occ.fits(span)
+    if not fits:
+        raise _no_expansion_reaches(span)
     cells = tuple((pos - lo, sym) for pos, sym in pattern.cells)
-    target = tuple((i - lo, c) for i, c in enumerate(word))
-    for f in sys.factors(span):
-        if all(f[off] == sym for off, sym in cells):
-            if not all(f[off] == sym for off, sym in target):
-                return False
+    starts = {sym: occ.starts(sym) for _, sym in cells}
     # a pattern with no admissible realization is vacuously contained
-    return True
+    return _carriers(fits, cells, starts) & ~(occ.starts(word) >> -lo) == 0
 
 
 def verify_chain(
@@ -870,18 +865,18 @@ def recurrence_search(
                 f"shifts at n={n} need words of length {span}, bound is "
                 f"{sys.max_word_length}"
             )
-        for text in sys.expansions(span):
-            limit = len(text) - span
-            for a in range(limit + 1):
-                origin = a - lo
-                ref = text[origin : origin + agreement_length]
-                if all(
-                    text[origin + s : origin + s + agreement_length] == ref
-                    for s in shifts
-                ):
-                    return RecurrenceWitness(
-                        n=n, word=text[a : a + span], shifts=shifts
-                    )
+        occ = sys._occurrences(span)
+        found = occ.fits(span)
+        for s in shifts:
+            # bit p: the letters at p and p + s agree
+            same = 0
+            for mask in occ.letters.values():
+                same |= mask & (mask >> s if s >= 0 else mask << -s)
+            for j in range(agreement_length):
+                found &= same >> (j - lo)
+        if found:
+            a = (found & -found).bit_length() - 1
+            return RecurrenceWitness(n=n, word=occ.text[a : a + span], shifts=shifts)
     return None
 
 

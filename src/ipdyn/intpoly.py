@@ -218,18 +218,6 @@ class IntegralPolynomial:
         return f"IntegralPolynomial({self.coeffs!r})"
 
 
-def add(p: IntegralPolynomial, q: IntegralPolynomial) -> IntegralPolynomial:
-    return p + q
-
-
-def sub(p: IntegralPolynomial, q: IntegralPolynomial) -> IntegralPolynomial:
-    return p - q
-
-
-def neg(p: IntegralPolynomial) -> IntegralPolynomial:
-    return -p
-
-
 def essentially_distinct(p: IntegralPolynomial, q: IntegralPolynomial) -> bool:
     """True when p - q is nonconstant (differs by more than an additive shift)."""
     return (p - q).degree >= 1

@@ -9,6 +9,7 @@ statement, and reports are worded accordingly by the callers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, Union
@@ -202,7 +203,7 @@ def builtin_predicate(name: str) -> Callable[[int], bool]:
     if name == "evens":
         return lambda n: n % 2 == 0
     if name == "squares":
-        return lambda n: n >= 0 and int(n**0.5 + 0.5) ** 2 == n
+        return lambda n: n >= 0 and math.isqrt(n) ** 2 == n
     if name.startswith("multiples:"):
         k = int(name.split(":", 1)[1])
         if k == 0:

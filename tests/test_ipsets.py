@@ -257,6 +257,9 @@ class TestWindowSetIngestion:
         assert builtin_predicate("evens")(4)
         assert builtin_predicate("squares")(49)
         assert not builtin_predicate("squares")(-4)
+        assert builtin_predicate("squares")((2**60 + 1) ** 2)
+        assert not builtin_predicate("squares")(10**400 + 1)
+        assert builtin_predicate("squares")(10**400)
         assert builtin_predicate("multiples:7")(21)
         with pytest.raises(ValueError):
             builtin_predicate("nonsense")

@@ -1,0 +1,283 @@
+"""The occurrence engine against slow reference scans.
+
+Each oracle below answers a pattern query the direct way: by scanning
+the factor set or every position of the expansions.  The library must
+agree with it on members, witnesses, and exception types and messages.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from ipdyn.dynamics import (
+    CylinderSet,
+    Lemma213Chain,
+    Pattern,
+    SubstitutionSystem,
+    WindowTooLarge,
+    WitnessExhausted,
+    _gamma_shift,
+    _pattern_contained_in_cylinder,
+    chacon,
+    fibonacci,
+    find_chain_shifts,
+    lemma213_chain,
+    pattern_realizable,
+    poly_return_set,
+    recurrence_search,
+    return_set,
+)
+from ipdyn.gammapoly import parse_gamma_polynomial
+from ipdyn.intpoly import parse_polynomial
+
+SYSTEMS = {
+    "chacon": chacon,
+    "fibonacci": fibonacci,
+    "thue-morse": lambda: SubstitutionSystem({"a": "ab", "b": "ba"}),
+    # grows, but its iterates are not prefixes of each other
+    "non-prefix": lambda: SubstitutionSystem({"0": "10", "1": "0"}),
+    # non-growing: closed off periodically, one expansion per seed
+    "periodic": lambda: SubstitutionSystem({"a": "a", "b": "b"}, seeds=("a", "b")),
+    # sigma^3(0) has 40 letters: longer queries run out of expansion
+    "chacon-depth-3": lambda: chacon(depth=3),
+    # a small bound, so that quadratic queries exceed it
+    "bounded-fibonacci": lambda: fibonacci(max_word_length=60),
+}
+
+QUERY_SHAPES = {
+    "plain": (None, 60),
+    "linear": (["n", "2n"], 40),
+    "quadratic": (["n^2", "n^2 + n"], 9),
+}
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of a call, or the type and message of its exception."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def random_word(rng, sys_, max_len=3):
+    return rng.choice(sorted(sys_.factors(rng.randint(1, max_len))))
+
+
+# -- oracles ---------------------------------------------------------------------
+
+
+def scan_members(sys_, ns, constraints_for):
+    """Members by scanning the factors of the query's largest span."""
+    patterns = {}
+    for n in ns:
+        cells = [(off, w) for off, w in constraints_for(n) if w]
+        base = min((off for off, _ in cells), default=0)
+        span = max((off + len(w) for off, w in cells), default=base) - base
+        patterns[n] = (tuple((off - base, w) for off, w in cells), span)
+    max_span = max((span for _, span in patterns.values()), default=0)
+    if max_span > sys_.max_word_length:
+        raise WindowTooLarge(
+            f"query needs words of length {max_span}, bound is "
+            f"{sys_.max_word_length}"
+        )
+    factor_set = sys_.factors(max_span) if max_span else None
+    members = set()
+    for n in ns:
+        cells, span = patterns[n]
+        if span == 0 or any(
+            all(f[off : off + len(w)] == w for off, w in cells) for f in factor_set
+        ):
+            members.add(n)
+    return frozenset(members)
+
+
+def scan_poly_members(sys_, u, vs, polys, window):
+    return scan_members(
+        sys_,
+        range(-window, window + 1),
+        lambda n: [(0, u)] + [(p(n), v) for p, v in zip(polys, vs)],
+    )
+
+
+def scan_realizable(sys_, pattern):
+    if pattern.is_trivial:
+        return True
+    lo, hi = pattern.bounds()
+    span = hi - lo
+    if span > sys_.max_word_length:
+        raise WindowTooLarge(f"pattern span {span} exceeds bound {sys_.max_word_length}")
+    cells = [(pos - lo, sym) for pos, sym in pattern.cells]
+    for text in sys_.expansions(span):
+        for a in range(len(text) - span + 1):
+            if all(text[a + off] == sym for off, sym in cells):
+                return True
+    return False
+
+
+def scan_contained(sys_, pattern, word):
+    if word == "":
+        return True
+    plo, phi = pattern.bounds()
+    lo, hi = min(plo, 0), max(phi, len(word))
+    span = hi - lo
+    if span > sys_.max_word_length:
+        raise WindowTooLarge(f"inclusion span {span} exceeds bound {sys_.max_word_length}")
+    cells = [(pos - lo, sym) for pos, sym in pattern.cells]
+    target = [(i - lo, c) for i, c in enumerate(word)]
+    for f in sys_.factors(span):
+        if all(f[off] == sym for off, sym in cells):
+            if not all(f[off] == sym for off, sym in target):
+                return False
+    return True
+
+
+def scan_recurrence(sys_, gammas, length, n_values):
+    for n in n_values:
+        if n == 0:
+            continue
+        shifts = tuple(_gamma_shift(g, n) for g in gammas)
+        lo = min(0, min(shifts, default=0))
+        span = max(shifts, default=0) + length - lo
+        if span > sys_.max_word_length:
+            raise WindowTooLarge(
+                f"shifts at n={n} need words of length {span}, bound is "
+                f"{sys_.max_word_length}"
+            )
+        for text in sys_.expansions(span):
+            for a in range(len(text) - span + 1):
+                origin = a - lo
+                ref = text[origin : origin + length]
+                if all(text[origin + s : origin + s + length] == ref for s in shifts):
+                    return n, text[a : a + span], shifts
+    return None
+
+
+def rebuild_chain_shifts(sys_, cylinders, gammas, depth, search_window):
+    """The greedy search rebuilding the whole chain for every candidate."""
+    shifts = []
+    for n in range(depth + 1):
+        prev = shifts[-1] if shifts else 0
+        for m in range(max(prev + 1, n + 1), search_window + 1):
+            try:
+                lemma213_chain(sys_, cylinders, gammas, shifts + [m])
+            except WitnessExhausted:
+                continue
+            shifts.append(m)
+            break
+        else:
+            raise WitnessExhausted(n, lemma213_chain(sys_, cylinders, gammas, shifts))
+    return lemma213_chain(sys_, cylinders, gammas, shifts)
+
+
+# -- differential tests -------------------------------------------------------------
+
+
+def test_return_sets_match_factor_scan():
+    for name, make in SYSTEMS.items():
+        sys_ = make()
+        for shape, (poly_texts, max_window) in QUERY_SHAPES.items():
+            rng = random.Random(f"{name}/{shape}")
+            for _ in range(6):
+                window = rng.randint(0, max_window)
+                u = random_word(rng, sys_)
+                if poly_texts is None:
+                    v = random_word(rng, sys_)
+                    got = outcome(return_set, sys_, CylinderSet(u), CylinderSet(v), window)
+                    want = outcome(
+                        scan_poly_members, sys_, u, [v], [parse_polynomial("n")], window
+                    )
+                else:
+                    polys = [parse_polynomial(t) for t in poly_texts]
+                    vs = [random_word(rng, sys_) for _ in polys]
+                    got = outcome(
+                        poly_return_set, sys_, CylinderSet(u),
+                        [CylinderSet(v) for v in vs], polys, window,
+                    )
+                    want = outcome(scan_poly_members, sys_, u, vs, polys, window)
+                if not isinstance(got, tuple):
+                    got = got.members
+                assert got == want, (name, shape, u, window)
+
+
+def random_pattern(rng, sys_):
+    if rng.random() < 0.3:
+        # a window at or near the end of an expansion, or some of its cells
+        text = rng.choice(sys_.expansions(1))
+        length = rng.randint(1, min(len(text), 50))
+        start = len(text) - length - rng.randint(0, min(2, len(text) - length))
+        picked = rng.sample(range(length), rng.choice([length, min(length, 4)]))
+        offset = rng.randint(-6, 6)
+        return Pattern(tuple((offset + i, text[start + i]) for i in picked))
+    symbols = list(sys_.alphabet) + ["z"]  # "z" is in no alphabet here
+    cells = {
+        rng.randint(-6, 70): rng.choice(symbols if rng.random() < 0.1 else sys_.alphabet)
+        for _ in range(rng.randint(0, 4))
+    }
+    return Pattern(tuple(cells.items()))
+
+
+def test_patterns_match_position_scan():
+    for name, make in SYSTEMS.items():
+        sys_ = make()
+        rng = random.Random(name)
+        for _ in range(40):
+            pattern = random_pattern(rng, sys_)
+            assert outcome(pattern_realizable, sys_, pattern) == outcome(
+                scan_realizable, sys_, pattern
+            ), (name, pattern)
+            word = random_word(rng, sys_) if rng.random() < 0.8 else ""
+            assert outcome(
+                _pattern_contained_in_cylinder, sys_, pattern, CylinderSet(word)
+            ) == outcome(scan_contained, sys_, pattern, word), (name, pattern, word)
+
+
+def test_recurrence_matches_position_scan():
+    gamma_sets = [
+        ["e"], ["T1^{n}"], ["T1^{-n}", "T1^{2n}"], ["T1^{n^2}"],
+    ]
+    for name, make in SYSTEMS.items():
+        sys_ = make()
+        for texts, n_values in itertools.product(gamma_sets, (range(-2, 9), [9])):
+            gammas = [parse_gamma_polynomial(t) for t in texts]
+            for length in (1, 3, 6):
+                got = outcome(recurrence_search, sys_, gammas, length, n_values)
+                if got is not None and not isinstance(got, tuple):
+                    got = got.n, got.word, got.shifts
+                want = outcome(scan_recurrence, sys_, gammas, length, n_values)
+                assert got == want, (name, texts, length)
+
+
+@pytest.mark.parametrize(
+    "words, gamma_texts, depth, window, runs_out_at",
+    [
+        (["1001", "1001"], ["T1^{n}", "T1^{2n}"], 4, 200, None),
+        (["01"], ["T1^{n^2}"], 4, 40, None),
+        (["1001", "0100"], ["T1^{n}", "T1^{2n}"], 5, 60, 5),
+        (["0"], ["T1^{n}"], 3, 0, 0),  # no candidate at all
+    ],
+)
+def test_chain_search_matches_rebuild(words, gamma_texts, depth, window, runs_out_at):
+    sys_ = chacon()
+    cylinders = [CylinderSet(w) for w in words]
+    gammas = [parse_gamma_polynomial(t) for t in gamma_texts]
+
+    def run(search):
+        try:
+            return search()
+        except WitnessExhausted as exc:
+            return exc.depth, exc.partial
+
+    got = run(
+        lambda: find_chain_shifts(sys_, cylinders, gammas, depth, search_window=window)
+    )
+    assert got == run(
+        lambda: rebuild_chain_shifts(sys_, cylinders, gammas, depth, window)
+    )
+    if runs_out_at is None:
+        assert isinstance(got, Lemma213Chain) and len(got.levels) == depth + 1
+    else:
+        depth_failed, partial = got
+        assert depth_failed == runs_out_at
+        assert len(partial.shifts) == len(partial.levels) == runs_out_at
+        assert partial == lemma213_chain(sys_, cylinders, gammas, partial.shifts)
