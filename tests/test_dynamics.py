@@ -46,6 +46,45 @@ def random_cylinder(rng, sys_, max_len=3):
     return CylinderSet(rng.choice(sorted(sys_.factors(length))))
 
 
+def orbit_members(sys_, u, vs, polys, window):
+    """Members of a return set by the orbit route: match occurrence
+    positions of the cylinder words inside long expansions of the
+    substitution, independently of the library's occurrence engine."""
+    ns = range(-window, window + 1)
+    cells_for = {
+        n: [(0, u.word)] + [(p(n), v.word) for p, v in zip(polys, vs)] for n in ns
+    }
+    span_for = {}
+    for n, cells in cells_for.items():
+        lo = min(off for off, _ in cells)
+        span_for[n] = (lo, max(off + len(w) for off, w in cells) - lo)
+    max_span = max(span for _, span in span_for.values())
+    words = {w for cells in cells_for.values() for _, w in cells}
+    tables = []
+    for text in sys_.expansions(max_span):
+        table = {}
+        for w in words:
+            positions = set()
+            start = text.find(w)
+            while start != -1:
+                positions.add(start)
+                start = text.find(w, start + 1)
+            table[w] = positions
+        tables.append((len(text), table))
+    members = set()
+    for n in ns:
+        lo, span = span_for[n]
+        for length, table in tables:
+            if any(
+                0 <= a + lo <= length - span
+                and all(a + off in table[w] for off, w in cells_for[n])
+                for a in table[u.word]
+            ):
+                members.add(n)
+                break
+    return frozenset(members)
+
+
 class TestLanguage:
     def test_chacon_factors(self, chacon):
         lang = chacon.language(4)
@@ -154,6 +193,17 @@ class TestReturnSet:
             backward = return_set(chacon, v, u, w).members
             assert forward == frozenset(-n for n in backward)
 
+    def test_language_and_orbit_routes_agree(self, chacon, fib):
+        rng = random.Random(29)
+        for sys_ in (chacon, fib):
+            for _ in range(8):
+                u = random_cylinder(rng, sys_)
+                v = random_cylinder(rng, sys_)
+                w = rng.randint(5, 100)
+                a = return_set(sys_, u, v, w)
+                b = orbit_members(sys_, u, [v], [N], w)
+                assert a.members == b
+
     def test_union_monotone(self, chacon):
         u = cyl("0")
         small = return_set_any(chacon, u, [cyl("01")], 40)
@@ -205,6 +255,17 @@ class TestPolyReturnSet:
             poly_return_set(
                 chacon, cyl("0"), [cyl("0")], [parse_polynomial("n^2")], 200
             )
+
+    def test_routes_agree(self, chacon):
+        rng = random.Random(43)
+        for _ in range(5):
+            u = random_cylinder(rng, chacon)
+            v1 = random_cylinder(rng, chacon)
+            v2 = random_cylinder(rng, chacon)
+            w = rng.randint(5, 60)
+            a = poly_return_set(chacon, u, [v1, v2], [N, TWO_N], w)
+            b = orbit_members(chacon, u, [v1, v2], [N, TWO_N], w)
+            assert a.members == b
 
 
 class TestPowerAndProduct:
