@@ -1,3 +1,10 @@
+import os
+import shutil
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
 import pytest
 
 from ipdyn import cli
@@ -434,3 +441,114 @@ window = 150
         path = tmp_path / "empty.csv"
         cli._write_csv(path, ["n", "member"], [])
         assert path.read_text() == "n,member\n"
+
+
+GOLDEN = Path(__file__).parent / "golden" / "cli"
+
+# case -> argv without "--out out".  Each case runs in a fresh copy of
+# golden/cli/configs, so paths in stdout and in error messages are relative.
+GOLDEN_CASES = {
+    "pet-trace": ["pet-trace", "--config", "shared.cfg"],
+    "weights": ["weights", "--config", "shared.cfg"],
+    "fs": ["fs", "--config", "shared.cfg"],
+    "hindman": ["hindman", "--N", "5", "--r", "2", "--depth", "2", "--all"],
+    "density": ["density", "--predicate", "evens", "--lo", "0", "--hi", "60",
+                "--length", "6"],
+    "return-set": ["return-set", "--config", "shared.cfg"],
+    "poly-return": ["poly-return", "--config", "shared.cfg"],
+    "lemma213": ["lemma213", "--config", "lemma.cfg"],
+    "mixing-report": ["mixing-report", "--config", "shared.cfg"],
+    # flag overrides and the other inputs of each subcommand
+    "pet-trace-members": ["pet-trace", "--members", "T1^{n}; T1^{n^2}"],
+    "weights-members": ["weights", "--members", "T1^{n}; T2^{n}; T1^{n} * T2^{n^3}"],
+    "fs-generators": ["fs", "--config", "shared.cfg", "--generators", "2,5,11"],
+    "hindman-config": ["hindman", "--config", "hindman-all.cfg"],
+    "hindman-coloring": ["hindman", "--N", "4", "--r", "2", "--depth", "2",
+                         "--coloring", "0,1,1,0"],
+    "density-csv": ["density", "--csv-path", "set.csv", "--lo", "0", "--hi", "8",
+                    "--length", "4"],
+    "return-set-window": ["return-set", "--config", "shared.cfg", "--window", "7"],
+    "return-set-whole-space": ["return-set", "--config", "whole-space.cfg"],
+    "lemma213-shifts": ["lemma213", "--config", "lemma-shifts.cfg"],
+    "lemma213-window": ["lemma213", "--config", "lemma.cfg", "--depth", "1",
+                        "--window", "60"],
+    "mixing-report-window": ["mixing-report", "--config", "shared.cfg",
+                             "--window", "15"],
+    # error paths
+    "missing-system": ["return-set", "--config", "no-system.cfg"],
+    "missing-vs": ["poly-return", "--config", "no-vs.cfg"],
+    "missing-polys": ["poly-return", "--config", "no-polys.cfg"],
+    "missing-window-before-truncations": ["mixing-report", "--config", "no-window.cfg"],
+    "missing-truncations": ["mixing-report", "--config", "no-truncations.cfg"],
+    "missing-gammas": ["lemma213", "--config", "lemma-no-gammas.cfg"],
+    "missing-depth": ["lemma213", "--config", "lemma-no-depth.cfg"],
+    "missing-gamma-system": ["pet-trace"],
+    "missing-generators": ["fs"],
+    "missing-N": ["hindman"],
+    "missing-coloring": ["hindman", "--config", "hindman-one.cfg"],
+    "missing-lo": ["density"],
+    "density-no-source": ["density", "--lo", "0", "--hi", "10", "--length", "2"],
+    "density-unreadable-csv": ["density", "--csv-path", "nope.csv", "--lo", "0",
+                               "--hi", "10", "--length", "2"],
+    "unreadable-config": ["return-set", "--config", "nope.cfg"],
+    "config-syntax-error": ["return-set", "--config", "broken.cfg"],
+    "foreign-set": ["return-set", "--config", "foreign-set.cfg"],
+    "negative-window": ["return-set", "--config", "shared.cfg", "--window", "-1"],
+    "window-over-bound": ["poly-return", "--config", "quadratic-wide.cfg"],
+    "hypothesis-violation": ["poly-return", "--config", "constant-poly.cfg"],
+    "truncation-overflow": ["fs", "--generators", ",".join(map(str, range(1, 26)))],
+}
+
+
+def run_golden_case(argv, workdir: Path) -> dict[str, bytes]:
+    """Exit code, stdout, stderr and every written file of one CLI run,
+    keyed by their paths under the case's golden directory."""
+    shutil.copytree(GOLDEN / "configs", workdir, dirs_exist_ok=True)
+    stdout, stderr = StringIO(), StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = cli.main(argv + ["--out", "out"])
+    finally:
+        os.chdir(cwd)
+    result = {
+        "exit": f"{code}\n".encode(),
+        "stdout": stdout.getvalue().encode(),
+        "stderr": stderr.getvalue().encode(),
+    }
+    out = workdir / "out"
+    if out.is_dir():
+        for path in sorted(out.iterdir()):
+            result[f"files/{path.name}"] = path.read_bytes()
+    return result
+
+
+def read_golden(case: str) -> dict[str, bytes]:
+    root = GOLDEN / case
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_output(case, tmp_path):
+    assert run_golden_case(GOLDEN_CASES[case], tmp_path) == read_golden(case)
+
+
+if __name__ == "__main__":
+    # Rewrite the golden files from the current code: run this only when
+    # an output change is intended.  Usage: python tests/test_cli.py
+    import tempfile
+
+    for case, argv in GOLDEN_CASES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            captured = run_golden_case(argv, Path(tmp))
+        shutil.rmtree(GOLDEN / case, ignore_errors=True)
+        for rel, data in captured.items():
+            target = GOLDEN / case / rel
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(data)
+        print(f"{case}: exit {captured['exit'].decode().strip()}", file=sys.stderr)
