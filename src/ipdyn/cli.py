@@ -1,8 +1,16 @@
 """Batch experiment runner: parse a config, run one subcommand, emit
 deterministic CSV and text artifacts.
 
+Each subcommand is one entry of ``_COMMANDS``: its help, its flags (each
+overriding the ``[run]`` key it names) and a compute function from the
+run parameters to a report.  ``_run`` is the one emit path: it writes
+``<subcommand>.txt`` and ``<subcommand>.csv`` under ``--out`` and prints
+a one-line summary.
+
 Exit codes: 0 on completion, 1 on config/usage/IO problems, 2 on a
-polynomial hypothesis violation, 3 on window/budget limits.
+polynomial hypothesis violation, 3 on window/budget limits, 4 when a
+``lemma213`` chain fails its independent containment check (both
+artifacts are still written).
 """
 
 from __future__ import annotations
@@ -11,25 +19,20 @@ import argparse
 import csv
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import config as config_mod
-from . import dynamics, gammapoly, intpoly, ipsets
+from . import dynamics, gammapoly, ipsets
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_HYPOTHESIS = 2
 EXIT_BUDGET = 3
+EXIT_UNVERIFIED = 4
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
-def _write_text(path: Path, lines: Sequence[str]) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+class _CliError(ValueError):
+    """A usage or IO problem the CLI reports itself (exit 1)."""
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -43,81 +46,106 @@ def _params_lines(params: dict[str, object]) -> list[str]:
     return [f"{key} = {params[key]}" for key in sorted(params)]
 
 
-def _load_config(args) -> config_mod.ExperimentConfig:
-    if args.config is None:
-        return config_mod.ExperimentConfig({}, {}, {}, {}, {}, {})
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _CliError(f"cannot read config: {exc}", EXIT_USAGE)
-    return config_mod.parse_config(text)
+class _Report(NamedTuple):
+    lines: list[str]  # the text artifact after its "<subcommand>" title
+    header: list[str]
+    rows: list[list]
+    summary: str
+    code: int = EXIT_OK
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _CliError(f"cannot create output directory: {exc}", EXIT_USAGE)
-    return out
+class _Params:
+    """Run parameters of one invocation.  A flag overrides the ``[run]``
+    key it names; a missing required value is a usage error named after
+    the flag, or after the key when no flag overrides it."""
 
+    def __init__(self, cfg: config_mod.ExperimentConfig, args, flags):
+        self.cfg = cfg
+        self.args = args
+        self._flag_for = {key: flag for flag, key, _ in flags if key}
 
-def _run_value(cfg, args, key: str, attr: str | None = None, default=None):
-    attr = attr or key
-    override = getattr(args, attr.replace("-", "_"), None)
-    if override is not None:
-        return override
-    return cfg.run.get(key, default)
+    def get(self, key: str, default=None):
+        flag = self._flag_for.get(key)
+        value = getattr(self.args, flag.replace("-", "_")) if flag else None
+        return self.cfg.run.get(key, default) if value is None else value
 
-
-def _require(value, what: str):
-    if value is None:
-        raise _CliError(f"missing required parameter: {what}", EXIT_USAGE)
-    return value
-
-
-def _substitution_system(cfg, name: str) -> dynamics.SubstitutionSystem:
-    system = cfg.systems[name]
-    if not isinstance(system, dynamics.SubstitutionSystem):
-        raise _CliError(
-            f"system {name!r} is not a substitution system", EXIT_USAGE
+    def _missing(self, key: str) -> _CliError:
+        return _CliError(
+            f"missing required parameter: {self._flag_for.get(key, key)}"
         )
-    return system
+
+    def need(self, key: str):
+        value = self.get(key)
+        if value is None:
+            raise self._missing(key)
+        return value
+
+    def integer(self, key: str) -> int:
+        return int(self.need(key))
+
+    def names(self, key: str) -> list[str]:
+        names = config_mod.run_list(self.cfg, key)
+        if not names:
+            raise self._missing(key)
+        return names
+
+    def system(self) -> dynamics.SubstitutionSystem:
+        return self.cfg.systems[self.need("system")]
+
+    def cylinder(self, set_name: str) -> dynamics.CylinderSet:
+        spec = self.cfg.sets[set_name]
+        system_name = self.cfg.run["system"]
+        if spec.system != system_name:
+            raise _CliError(
+                f"set {set_name!r} belongs to system {spec.system!r}, "
+                f"not {system_name!r}"
+            )
+        return dynamics.CylinderSet(spec.word)
+
+    def poly_query(self):
+        """(system, u, vs, polys, window) of a polynomial return set."""
+        system = self.system()
+        u = self.cylinder(self.need("u"))
+        vs = [self.cylinder(name) for name in self.names("vs")]
+        polys = [self.cfg.polys[name] for name in self.names("polys")]
+        return system, u, vs, polys, self.integer("window")
+
+    def gamma_system(self) -> gammapoly.PolySystem:
+        if self.args.members is not None:
+            return gammapoly.parse_system(self.args.members)
+        return self.cfg.gamma_systems[self.need("gamma-system")]
 
 
-def _cylinder_for(cfg, set_name: str, system_name: str) -> dynamics.CylinderSet:
-    spec = cfg.sets[set_name]
-    if not isinstance(spec, config_mod.CylinderSpec):
-        raise _CliError(f"set {set_name!r} is not a cylinder", EXIT_USAGE)
-    if spec.system != system_name:
-        raise _CliError(
-            f"set {set_name!r} belongs to system {spec.system!r}, "
-            f"not {system_name!r}",
-            EXIT_USAGE,
-        )
-    return dynamics.CylinderSet(spec.word)
+def _feasibility_line(sys: dynamics.SubstitutionSystem, needed: int) -> str:
+    return (
+        f"feasibility: longest word needed = {needed}, "
+        f"bound = {sys.max_word_length}"
+    )
 
 
-def _return_set_rows(result: dynamics.ReturnSet) -> list[list]:
-    return [
+def _return_set_report(
+    system: dynamics.SubstitutionSystem, result: dynamics.ReturnSet
+) -> _Report:
+    lines = _params_lines(dict(result.provenance)) + [
+        "",
+        _feasibility_line(system, result.span),
+        f"members = {len(result.members)}",
+    ]
+    rows = [
         [n, 1 if n in result.members else 0]
         for n in range(-result.window, result.window + 1)
     ]
+    return _Report(lines, ["n", "member"], rows, f"{len(result.members)} members")
 
 
 # -- subcommands -------------------------------------------------------------
+# Library calls go through module attributes at call time, so a wrapper
+# put on e.g. ``dynamics.poly_return_set`` sees every CLI call.
 
 
-def _cmd_pet_trace(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    if args.members is not None:
-        system = gammapoly.parse_system(args.members)
-    else:
-        name = _require(cfg.run.get("gamma-system"), "gamma-system")
-        system = cfg.gamma_systems[name]
-    steps = gammapoly.traced_pet_chain(system)
-    lines = ["pet-trace", ""]
+def _pet_trace(p: _Params) -> _Report:
+    steps = gammapoly.traced_pet_chain(p.gamma_system())
+    lines = []
     rows = []
     for idx, step in enumerate(steps):
         shifts = ",".join(str(m) for m in step.shifts)
@@ -131,76 +159,53 @@ def _cmd_pet_trace(args) -> int:
             lines.append(f"  f = {reducer}")
             lines.append(f"  shifts = ({shifts})")
         rows.append([idx, reducer, shifts, str(step.vector), str(step.system)])
-    _write_text(out / "pet-trace.txt", lines)
-    _write_csv(
-        out / "pet-trace.csv",
-        ["step", "f", "shifts", "weight_vector", "system"],
-        rows,
+    return _Report(
+        lines, ["step", "f", "shifts", "weight_vector", "system"], rows,
+        f"{len(steps)} chain steps",
     )
-    print(f"pet-trace: {len(steps)} chain steps -> {out}")
-    return EXIT_OK
 
 
-def _cmd_weights(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    if args.members is not None:
-        system = gammapoly.parse_system(args.members)
-    else:
-        name = _require(cfg.run.get("gamma-system"), "gamma-system")
-        system = cfg.gamma_systems[name]
+def _weights(p: _Params) -> _Report:
+    system = p.gamma_system()
     vector = gammapoly.weight_vector(system)
     rows = []
-    lines = ["weights", ""]
+    lines = []
     for g in system.members:
         w = g.weight()
         rows.append([str(g), w.level, w.degree])
         lines.append(f"{g}  ->  weight {w}")
     lines += ["", f"weight vector = {vector}"]
-    _write_text(out / "weights.txt", lines)
-    _write_csv(out / "weights.csv", ["element", "level", "degree"], rows)
-    print(f"weights: {len(system)} members -> {out}")
-    return EXIT_OK
+    return _Report(
+        lines, ["element", "level", "degree"], rows, f"{len(system)} members"
+    )
 
 
-def _cmd_fs(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    raw = _require(_run_value(cfg, args, "generators"), "generators")
+def _fs(p: _Params) -> _Report:
+    raw = p.need("generators")
     generators = tuple(int(x) for x in str(raw).split(",") if x.strip())
     fs = ipsets.enumerate_fs(generators)
     rows = [
         ["|".join(str(i) for i in sorted(alpha)), value]
         for alpha, value in fs.items()
     ]
-    lines = ["fs", ""] + _params_lines({"generators": list(generators)})
+    lines = _params_lines({"generators": list(generators)})
     lines += ["", f"distinct values = {list(fs.values())}"]
-    _write_text(out / "fs.txt", lines)
-    _write_csv(out / "fs.csv", ["alpha", "value"], rows)
-    print(f"fs: {len(rows)} index sets -> {out}")
-    return EXIT_OK
+    return _Report(lines, ["alpha", "value"], rows, f"{len(rows)} index sets")
 
 
-def _cmd_hindman(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    n_max = int(_require(_run_value(cfg, args, "n-max", "N"), "N"))
-    colors = int(_require(_run_value(cfg, args, "colors", "r"), "r"))
-    depth = int(_require(_run_value(cfg, args, "depth"), "depth"))
-    coloring_text = _run_value(cfg, args, "coloring")
-    mode = "all-colorings"
-    if args.all:
-        mode = "all-colorings"
-    elif coloring_text is not None:
-        mode = "one-coloring"
-    elif cfg.run.get("mode") == "one":
-        mode = "one-coloring"
+def _hindman(p: _Params) -> _Report:
+    n_max = p.integer("n-max")
+    colors = p.integer("colors")
+    depth = p.integer("depth")
+    coloring_text = p.get("coloring")
+    one = not p.args.all and (
+        coloring_text is not None or p.get("mode") == "one"
+    )
+    mode = "one-coloring" if one else "all-colorings"
     params = {"N": n_max, "r": colors, "depth": depth, "mode": mode}
-    lines = ["hindman", ""] + _params_lines(params) + [""]
-    if mode == "one-coloring":
-        coloring = tuple(
-            int(c) for c in str(_require(coloring_text, "coloring")).split(",")
-        )
+    lines = _params_lines(params) + [""]
+    if one:
+        coloring = tuple(int(c) for c in str(p.need("coloring")).split(","))
         witness = ipsets.hindman_search(
             n_max, colors, depth, mode="one-coloring", coloring=coloring
         )
@@ -227,20 +232,15 @@ def _cmd_hindman(args) -> int:
             status = "failing-coloring"
             detail = ",".join(str(c) for c in outcome.coloring)
             lines.append(f"least failing coloring (cells 0..{colors - 1}): {detail}")
-    _write_text(out / "hindman.txt", lines)
-    _write_csv(out / "hindman.csv", ["status", "detail"], [[status, detail]])
-    print(f"hindman: {status} -> {out}")
-    return EXIT_OK
+    return _Report(lines, ["status", "detail"], [[status, detail]], status)
 
 
-def _cmd_density(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    lo = int(_require(_run_value(cfg, args, "lo"), "lo"))
-    hi = int(_require(_run_value(cfg, args, "hi"), "hi"))
-    length = int(_require(_run_value(cfg, args, "length"), "length"))
-    predicate = _run_value(cfg, args, "predicate")
-    csv_path = _run_value(cfg, args, "csv", "csv_path")
+def _density(p: _Params) -> _Report:
+    lo = p.integer("lo")
+    hi = p.integer("hi")
+    length = p.integer("length")
+    predicate = p.get("predicate")
+    csv_path = p.get("csv")
     if predicate is not None:
         ws = ipsets.WindowSet.from_predicate(
             ipsets.builtin_predicate(str(predicate)), lo, hi
@@ -250,11 +250,11 @@ def _cmd_density(args) -> int:
         try:
             text = Path(str(csv_path)).read_text(encoding="utf-8")
         except OSError as exc:
-            raise _CliError(f"cannot read set CSV: {exc}", EXIT_USAGE)
+            raise _CliError(f"cannot read set CSV: {exc}")
         ws = ipsets.WindowSet.from_csv_text(text, lo, hi)
         source = f"csv:{csv_path}"
     else:
-        raise _CliError("density needs 'predicate' or 'csv'", EXIT_USAGE)
+        raise _CliError("density needs 'predicate' or 'csv'")
     upper, lower = ipsets.window_density(ws, length)
     report = ipsets.structure_classify(ws)
     params = {
@@ -263,8 +263,7 @@ def _cmd_density(args) -> int:
         "length": length,
         "members": report.member_count,
     }
-    lines = ["density", ""] + _params_lines(params)
-    lines += [
+    lines = _params_lines(params) + [
         "",
         f"bd_upper = {upper}",
         f"bd_lower = {lower}",
@@ -277,98 +276,41 @@ def _cmd_density(args) -> int:
         f"piecewise_syndetic_indicator = {report.piecewise_syndetic_indicator}",
         f"thickly_syndetic_indicator = {report.thickly_syndetic_indicator}",
     ]
-    _write_text(out / "density.txt", lines)
-    _write_csv(
-        out / "density.csv",
-        ["length", "bd_upper", "bd_lower"],
+    return _Report(
+        lines, ["length", "bd_upper", "bd_lower"],
         [[length, str(upper), str(lower)]],
-    )
-    print(f"density: bd_upper={upper} bd_lower={lower} -> {out}")
-    return EXIT_OK
-
-
-def _feasibility_line(sys: dynamics.SubstitutionSystem, needed: int) -> str:
-    return (
-        f"feasibility: longest word needed = {needed}, "
-        f"bound = {sys.max_word_length}"
+        f"bd_upper={upper} bd_lower={lower}",
     )
 
 
-def _cmd_return_set(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    system_name = _require(cfg.run.get("system"), "system")
-    system = _substitution_system(cfg, system_name)
-    u = _cylinder_for(cfg, _require(cfg.run.get("u"), "u"), system_name)
-    v = _cylinder_for(cfg, _require(cfg.run.get("v"), "v"), system_name)
-    window = int(_require(_run_value(cfg, args, "window"), "window"))
-    result = dynamics.return_set(system, u, v, window)
-    needed = dynamics.required_span(
-        [intpoly.IntegralPolynomial.from_monomials([0, 1])], u, [v], window
-    )
-    lines = ["return-set", ""] + _params_lines(dict(result.provenance))
-    lines += ["", _feasibility_line(system, needed),
-              f"members = {len(result.members)}"]
-    _write_text(out / "return-set.txt", lines)
-    _write_csv(out / "return-set.csv", ["n", "member"], _return_set_rows(result))
-    print(f"return-set: {len(result.members)} members -> {out}")
-    return EXIT_OK
+def _return_set(p: _Params) -> _Report:
+    system = p.system()
+    u = p.cylinder(p.need("u"))
+    v = p.cylinder(p.need("v"))
+    result = dynamics.return_set(system, u, v, p.integer("window"))
+    return _return_set_report(system, result)
 
 
-def _poly_query(cfg, args):
-    system_name = _require(cfg.run.get("system"), "system")
-    system = _substitution_system(cfg, system_name)
-    u = _cylinder_for(cfg, _require(cfg.run.get("u"), "u"), system_name)
-    v_names = config_mod.run_list(cfg, "vs")
-    if not v_names:
-        raise _CliError("missing required parameter: vs", EXIT_USAGE)
-    vs = [_cylinder_for(cfg, name, system_name) for name in v_names]
-    poly_names = config_mod.run_list(cfg, "polys")
-    if not poly_names:
-        raise _CliError("missing required parameter: polys", EXIT_USAGE)
-    polys = [cfg.polys[name] for name in poly_names]
-    window = int(_require(_run_value(cfg, args, "window"), "window"))
-    return system, u, vs, polys, window
-
-
-def _cmd_poly_return(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    system, u, vs, polys, window = _poly_query(cfg, args)
+def _poly_return(p: _Params) -> _Report:
+    system, u, vs, polys, window = p.poly_query()
     result = dynamics.poly_return_set(system, u, vs, polys, window)
-    needed = dynamics.required_span(polys, u, vs, window)
-    lines = ["poly-return", ""] + _params_lines(dict(result.provenance))
-    lines += ["", _feasibility_line(system, needed),
-              f"members = {len(result.members)}"]
-    _write_text(out / "poly-return.txt", lines)
-    _write_csv(out / "poly-return.csv", ["n", "member"], _return_set_rows(result))
-    print(f"poly-return: {len(result.members)} members -> {out}")
-    return EXIT_OK
+    return _return_set_report(system, result)
 
 
-def _cmd_lemma213(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    system_name = _require(cfg.run.get("system"), "system")
-    system = _substitution_system(cfg, system_name)
-    v_names = config_mod.run_list(cfg, "vs")
-    if not v_names:
-        raise _CliError("missing required parameter: vs", EXIT_USAGE)
-    cylinders = [_cylinder_for(cfg, name, system_name) for name in v_names]
-    gamma_names = config_mod.run_list(cfg, "gammas")
-    if not gamma_names:
-        raise _CliError("missing required parameter: gammas", EXIT_USAGE)
-    gammas = [cfg.gammas[name] for name in gamma_names]
-    base_power = int(cfg.run.get("base-power", "1"))
-    shifts_text = cfg.run.get("shifts")
+def _lemma213(p: _Params) -> _Report:
+    system = p.system()
+    cylinders = [p.cylinder(name) for name in p.names("vs")]
+    gammas = [p.cfg.gammas[name] for name in p.names("gammas")]
+    base_power = int(p.get("base-power", "1"))
+    shifts_text = p.get("shifts")
     if shifts_text is not None:
         shifts = [int(x) for x in shifts_text.split(",") if x.strip()]
         chain = dynamics.lemma213_chain(
             system, cylinders, gammas, shifts, base_power=base_power
         )
     else:
-        depth = int(_require(_run_value(cfg, args, "depth"), "depth"))
-        window = int(_require(_run_value(cfg, args, "window"), "window"))
+        depth = p.integer("depth")
+        window = p.integer("window")
         chain = dynamics.find_chain_shifts(
             system, cylinders, gammas, depth,
             search_window=window, base_power=base_power,
@@ -381,13 +323,13 @@ def _cmd_lemma213(args) -> int:
         "shifts": ",".join(str(m) for m in chain.shifts),
         "base-power": chain.base_power,
     }
-    lines = ["lemma213", ""] + _params_lines(params) + [""]
+    lines = _params_lines(params) + [""]
     widest = 0
     for n, level in enumerate(chain.levels):
         for i, oset in enumerate(level):
-            cells = "; ".join(str(p.cells) for p in oset.patterns)
-            for p in oset.patterns:
-                lo, hi = p.bounds()
+            cells = "; ".join(str(pat.cells) for pat in oset.patterns)
+            for pat in oset.patterns:
+                lo, hi = pat.bounds()
                 widest = max(widest, hi - lo)
             lines.append(f"level {n}, cylinder {i}: {cells}")
     lines += ["", _feasibility_line(system, widest),
@@ -396,29 +338,21 @@ def _cmd_lemma213(args) -> int:
         [c.level, c.cylinder_index, c.shift_index, 1 if c.holds else 0]
         for c in checks
     ]
-    _write_text(out / "lemma213.txt", lines)
-    _write_csv(
-        out / "lemma213.csv", ["level", "cylinder", "shift", "contained"], rows
+    return _Report(
+        lines, ["level", "cylinder", "shift", "contained"], rows,
+        f"depth {len(chain.levels) - 1}, verified={ok}",
+        EXIT_OK if ok else EXIT_UNVERIFIED,
     )
-    print(f"lemma213: depth {len(chain.levels) - 1}, verified={ok} -> {out}")
-    return EXIT_OK if ok else EXIT_USAGE
 
 
-def _cmd_mixing_report(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    system, u, vs, polys, window = _poly_query(cfg, args)
-    truncation_names = sorted(config_mod.run_list(cfg, "truncations"))
-    if not truncation_names:
-        raise _CliError("missing required parameter: truncations", EXIT_USAGE)
+def _mixing_report(p: _Params) -> _Report:
+    system, u, vs, polys, window = p.poly_query()
+    truncation_names = sorted(p.names("truncations"))
     result = dynamics.poly_return_set(system, u, vs, polys, window)
-    needed = dynamics.required_span(polys, u, vs, window)
-    lines = ["mixing-report", ""] + _params_lines(dict(result.provenance))
-    lines += ["", _feasibility_line(system, needed),
-              f"members = {len(result.members)}", ""]
+    lines = _return_set_report(system, result).lines + [""]
     rows = []
     for name in truncation_names:
-        fs = ipsets.enumerate_fs(cfg.truncations[name])
+        fs = ipsets.enumerate_fs(p.cfg.truncations[name])
         witness = ipsets.ip_witness(lambda n: n in result.members, fs)
         if witness is None:
             rows.append([name, "inconclusive", "", ""])
@@ -433,26 +367,67 @@ def _cmd_mixing_report(args) -> int:
             lines.append(
                 f"{name}: witness alpha={{{alpha_text}}} value={value}"
             )
-    _write_text(out / "mixing-report.txt", lines)
-    _write_csv(
-        out / "mixing-report.csv",
-        ["truncation", "status", "alpha", "value"],
-        rows,
+    return _Report(
+        lines, ["truncation", "status", "alpha", "value"], rows,
+        f"{len(rows)} truncations",
     )
-    print(f"mixing-report: {len(rows)} truncations -> {out}")
-    return EXIT_OK
 
 
-_HANDLERS = {
-    "pet-trace": _cmd_pet_trace,
-    "weights": _cmd_weights,
-    "fs": _cmd_fs,
-    "hindman": _cmd_hindman,
-    "density": _cmd_density,
-    "return-set": _cmd_return_set,
-    "poly-return": _cmd_poly_return,
-    "lemma213": _cmd_lemma213,
-    "mixing-report": _cmd_mixing_report,
+# A flag is (name, the [run] key it overrides or None, argparse options).
+_WINDOW = ("window", "window", {"type": int})
+
+# subcommand -> (help, flags, compute); --config and --out are common.
+_COMMANDS = {
+    "pet-trace": (
+        "trace a weight-descent chain",
+        [("members", None,
+          {"help": "inline system, e.g. 'T1^{n^2}; T1^{2n^2}'"})],
+        _pet_trace,
+    ),
+    "weights": (
+        "weights and weight vector of a system",
+        [("members", None, {"help": "inline system"})],
+        _weights,
+    ),
+    "fs": (
+        "enumerate a finite-sums truncation",
+        [("generators", "generators", {"help": "comma list, e.g. 1,3,9"})],
+        _fs,
+    ),
+    "hindman": (
+        "partition searches for finite sums",
+        [
+            ("N", "n-max", {"type": int, "help": "ground set 1..N"}),
+            ("r", "colors", {"type": int, "help": "number of colors"}),
+            ("depth", "depth", {"type": int, "help": "generator count"}),
+            ("all", None,
+             {"action": "store_true", "help": "exhaust all colorings"}),
+            ("coloring", "coloring",
+             {"help": "comma list of cell indices for 1..N"}),
+        ],
+        _hindman,
+    ),
+    "density": (
+        "window densities and structure flags",
+        [
+            ("lo", "lo", {"type": int}),
+            ("hi", "hi", {"type": int}),
+            ("length", "length", {"type": int}),
+            ("predicate", "predicate", {"help": "evens | squares | multiples:k"}),
+            ("csv-path", "csv", {"help": "CSV file, one integer per line"}),
+        ],
+        _density,
+    ),
+    "return-set": ("plain return-time set", [_WINDOW], _return_set),
+    "poly-return": ("polynomial return-time set", [_WINDOW], _poly_return),
+    "lemma213": (
+        "descending open-set chain",
+        [("depth", "depth", {"type": int}), _WINDOW],
+        _lemma213,
+    ),
+    "mixing-report": (
+        "poly return set vs truncations", [_WINDOW], _mixing_report,
+    ),
 }
 
 
@@ -462,68 +437,45 @@ def _build_parser() -> argparse.ArgumentParser:
         description="deterministic experiments on exact combinatorial dynamics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (help_text, flags, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to a config file")
         p.add_argument("--out", default="out", help="output directory")
-
-    p = sub.add_parser("pet-trace", help="trace a weight-descent chain")
-    common(p)
-    p.add_argument("--members", help="inline system, e.g. 'T1^{n^2}; T1^{2n^2}'")
-
-    p = sub.add_parser("weights", help="weights and weight vector of a system")
-    common(p)
-    p.add_argument("--members", help="inline system")
-
-    p = sub.add_parser("fs", help="enumerate a finite-sums truncation")
-    common(p)
-    p.add_argument("--generators", help="comma list, e.g. 1,3,9")
-
-    p = sub.add_parser("hindman", help="partition searches for finite sums")
-    common(p)
-    p.add_argument("--N", type=int, help="ground set 1..N")
-    p.add_argument("--r", type=int, help="number of colors")
-    p.add_argument("--depth", type=int, help="generator count")
-    p.add_argument("--all", action="store_true", help="exhaust all colorings")
-    p.add_argument("--coloring", help="comma list of cell indices for 1..N")
-
-    p = sub.add_parser("density", help="window densities and structure flags")
-    common(p)
-    p.add_argument("--lo", type=int)
-    p.add_argument("--hi", type=int)
-    p.add_argument("--length", type=int)
-    p.add_argument("--predicate", help="evens | squares | multiples:k")
-    p.add_argument("--csv-path", help="CSV file, one integer per line")
-
-    p = sub.add_parser("return-set", help="plain return-time set")
-    common(p)
-    p.add_argument("--window", type=int)
-
-    p = sub.add_parser("poly-return", help="polynomial return-time set")
-    common(p)
-    p.add_argument("--window", type=int)
-
-    p = sub.add_parser("lemma213", help="descending open-set chain")
-    common(p)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--window", type=int)
-
-    p = sub.add_parser("mixing-report", help="poly return set vs truncations")
-    common(p)
-    p.add_argument("--window", type=int)
-
+        for flag, _, options in flags:
+            p.add_argument(f"--{flag}", **options)
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
+def _run(args) -> int:
+    """Load the config, make ``--out``, compute the subcommand's report,
+    write ``<name>.txt`` and ``<name>.csv`` and print the summary."""
+    if args.config is None:
+        cfg = config_mod.ExperimentConfig({}, {}, {}, {}, {}, {})
+    else:
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise _CliError(f"cannot read config: {exc}")
+        cfg = config_mod.parse_config(text)
+    out = Path(args.out)
     try:
-        return handler(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _CliError(f"cannot create output directory: {exc}")
+    name = args.command
+    _, flags, compute = _COMMANDS[name]
+    report = compute(_Params(cfg, args, flags))
+    text = "\n".join([name, ""] + report.lines) + "\n"
+    (out / f"{name}.txt").write_text(text, encoding="utf-8")
+    _write_csv(out / f"{name}.csv", report.header, report.rows)
+    print(f"{name}: {report.summary} -> {out}")
+    return report.code
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        return _run(args)
     except dynamics.HypothesisViolation as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
@@ -536,22 +488,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     ) as exc:
         print(f"window/budget limit: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (
-        config_mod.ParseError,
-        config_mod.ValidationError,
-        intpoly.NotIntegralPolynomial,
-        intpoly.PolynomialParseError,
-        ipsets.BadLength,
-        ipsets.IndexOutOfRange,
-        dynamics.BadRules,
-        dynamics.BadModulus,
-        dynamics.ZeroPower,
-        gammapoly.DimensionMismatch,
-        gammapoly.EmptySystem,
-        ValueError,
-        KeyError,
-        OSError,
-    ) as exc:
+    # the library's input errors (config parse/validation, polynomial
+    # syntax, bad rules or lengths, ...) are all ValueError subclasses
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -5,7 +5,7 @@ generator lists and the run parameters."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Mapping
 
 from . import dynamics, gammapoly, intpoly
 
@@ -24,31 +24,15 @@ class CylinderSpec:
     word: str
 
 
-@dataclass(frozen=True)
-class ArcSpec:
-    system: str
-    start: int
-    end: int
-
-
-SetSpec = Union[CylinderSpec, ArcSpec]
-
-
 @dataclass
 class ExperimentConfig:
-    systems: dict[str, Union[dynamics.SubstitutionSystem, dynamics.RotationControl]]
-    sets: dict[str, SetSpec]
+    systems: dict[str, dynamics.SubstitutionSystem]
+    sets: dict[str, CylinderSpec]
     polys: dict[str, intpoly.IntegralPolynomial]
     gammas: dict[str, gammapoly.GammaPolynomial]
     gamma_systems: dict[str, gammapoly.PolySystem]
     truncations: dict[str, tuple[int, ...]]
     run: dict[str, str] = field(default_factory=dict)
-
-    def arc(self, name: str) -> dynamics.Arc:
-        spec = self.sets[name]
-        if not isinstance(spec, ArcSpec):
-            raise ValidationError(f"set {name!r} is a cylinder, not an arc")
-        return dynamics.Arc(spec.start, spec.end)
 
 
 def _raw_sections(text: str) -> list[tuple[str, dict[str, str]]]:
@@ -131,7 +115,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ValidationError("section [system] needs a name")
             try:
                 cfg.systems[name] = dynamics.build_system(body)
-            except (dynamics.BadRules, dynamics.BadModulus, ValueError) as exc:
+            except (dynamics.BadRules, ValueError) as exc:
                 raise ValidationError(f"section [system {name}]: {exc}")
         elif kind == "set":
             if not name:
@@ -197,35 +181,14 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValidationError(
                 f"section [set {name}]: undefined system {system!r}"
             )
-        if "word" in body:
-            spec: SetSpec = CylinderSpec(system, body["word"])
-            target = cfg.systems[system]
-            if not isinstance(target, dynamics.SubstitutionSystem):
-                raise ValidationError(
-                    f"section [set {name}]: 'word' needs a substitution system"
-                )
-            if not target.is_admissible(spec.word):
-                raise ValidationError(
-                    f"section [set {name}]: word {spec.word!r} is not admissible"
-                )
-        elif "arc" in body:
-            raw = body["arc"]
-            if ":" not in raw:
-                raise ValidationError(
-                    f"section [set {name}]: arc must be 'start:end', got {raw!r}"
-                )
-            lo_text, hi_text = raw.split(":", 1)
-            try:
-                spec = ArcSpec(system, int(lo_text), int(hi_text))
-            except ValueError:
-                raise ValidationError(
-                    f"section [set {name}]: arc bounds must be integers: {raw!r}"
-                )
-        else:
+        word = body.get("word")
+        if word is None:
+            raise ValidationError(f"section [set {name}]: missing 'word'")
+        if not cfg.systems[system].is_admissible(word):
             raise ValidationError(
-                f"section [set {name}]: needs either 'word' or 'arc'"
+                f"section [set {name}]: word {word!r} is not admissible"
             )
-        cfg.sets[name] = spec
+        cfg.sets[name] = CylinderSpec(system, word)
 
     _validate_run_references(cfg)
     return cfg

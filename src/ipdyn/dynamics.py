@@ -277,11 +277,13 @@ def require_admissible(sys: SubstitutionSystem, cyl: CylinderSet) -> None:
 @dataclass(frozen=True)
 class ReturnSet:
     """Members of [-window, window] satisfying a co-occurrence query,
-    together with the provenance needed to reproduce it."""
+    together with the provenance needed to reproduce it and the span of
+    the longest admissible word the query needed (0 when none was)."""
 
     window: int
     members: frozenset[int]
     provenance: tuple[tuple[str, str], ...] = ()
+    span: int = 0
 
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
@@ -311,9 +313,9 @@ def _members(
     sys: SubstitutionSystem,
     ns: Sequence[int],
     constraints_for: Callable[[int], Sequence[Constraint]],
-) -> frozenset[int]:
+) -> tuple[frozenset[int], int]:
     """The n whose pattern some admissible word of the query's largest
-    span carries."""
+    span carries, and that span."""
     patterns = {n: _pattern(constraints_for(n)) for n in ns}
     max_span = max((span for _, span in patterns.values()), default=0)
     if max_span > sys.max_word_length:
@@ -322,15 +324,16 @@ def _members(
             f"{sys.max_word_length}"
         )
     if not max_span:
-        return frozenset(ns)
+        return frozenset(ns), 0
     occ = sys._occurrences(max_span)
     fits = occ.fits(max_span)
     if not fits:
         raise _no_expansion_reaches(max_span)
     starts = {w: occ.starts(w) for cells, _ in patterns.values() for _, w in cells}
-    return frozenset(
+    members = frozenset(
         n for n, (cells, _) in patterns.items() if _carriers(fits, cells, starts)
     )
+    return members, max_span
 
 
 def return_set(
@@ -349,7 +352,7 @@ def return_set(
     require_admissible(sys, u)
     require_admissible(sys, v)
     ns = range(-window, window + 1)
-    members = _members(sys, ns, lambda n: ((0, u.word), (n, v.word)))
+    members, span = _members(sys, ns, lambda n: ((0, u.word), (n, v.word)))
     return ReturnSet(
         window=window,
         members=members,
@@ -360,6 +363,7 @@ def return_set(
             ("v", v.word),
             ("window", str(window)),
         ),
+        span=span,
     )
 
 
@@ -372,8 +376,11 @@ def return_set_any(
     """Return set against a finite union of cylinders: the union of the
     per-cylinder return sets.  Enlarging the union never shrinks it."""
     members: frozenset[int] = frozenset()
+    span = 0
     for v in vs:
-        members |= return_set(sys, u, v, window).members
+        part = return_set(sys, u, v, window)
+        members |= part.members
+        span = max(span, part.span)
     return ReturnSet(
         window=window,
         members=members,
@@ -384,6 +391,7 @@ def return_set_any(
             ("vs", "|".join(v.word for v in vs)),
             ("window", str(window)),
         ),
+        span=span,
     )
 
 
@@ -425,7 +433,7 @@ def poly_return_set(
         return cells
 
     ns = range(-window, window + 1)
-    members = _members(sys, ns, constraints_for)
+    members, span = _members(sys, ns, constraints_for)
     return ReturnSet(
         window=window,
         members=members,
@@ -437,6 +445,7 @@ def poly_return_set(
             ("polys", "; ".join(str(p) for p in polys)),
             ("window", str(window)),
         ),
+        span=span,
     )
 
 
@@ -474,6 +483,7 @@ def power_return_set(
         window=window,
         members=members,
         provenance=base.provenance + (("power", str(k)),),
+        span=base.span,
     )
 
 
@@ -493,12 +503,14 @@ def product_return_set(
     if not transforms:
         raise ValueError("at least one component is required")
     members: frozenset[int] | None = None
+    span = 0
     described = []
     for t, u, v in zip(transforms, us, vs):
         sys_i, k = t if isinstance(t, tuple) else (t, 1)
         comp = power_return_set(sys_i, k, u, v, window)
         described.append(f"{sys_i.describe()}^{k}")
         members = comp.members if members is None else members & comp.members
+        span = max(span, comp.span)
     assert members is not None
     return ReturnSet(
         window=window,
@@ -508,6 +520,7 @@ def product_return_set(
             ("components", " x ".join(described)),
             ("window", str(window)),
         ),
+        span=span,
     )
 
 
@@ -971,10 +984,9 @@ def rotation_probe(
 # -- config-facing constructor ---------------------------------------------------
 
 
-def build_system(
-    spec: Mapping[str, str],
-) -> Union[SubstitutionSystem, RotationControl]:
-    """Build a system from a flat key/value mapping (config sections)."""
+def build_system(spec: Mapping[str, str]) -> SubstitutionSystem:
+    """Build a substitution system from a flat key/value mapping (config
+    sections)."""
     kind = spec.get("kind", "substitution")
     if kind == "substitution":
         if "rules" not in spec:
@@ -990,10 +1002,4 @@ def build_system(
         return SubstitutionSystem(
             rules, seeds=seeds, depth=depth, max_word_length=max_word_length
         )
-    if kind == "rotation":
-        modulus = spec.get("q", spec.get("modulus"))
-        step = spec.get("p", spec.get("step"))
-        if modulus is None or step is None:
-            raise BadRules("rotation systems need 'q' and 'p' entries")
-        return RotationControl(int(modulus), int(step))
     raise BadRules(f"unknown system kind {kind!r}")

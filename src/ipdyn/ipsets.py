@@ -50,11 +50,7 @@ class FSTruncation:
                 f"{len(gens)} generators exceed the bound {max_generators}"
             )
         self.generators = gens
-        sums = [0] * (1 << len(gens))
-        for mask in range(1, len(sums)):
-            low = mask & -mask
-            sums[mask] = sums[mask ^ low] + gens[low.bit_length() - 1]
-        self._sums = sums
+        self._sums = _subset_sums(gens)  # the sum over bitmask m at m - 1
 
     @property
     def size(self) -> int:
@@ -69,23 +65,23 @@ class FSTruncation:
             mask |= 1 << (i - 1)
         if mask == 0:
             raise ValueError("index set must be nonempty")
-        return self._sums[mask]
+        return self._sums[mask - 1]
 
     def items(self) -> Iterator[tuple[frozenset[int], int]]:
         """All (index set, sum) pairs, in ascending bitmask order."""
-        for mask in range(1, len(self._sums)):
+        for mask, value in enumerate(self._sums, start=1):
             alpha = frozenset(
                 i + 1 for i in range(self.size) if mask >> i & 1
             )
-            yield alpha, self._sums[mask]
+            yield alpha, value
 
     def values(self) -> tuple[int, ...]:
         """The distinct sums, ascending."""
-        return tuple(sorted(set(self._sums[1:])))
+        return tuple(sorted(set(self._sums)))
 
     def value_multiset(self) -> tuple[int, ...]:
         """All 2^k - 1 sums with repetition, ascending."""
-        return tuple(sorted(self._sums[1:]))
+        return tuple(sorted(self._sums))
 
     def __repr__(self) -> str:
         return f"FSTruncation(generators={self.generators!r})"
@@ -277,6 +273,7 @@ def _candidate_generators(
 
 
 def _subset_sums(gens: tuple[int, ...]) -> list[int]:
+    """Sums over the nonempty index sets, in ascending bitmask order."""
     sums = [0] * (1 << len(gens))
     for mask in range(1, len(sums)):
         low = mask & -mask

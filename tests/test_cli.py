@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ipdyn import cli
+from ipdyn import cli, dynamics
 from ipdyn.config import ParseError, ValidationError, parse_config
 
 CHACON_PREAMBLE = """
@@ -100,22 +100,6 @@ system = chacon
 word = 11
 """
             )
-
-    def test_arc_set(self):
-        cfg = parse_config(
-            """
-[system rot]
-kind = rotation
-modulus = 1000
-step = 618
-
-[set A]
-system = rot
-arc = 0:100
-"""
-        )
-        arc = cfg.arc("A")
-        assert (arc.start, arc.end) == (0, 100)
 
 
 def run_cli(args):
@@ -336,6 +320,12 @@ window = 500
     def test_config_error_is_1(self, tmp_path):
         cfg = write_config(tmp_path, "[run\n")
         assert run_cli(["return-set", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        rotation = write_config(
+            tmp_path,
+            "[system rot]\nkind = rotation\nq = 7\np = 3\n",
+            name="rot.cfg",
+        )
+        assert run_cli(["return-set", "--config", rotation, "--out", str(tmp_path / "o")]) == 1
 
     def test_missing_config_is_1(self, tmp_path):
         assert (
@@ -344,6 +334,23 @@ window = 500
                  "--out", str(tmp_path / "o")]
             )
             == 1
+        )
+
+    def test_unverified_chain_is_4(self, tmp_path, monkeypatch):
+        verify_chain = dynamics.verify_chain
+        monkeypatch.setattr(
+            dynamics, "verify_chain",
+            lambda *args, **kwargs: (False, verify_chain(*args, **kwargs)[1]),
+        )
+        out = tmp_path / "out"
+        code = run_cli(
+            ["lemma213", "--config", str(GOLDEN / "configs" / "lemma.cfg"),
+             "--out", str(out)]
+        )
+        assert code == cli.EXIT_UNVERIFIED == 4
+        assert "containments verified = False" in (out / "lemma213.txt").read_text()
+        assert (out / "lemma213.csv").read_text().startswith(
+            "level,cylinder,shift,contained\n"
         )
 
     def test_truncation_overflow_is_3(self, tmp_path):

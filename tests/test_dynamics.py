@@ -25,6 +25,7 @@ from ipdyn.dynamics import (
     power_return_set,
     product_return_set,
     recurrence_search,
+    required_span,
     return_set,
     return_set_any,
     rotation_probe,
@@ -139,8 +140,8 @@ class TestLanguage:
     def test_build_system(self):
         sub = build_system({"kind": "substitution", "rules": "0 -> 01; 1 -> 0"})
         assert isinstance(sub, SubstitutionSystem)
-        rot = build_system({"kind": "rotation", "modulus": "7", "step": "3"})
-        assert rot == RotationControl(7, 3)
+        with pytest.raises(BadRules):
+            build_system({"kind": "rotation", "modulus": "7", "step": "3"})
         with pytest.raises(BadRules):
             build_system({"kind": "nonsense"})
 
@@ -203,12 +204,16 @@ class TestReturnSet:
                 a = return_set(sys_, u, v, w)
                 b = orbit_members(sys_, u, [v], [N], w)
                 assert a.members == b
+                assert a.span == required_span([N], u, [v], w)
 
     def test_union_monotone(self, chacon):
         u = cyl("0")
         small = return_set_any(chacon, u, [cyl("01")], 40)
         grown = return_set_any(chacon, u, [cyl("01"), cyl("00")], 40)
         assert small.members <= grown.members
+        assert grown.span == max(
+            small.span, return_set(chacon, u, cyl("00"), 40).span
+        )
         # refining the single cylinder shrinks the set
         assert (
             return_set(chacon, u, cyl("00"), 40).members
@@ -266,6 +271,7 @@ class TestPolyReturnSet:
             a = poly_return_set(chacon, u, [v1, v2], [N, TWO_N], w)
             b = orbit_members(chacon, u, [v1, v2], [N, TWO_N], w)
             assert a.members == b
+            assert a.span == required_span([N, TWO_N], u, [v1, v2], w)
 
 
 class TestPowerAndProduct:
@@ -284,9 +290,12 @@ class TestPowerAndProduct:
 
     def test_power_two_pullback(self, chacon):
         u, v = cyl("0"), cyl("0")
-        doubled = power_return_set(chacon, 2, u, v, 100).members
-        base = return_set(chacon, u, v, 200).members
-        assert doubled == frozenset(n for n in range(-100, 101) if 2 * n in base)
+        doubled = power_return_set(chacon, 2, u, v, 100)
+        base = return_set(chacon, u, v, 200)
+        assert doubled.members == frozenset(
+            n for n in range(-100, 101) if 2 * n in base.members
+        )
+        assert doubled.span == base.span
 
     def test_zero_power(self, chacon):
         with pytest.raises(ZeroPower):
@@ -315,11 +324,10 @@ class TestPowerAndProduct:
         prod = product_return_set(
             [(chacon, 1), (chacon, 2)], [u, u], [v, v], 60
         )
-        expected = (
-            power_return_set(chacon, 1, u, v, 60).members
-            & power_return_set(chacon, 2, u, v, 60).members
-        )
-        assert prod.members == expected
+        once = power_return_set(chacon, 1, u, v, 60)
+        twice = power_return_set(chacon, 2, u, v, 60)
+        assert prod.members == once.members & twice.members
+        assert prod.span == max(once.span, twice.span) == twice.span
 
     def test_empty_component_empties_product(self, chacon):
         control = SubstitutionSystem({"a": "a", "b": "b"}, seeds=("a", "b"))
