@@ -326,12 +326,10 @@ def _lemma213(p: _Params) -> _Report:
     lines = _params_lines(params) + [""]
     widest = 0
     for n, level in enumerate(chain.levels):
-        for i, oset in enumerate(level):
-            cells = "; ".join(str(pat.cells) for pat in oset.patterns)
-            for pat in oset.patterns:
-                lo, hi = pat.bounds()
-                widest = max(widest, hi - lo)
-            lines.append(f"level {n}, cylinder {i}: {cells}")
+        for i, pat in enumerate(level):
+            lo, hi = pat.bounds()
+            widest = max(widest, hi - lo)
+            lines.append(f"level {n}, cylinder {i}: {pat.cells}")
     lines += ["", _feasibility_line(system, widest),
               f"containments verified = {ok}"]
     rows = [

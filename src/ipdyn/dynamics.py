@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .gammapoly import GammaPolynomial
 from .intpoly import IntegralPolynomial, essentially_distinct
@@ -119,13 +119,36 @@ class SubstitutionSystem:
         target = self._target_length(factor_length)
         return tuple(self._grow(seed, target) for seed in self.seeds)
 
-    def _occurrences(self, span: int) -> _Occurrences:
-        """The occurrence index of ``self.expansions(span)``.  One index is
-        kept; a query that needs another expansion length replaces it."""
+    def _carriers(
+        self, span: int, patterns: Iterable[Sequence[Constraint]], too_long: str
+    ) -> Iterator[int]:
+        """Where each pattern of (offset, word) cells is carried, lazily:
+        bit p is set when ``span`` letters from p lie inside one of
+        ``self.expansions(span)`` and every cell's word starts at
+        p + offset.  The only reader of the occurrence index: one index is
+        kept, and a query that needs another expansion length replaces it.
+        Raises WindowTooLarge(too_long) past the bound, and when no
+        expansion is ``span`` letters long."""
+        if span > self.max_word_length:
+            raise WindowTooLarge(too_long)
         target = self._target_length(span)
         if self._index is None or self._index.target != target:
             self._index = _Occurrences(target, self.expansions(span))
-        return self._index
+        occ = self._index
+        fits = occ.fits(span)
+        if not fits:
+            raise _no_expansion_reaches(span)
+        starts: dict[str, int] = {}
+
+        def carriers(cells: Sequence[Constraint]) -> int:
+            found = fits
+            for off, w in cells:
+                if w not in starts:
+                    starts[w] = occ.starts(w)
+                found &= starts[w] >> off
+            return found
+
+        return map(carriers, patterns)
 
     def factors(self, length: int) -> frozenset[str]:
         """All admissible words of exactly the given length."""
@@ -160,7 +183,11 @@ class SubstitutionSystem:
             return True
         if any(c not in self.rules for c in word):
             return False
-        return word in self.factors(len(word))
+        length = len(word)
+        return any(self._carriers(
+            length, [((0, word),)],
+            f"factor length {length} exceeds bound {self.max_word_length}",
+        ))
 
     def describe(self) -> str:
         rules = ";".join(f"{s}->{self.rules[s]}" for s in self.alphabet)
@@ -206,14 +233,6 @@ class _Occurrences:
                 mask |= ((1 << (length - span + 1)) - 1) << start
             start += length
         return mask
-
-
-def _carriers(positions: int, cells: Iterable[Constraint], starts: Mapping[str, int]) -> int:
-    """The positions p among ``positions`` at which every (offset, word)
-    cell's word starts at p + offset."""
-    for off, w in cells:
-        positions &= starts[w] >> off
-    return positions
 
 
 def _no_expansion_reaches(span: int) -> WindowTooLarge:
@@ -318,22 +337,14 @@ def _members(
     span carries, and that span."""
     patterns = {n: _pattern(constraints_for(n)) for n in ns}
     max_span = max((span for _, span in patterns.values()), default=0)
-    if max_span > sys.max_word_length:
-        raise WindowTooLarge(
-            f"query needs words of length {max_span}, bound is "
-            f"{sys.max_word_length}"
-        )
     if not max_span:
         return frozenset(ns), 0
-    occ = sys._occurrences(max_span)
-    fits = occ.fits(max_span)
-    if not fits:
-        raise _no_expansion_reaches(max_span)
-    starts = {w: occ.starts(w) for cells, _ in patterns.values() for _, w in cells}
-    members = frozenset(
-        n for n, (cells, _) in patterns.items() if _carriers(fits, cells, starts)
+    carriers = sys._carriers(
+        max_span,
+        (cells for cells, _ in patterns.values()),
+        f"query needs words of length {max_span}, bound is {sys.max_word_length}",
     )
-    return members, max_span
+    return frozenset(n for n, found in zip(patterns, carriers) if found), max_span
 
 
 def return_set(
@@ -616,52 +627,16 @@ class Pattern:
         return min(positions), max(positions) + 1
 
 
-@dataclass(frozen=True)
-class SymbolicOpenSet:
-    """A finite union of partial configurations."""
-
-    patterns: tuple[Pattern, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "patterns", tuple(sorted(set(self.patterns), key=lambda p: p.cells))
-        )
-
-    @classmethod
-    def from_cylinder(cls, cyl: CylinderSet, offset: int = 0) -> "SymbolicOpenSet":
-        return cls((Pattern.from_word(cyl.word, offset),))
-
-    def intersect(self, other: "SymbolicOpenSet") -> "SymbolicOpenSet":
-        merged = []
-        for p in self.patterns:
-            for q in other.patterns:
-                r = p.merged(q)
-                if r is not None:
-                    merged.append(r)
-        return SymbolicOpenSet(tuple(merged))
-
-    def shifted(self, s: int) -> "SymbolicOpenSet":
-        return SymbolicOpenSet(tuple(p.shifted(s) for p in self.patterns))
-
-
 def pattern_realizable(sys: SubstitutionSystem, pattern: Pattern) -> bool:
     """True when some admissible word carries every cell of the pattern."""
     if pattern.is_trivial:
         return True
     lo, hi = pattern.bounds()
     span = hi - lo
-    if span > sys.max_word_length:
-        raise WindowTooLarge(
-            f"pattern span {span} exceeds bound {sys.max_word_length}"
-        )
-    occ = sys._occurrences(span)
     cells = tuple((pos - lo, sym) for pos, sym in pattern.cells)
-    starts = {sym: occ.starts(sym) for _, sym in cells}
-    return bool(_carriers(occ.fits(span), cells, starts))
-
-
-def open_set_nonempty(sys: SubstitutionSystem, oset: SymbolicOpenSet) -> bool:
-    return any(pattern_realizable(sys, p) for p in oset.patterns)
+    return any(sys._carriers(
+        span, [cells], f"pattern span {span} exceeds bound {sys.max_word_length}"
+    ))
 
 
 def _gamma_shift(g: GammaPolynomial, m: int) -> int:
@@ -671,47 +646,53 @@ def _gamma_shift(g: GammaPolynomial, m: int) -> int:
 
 @dataclass(frozen=True)
 class Lemma213Chain:
-    """Descending open-set levels: ``levels[n][i]`` refines cylinder i
-    after consuming shifts[0..n]."""
+    """Descending open-set levels: ``levels[n][i]`` is the pattern that
+    refines cylinder i after consuming shifts[0..n]."""
 
     shifts: tuple[int, ...]
-    levels: tuple[tuple[SymbolicOpenSet, ...], ...]
+    levels: tuple[tuple[Pattern, ...], ...]
     base_power: int
 
 
-def _check_chain_inputs(
+def _build_chain(
     sys: SubstitutionSystem,
     cylinders: Sequence[CylinderSet],
     gammas: Sequence[GammaPolynomial],
-) -> None:
+    candidates: Callable[[int, int], Iterable[int]],
+    depth: int,
+    base_power: int,
+) -> Lemma213Chain:
+    """Levels 0..depth.  Level n takes the first shift m offered by
+    ``candidates(n, previous shift or 0)`` for which every pattern of
+    level n-1, merged with its cylinder word at g_i(m) - n * base_power,
+    stays realizable; earlier levels are fixed once built.  Raises
+    WitnessExhausted with the partial chain when no candidate does."""
     if len(cylinders) != len(gammas):
         raise ValueError("need one exponent element per cylinder")
     for cyl in cylinders:
         require_admissible(sys, cyl)
-
-
-def _next_level(
-    sys: SubstitutionSystem,
-    cylinders: Sequence[CylinderSet],
-    gammas: Sequence[GammaPolynomial],
-    current: Sequence[SymbolicOpenSet],
-    n: int,
-    m: int,
-    base_power: int,
-) -> tuple[SymbolicOpenSet, ...] | None:
-    """Level n of the chain from level n-1 (``current``) and shift m,
-    or None when one of its open sets is empty."""
-    nxt = tuple(
-        oset.intersect(
-            SymbolicOpenSet.from_cylinder(
-                cyl, offset=_gamma_shift(g, m) - n * base_power
+    shifts: list[int] = []
+    levels: list[tuple[Pattern, ...]] = []
+    current = tuple(Pattern.from_word(cyl.word) for cyl in cylinders)
+    for n in range(depth + 1):
+        for m in candidates(n, shifts[-1] if shifts else 0):
+            nxt = tuple(
+                pat.merged(
+                    Pattern.from_word(cyl.word, _gamma_shift(g, m) - n * base_power)
+                )
+                for pat, cyl, g in zip(current, cylinders, gammas)
             )
-        )
-        for oset, cyl, g in zip(current, cylinders, gammas)
-    )
-    if not all(open_set_nonempty(sys, o) for o in nxt):
-        return None
-    return nxt
+            # a merge conflict (None) is an empty level
+            if all(p is not None and pattern_realizable(sys, p) for p in nxt):
+                break
+        else:
+            raise WitnessExhausted(
+                n, Lemma213Chain(tuple(shifts), tuple(levels), base_power)
+            )
+        shifts.append(m)
+        levels.append(nxt)
+        current = nxt
+    return Lemma213Chain(tuple(shifts), tuple(levels), base_power)
 
 
 def lemma213_chain(
@@ -730,22 +711,14 @@ def lemma213_chain(
     must satisfy |m_n| > n, mirroring the transitivity bookkeeping the
     recursion encodes.
     """
-    _check_chain_inputs(sys, cylinders, gammas)
     shifts = tuple(int(m) for m in shifts)
     for n, m in enumerate(shifts):
         if abs(m) <= n:
             raise ValueError(f"shift {m} at depth {n} must satisfy |m| > {n}")
-    current = tuple(SymbolicOpenSet.from_cylinder(cyl) for cyl in cylinders)
-    levels: list[tuple[SymbolicOpenSet, ...]] = []
-    for n, m in enumerate(shifts):
-        nxt = _next_level(sys, cylinders, gammas, current, n, m, base_power)
-        if nxt is None:
-            raise WitnessExhausted(
-                n, Lemma213Chain(shifts[:n], tuple(levels), base_power)
-            )
-        current = nxt
-        levels.append(current)
-    return Lemma213Chain(shifts, tuple(levels), base_power)
+    return _build_chain(
+        sys, cylinders, gammas, lambda n, _: (shifts[n],), len(shifts) - 1,
+        base_power,
+    )
 
 
 def find_chain_shifts(
@@ -758,27 +731,12 @@ def find_chain_shifts(
     base_power: int = 1,
 ) -> Lemma213Chain:
     """Greedy shift search: at each level take the least strictly larger
-    candidate in [1, search_window] that keeps every level nonempty.
-    Earlier levels are fixed once found, so a candidate only builds its
-    own level."""
-    _check_chain_inputs(sys, cylinders, gammas)
-    shifts: list[int] = []
-    current = tuple(SymbolicOpenSet.from_cylinder(cyl) for cyl in cylinders)
-    levels: list[tuple[SymbolicOpenSet, ...]] = []
-    for n in range(depth + 1):
-        prev = shifts[-1] if shifts else 0
-        for m in range(max(prev + 1, n + 1), search_window + 1):
-            nxt = _next_level(sys, cylinders, gammas, current, n, m, base_power)
-            if nxt is not None:
-                break
-        else:
-            raise WitnessExhausted(
-                n, Lemma213Chain(tuple(shifts), tuple(levels), base_power)
-            )
-        shifts.append(m)
-        current = nxt
-        levels.append(current)
-    return Lemma213Chain(tuple(shifts), tuple(levels), base_power)
+    candidate in [1, search_window] that keeps every level nonempty."""
+    return _build_chain(
+        sys, cylinders, gammas,
+        lambda n, prev: range(max(prev + 1, n + 1), search_window + 1),
+        depth, base_power,
+    )
 
 
 @dataclass(frozen=True)
@@ -801,18 +759,13 @@ def _pattern_contained_in_cylinder(
     lo = min(plo, 0)
     hi = max(phi, len(word))
     span = hi - lo
-    if span > sys.max_word_length:
-        raise WindowTooLarge(
-            f"inclusion span {span} exceeds bound {sys.max_word_length}"
-        )
-    occ = sys._occurrences(span)
-    fits = occ.fits(span)
-    if not fits:
-        raise _no_expansion_reaches(span)
     cells = tuple((pos - lo, sym) for pos, sym in pattern.cells)
-    starts = {sym: occ.starts(sym) for _, sym in cells}
+    carriers, spelled = sys._carriers(
+        span, [cells, ((-lo, word),)],
+        f"inclusion span {span} exceeds bound {sys.max_word_length}",
+    )
     # a pattern with no admissible realization is vacuously contained
-    return _carriers(fits, cells, starts) & ~(occ.starts(word) >> -lo) == 0
+    return carriers & ~spelled == 0
 
 
 def verify_chain(
@@ -826,13 +779,11 @@ def verify_chain(
     checks: list[ContainmentCheck] = []
     ok = True
     for n, level in enumerate(chain.levels):
-        for i, oset in enumerate(level):
+        for i, pattern in enumerate(level):
             for j in range(n + 1):
                 s = _gamma_shift(gammas[i], chain.shifts[j]) - j * chain.base_power
-                image = oset.shifted(-s)
-                holds = all(
-                    _pattern_contained_in_cylinder(sys, p, cylinders[i])
-                    for p in image.patterns
+                holds = _pattern_contained_in_cylinder(
+                    sys, pattern.shifted(-s), cylinders[i]
                 )
                 checks.append(ContainmentCheck(n, i, j, holds))
                 ok = ok and holds
@@ -873,13 +824,13 @@ def recurrence_search(
         lo = min(0, min(shifts, default=0))
         hi = max(shifts, default=0) + agreement_length
         span = hi - lo
-        if span > sys.max_word_length:
-            raise WindowTooLarge(
-                f"shifts at n={n} need words of length {span}, bound is "
-                f"{sys.max_word_length}"
-            )
-        occ = sys._occurrences(span)
-        found = occ.fits(span)
+        # the empty pattern is carried wherever the span fits
+        found = next(sys._carriers(
+            span, [()],
+            f"shifts at n={n} need words of length {span}, bound is "
+            f"{sys.max_word_length}",
+        ))
+        occ = sys._index
         for s in shifts:
             # bit p: the letters at p and p + s agree
             same = 0

@@ -21,7 +21,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .intpoly import IntegralPolynomial, PolynomialParseError, parse_polynomial
 
@@ -254,12 +254,6 @@ class WeightVector:
     def empty(cls) -> "WeightVector":
         return cls(())
 
-    def multiplicity(self, w: Weight) -> int:
-        for m, u in self.entries:
-            if u == w:
-                return m
-        return 0
-
     def __str__(self) -> str:
         return "(" + ", ".join(f"{m}{w}" for m, w in self.entries) + ")"
 
@@ -351,13 +345,8 @@ def step2_reduce(
     return collapsed
 
 
-ShiftPolicy = Callable[[int, int], tuple[int, ...]]
-
-
-def default_shift_policy(step: int, attempt: int) -> tuple[int, ...]:
-    """One shift per step: 1 on the first attempt, then 2, 3, ... on
-    collision retries."""
-    return (attempt + 1,)
+# Each step reduces with one shift: 1, then 2, 3, ... on collision retries.
+_MAX_SHIFT = 64
 
 
 def _is_base_case(system: PolySystem) -> bool:
@@ -374,25 +363,17 @@ def minimal_weight_member(system: PolySystem) -> GammaPolynomial:
     return min(system.members, key=lambda g: (g.weight(), g.sort_key()))
 
 
-def pet_chain(
-    system: PolySystem,
-    shift_policy: ShiftPolicy | None = None,
-    *,
-    max_steps: int = 10_000,
-    max_retries: int = 64,
-) -> list[PolySystem]:
+def pet_chain(system: PolySystem, *, max_steps: int = 10_000) -> list[PolySystem]:
     """Repeatedly reduce against a minimal-weight member until the system
     is empty or consists of pairwise-inequivalent homomorphisms.
 
     Returns the full chain, starting with the input.  Every consecutive
     pair strictly decreases under the weight-vector order.  Raises
     NonTermination past ``max_steps`` (a bug indicator, since the order
-    is well-founded) and re-raises ShiftCollision if ``max_retries``
-    retry attempts cannot avoid collisions.
+    is well-founded) and re-raises ShiftCollision if no single shift in
+    1.._MAX_SHIFT avoids collisions.
     """
-    steps = traced_pet_chain(
-        system, shift_policy, max_steps=max_steps, max_retries=max_retries
-    )
+    steps = traced_pet_chain(system, max_steps=max_steps)
     return [step.system for step in steps]
 
 
@@ -407,15 +388,10 @@ class ChainStep:
 
 
 def traced_pet_chain(
-    system: PolySystem,
-    shift_policy: ShiftPolicy | None = None,
-    *,
-    max_steps: int = 10_000,
-    max_retries: int = 64,
+    system: PolySystem, *, max_steps: int = 10_000
 ) -> list[ChainStep]:
     """Like :func:`pet_chain` but records, per step, the chosen reducer
     and the shifts that produced the next system."""
-    policy = shift_policy or default_shift_policy
     steps: list[ChainStep] = []
     current = system
     step = 0
@@ -431,8 +407,8 @@ def traced_pet_chain(
             raise NonTermination(f"chain exceeded {max_steps} steps")
         f = minimal_weight_member(current)
         last_collision: ShiftCollision | None = None
-        for attempt in range(max_retries):
-            shifts = policy(step, attempt)
+        for m in range(1, _MAX_SHIFT + 1):
+            shifts = (m,)
             try:
                 nxt = step2_reduce(current, f, shifts)
                 break

@@ -278,6 +278,20 @@ def parse_polynomial(text: str) -> IntegralPolynomial:
     def peek() -> tuple[str, str]:
         return tokens[i] if i < len(tokens) else ("end", "")
 
+    def divisor() -> int:
+        """The integer after a '/' at position i, which it consumes."""
+        nonlocal i
+        i += 1
+        kind, val = peek()
+        if kind != "num":
+            raise PolynomialParseError(
+                f"expected integer after '/' in {text!r}, got {val!r}"
+            )
+        i += 1
+        if int(val) == 0:
+            raise PolynomialParseError(f"division by zero in {text!r}")
+        return int(val)
+
     sign = 1
     if peek() == ("op", "-"):
         sign, i = -1, i + 1
@@ -290,14 +304,7 @@ def parse_polynomial(text: str) -> IntegralPolynomial:
             coeff = Fraction(int(val))
             i += 1
             if peek() == ("op", "/"):
-                i += 1
-                kind, val = peek()
-                if kind != "num":
-                    raise PolynomialParseError(
-                        f"expected integer after '/' in {text!r}, got {val!r}"
-                    )
-                coeff /= int(val)
-                i += 1
+                coeff /= divisor()
             if peek() == ("op", "*"):
                 i += 1
                 if peek()[0] != "var":
@@ -320,14 +327,7 @@ def parse_polynomial(text: str) -> IntegralPolynomial:
                 i += 1
             if peek() == ("op", "/"):
                 # trailing divisor, e.g. n/2 or 3n^2/4
-                i += 1
-                kind, val = peek()
-                if kind != "num":
-                    raise PolynomialParseError(
-                        f"expected integer after '/' in {text!r}, got {val!r}"
-                    )
-                coeff = (coeff if coeff is not None else Fraction(1)) / int(val)
-                i += 1
+                coeff = (coeff if coeff is not None else Fraction(1)) / divisor()
         if coeff is None and power == 0:
             raise PolynomialParseError(
                 f"expected a term in {text!r}, got {peek()[1]!r}"

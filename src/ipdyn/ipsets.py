@@ -15,8 +15,12 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 
+# Largest generator count a finite-sums truncation enumerates (2^k - 1 sums).
+_MAX_GENERATORS = 20
+
+
 class TruncationTooLarge(ValueError):
-    """Generator count exceeds the configured enumeration bound."""
+    """Generator count exceeds the enumeration bound _MAX_GENERATORS."""
 
 
 class IndexOutOfRange(ValueError):
@@ -41,13 +45,13 @@ class FSTruncation:
 
     __slots__ = ("generators", "_sums")
 
-    def __init__(self, generators: Sequence[int], *, max_generators: int = 20):
+    def __init__(self, generators: Sequence[int]):
         gens = tuple(int(g) for g in generators)
         if not gens:
             raise ValueError("at least one generator is required")
-        if len(gens) > max_generators:
+        if len(gens) > _MAX_GENERATORS:
             raise TruncationTooLarge(
-                f"{len(gens)} generators exceed the bound {max_generators}"
+                f"{len(gens)} generators exceed the bound {_MAX_GENERATORS}"
             )
         self.generators = gens
         self._sums = _subset_sums(gens)  # the sum over bitmask m at m - 1
@@ -87,10 +91,8 @@ class FSTruncation:
         return f"FSTruncation(generators={self.generators!r})"
 
 
-def enumerate_fs(
-    generators: Sequence[int], *, max_generators: int = 20
-) -> FSTruncation:
-    return FSTruncation(generators, max_generators=max_generators)
+def enumerate_fs(generators: Sequence[int]) -> FSTruncation:
+    return FSTruncation(generators)
 
 
 class IPRingTruncation:

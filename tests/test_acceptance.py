@@ -280,7 +280,7 @@ def test_criterion_09_chain_with_independent_verification(chacon):
         chain = dyn.find_chain_shifts(chacon, [v], [g], 3, search_window=300)
         assert len(chain.levels) == 4
         for level in chain.levels:
-            assert dyn.open_set_nonempty(chacon, level[0])
+            assert dyn.pattern_realizable(chacon, level[0])
         ok, checks = dyn.verify_chain(chacon, [v], [g], chain)
         assert ok and len(checks) == 10
         assert all(c.holds for c in checks)

@@ -353,6 +353,46 @@ window = 500
             "level,cylinder,shift,contained\n"
         )
 
+    def test_short_fixed_depth_is_3(self, tmp_path, capsys):
+        # sigma^3(0) has 40 letters; the chain's second level needs 41
+        cfg = write_config(
+            tmp_path,
+            """
+[system chacon]
+kind = substitution
+rules = 0 -> 0010; 1 -> 1
+depth = 3
+
+[set A]
+system = chacon
+word = 1001
+
+[gamma g1]
+expr = T1^{n}
+
+[gamma g2]
+expr = T1^{2n}
+
+[run]
+system = chacon
+vs = A, A
+gammas = g1, g2
+depth = 4
+window = 200
+""",
+        )
+        assert run_cli(["lemma213", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "no expansion reaches length" in capsys.readouterr().err
+
+    def test_zero_divisor_is_1(self, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        assert run_cli(["weights", "--members", "T1^{n/0}", "--out", out]) == 1
+        cfg = write_config(tmp_path, CHACON_PREAMBLE + "\n[poly z]\nexpr = 1/0n\n")
+        assert run_cli(["poly-return", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "division by zero in 'n/0'" in err
+        assert "[poly z]: division by zero in '1/0n'" in err
+
     def test_truncation_overflow_is_3(self, tmp_path):
         gens = ",".join(str(i) for i in range(1, 26))
         assert (

@@ -11,7 +11,6 @@ from ipdyn.dynamics import (
     Pattern,
     RotationControl,
     SubstitutionSystem,
-    SymbolicOpenSet,
     WindowTooLarge,
     WitnessExhausted,
     ZeroPower,
@@ -19,8 +18,8 @@ from ipdyn.dynamics import (
     find_chain_shifts,
     lemma213_chain,
     minimality_probe,
-    open_set_nonempty,
     parse_rules,
+    pattern_realizable,
     poly_return_set,
     power_return_set,
     product_return_set,
@@ -342,14 +341,14 @@ class TestLemma213:
         g = parse_gamma_polynomial("T1^{n}")
         chain = lemma213_chain(chacon, [cyl("")], [g], [1, 2, 3])
         for level in chain.levels:
-            assert level[0].patterns == (Pattern(()),)
+            assert level[0] == Pattern(())
 
     def test_depth_three_chain_verifies(self, chacon):
         g = parse_gamma_polynomial("T1^{n}")
         chain = find_chain_shifts(chacon, [cyl("0")], [g], 3, search_window=300)
         assert len(chain.levels) == 4
         for level in chain.levels:
-            assert open_set_nonempty(chacon, level[0])
+            assert pattern_realizable(chacon, level[0])
         ok, checks = verify_chain(chacon, [cyl("0")], [g], chain)
         assert ok
         assert len(checks) == sum(range(1, 5))  # levels 0..3, one per j <= n
@@ -360,18 +359,14 @@ class TestLemma213:
         factor_sets = chacon
         for earlier, later in zip(chain.levels, chain.levels[1:]):
             # semantic inclusion: every realization of the later level
-            # matches some pattern of the earlier one
-            for pat in later[0].patterns:
-                lo, hi = pat.bounds()
-                for f in factor_sets.factors(hi - lo):
-                    if all(f[p - lo] == s for p, s in pat.cells):
-                        assert any(
-                            all(
-                                0 <= p2 - lo < len(f) and f[p2 - lo] == s2
-                                for p2, s2 in q.cells
-                            )
-                            for q in earlier[0].patterns
-                        )
+            # matches the earlier one
+            lo, hi = later[0].bounds()
+            for f in factor_sets.factors(hi - lo):
+                if all(f[p - lo] == s for p, s in later[0].cells):
+                    assert all(
+                        0 <= p2 - lo < len(f) and f[p2 - lo] == s2
+                        for p2, s2 in earlier[0].cells
+                    )
 
     def test_conflicting_shift_exhausts(self, chacon):
         g = parse_gamma_polynomial("T1^{n}")
@@ -469,8 +464,3 @@ class TestPatterns:
     def test_shift(self):
         p = Pattern.from_word("01", offset=2).shifted(-2)
         assert p == Pattern.from_word("01")
-
-    def test_open_set_intersection(self):
-        a = SymbolicOpenSet((Pattern.from_word("0"), Pattern.from_word("1")))
-        b = SymbolicOpenSet((Pattern.from_word("0"),))
-        assert a.intersect(b).patterns == (Pattern.from_word("0"),)

@@ -173,6 +173,11 @@ class TestParse:
         with pytest.raises(NotIntegralPolynomial):
             poly("n/2")
 
+    def test_zero_divisor(self):
+        for text in ("n/0", "1/0n", "3n^2/0", "n + 1/0"):
+            with pytest.raises(PolynomialParseError, match="division by zero"):
+                poly(text)
+
     def test_error_names_token(self):
         with pytest.raises(PolynomialParseError, match="'x'"):
             poly("n^2 + x")

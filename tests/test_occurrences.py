@@ -60,6 +60,18 @@ def outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
+def expansions_reaching(sys_, span):
+    """The expansions a span-letter query reads; every oracle raises the
+    same error when none of them is span letters long."""
+    texts = sys_.expansions(span)
+    if all(len(text) < span for text in texts):
+        raise WindowTooLarge(
+            f"no expansion reaches length {span}; raise depth or use "
+            "automatic growth"
+        )
+    return texts
+
+
 def random_word(rng, sys_, max_len=3):
     return rng.choice(sorted(sys_.factors(rng.randint(1, max_len))))
 
@@ -108,7 +120,7 @@ def scan_realizable(sys_, pattern):
     if span > sys_.max_word_length:
         raise WindowTooLarge(f"pattern span {span} exceeds bound {sys_.max_word_length}")
     cells = [(pos - lo, sym) for pos, sym in pattern.cells]
-    for text in sys_.expansions(span):
+    for text in expansions_reaching(sys_, span):
         for a in range(len(text) - span + 1):
             if all(text[a + off] == sym for off, sym in cells):
                 return True
@@ -144,7 +156,7 @@ def scan_recurrence(sys_, gammas, length, n_values):
                 f"shifts at n={n} need words of length {span}, bound is "
                 f"{sys_.max_word_length}"
             )
-        for text in sys_.expansions(span):
+        for text in expansions_reaching(sys_, span):
             for a in range(len(text) - span + 1):
                 origin = a - lo
                 ref = text[origin : origin + length]
@@ -198,6 +210,43 @@ def test_return_sets_match_factor_scan():
                 if not isinstance(got, tuple):
                     got = got.members
                 assert got == want, (name, shape, u, window)
+
+
+def test_admissibility_matches_factor_set():
+    for name, make in SYSTEMS.items():
+        sys_ = make()
+        rng = random.Random(f"{name}/admissible")
+        words = ["", "z", sys_.alphabet[0] + "z"]  # "z" is in no alphabet here
+        for _ in range(20):
+            w = random_word(rng, sys_, max_len=12)
+            i = rng.randrange(len(w))
+            words += [w, w[:i] + rng.choice(sys_.alphabet) + w[i + 1 :]]
+        texts = sys_.expansions(1)
+        for text in texts:
+            words += [text[:k] for k in (1, 7, 33)] + [text[-k:] for k in (1, 7, 33)]
+            # past bounded-fibonacci's bound, past chacon-depth-3's expansion
+            words += [(text * 2)[:61], (text * 2)[:41]]
+        # across the joint of two seeds' expansions
+        words += [a[-2:] + b[:2] for a, b in zip(texts, texts[1:])]
+        for w in words:
+            assert outcome(sys_.is_admissible, w) == outcome(
+                lambda: w == ""
+                or (set(w) <= set(sys_.rules) and w in sys_.factors(len(w)))
+            ), (name, w)
+
+
+def test_answers_do_not_depend_on_earlier_queries():
+    # 0 -> 0000000001 grows its runs of 1s slowly, so which words its
+    # expansions hold depends on how long they are: each answer must be
+    # the one for its own span, whatever the previous query indexed
+    sys_ = SubstitutionSystem({"0": "0000000001", "1": "1"})
+    for window in (300, 0, 300):
+        got = return_set(sys_, CylinderSet("1"), CylinderSet("11"), window)
+        assert got.members == scan_poly_members(
+            sys_, "1", ["11"], [parse_polynomial("n")], window
+        )
+        for w in ("1111", "0000000001111"):
+            assert sys_.is_admissible(w) == (w in sys_.factors(len(w))), (window, w)
 
 
 def random_pattern(rng, sys_):
