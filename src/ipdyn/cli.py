@@ -204,34 +204,31 @@ def _hindman(p: _Params) -> _Report:
     mode = "one-coloring" if one else "all-colorings"
     params = {"N": n_max, "r": colors, "depth": depth, "mode": mode}
     lines = _params_lines(params) + [""]
+    coloring = None
     if one:
         coloring = tuple(int(c) for c in str(p.need("coloring")).split(","))
-        witness = ipsets.hindman_search(
-            n_max, colors, depth, mode="one-coloring", coloring=coloring
+    outcome = ipsets.hindman_search(n_max, colors, depth, coloring=coloring)
+    if outcome is None:
+        status, detail = "absent", ""
+        lines.append("no monochromatic finite-sums witness in this coloring")
+    elif isinstance(outcome, ipsets.MonochromaticFS):
+        status = "witness"
+        detail = (
+            f"generators={outcome.generators} color={outcome.color} "
+            f"sums={outcome.sums}"
         )
-        if witness is None:
-            status, detail = "absent", ""
-            lines.append("no monochromatic finite-sums witness in this coloring")
-        else:
-            status = "witness"
-            detail = (
-                f"generators={witness.generators} color={witness.color} "
-                f"sums={witness.sums}"
-            )
-            lines.append(f"witness: {detail}")
+        lines.append(f"witness: {detail}")
+    elif isinstance(outcome, ipsets.HindmanVerified):
+        status, detail = "verified", f"colorings={outcome.colorings_checked}"
+        lines.append(
+            f"Verified: every {colors}-coloring of 1..{n_max} contains a "
+            f"depth-{depth} monochromatic finite-sums set "
+            f"({outcome.colorings_checked} colorings checked)"
+        )
     else:
-        outcome = ipsets.hindman_search(n_max, colors, depth)
-        if isinstance(outcome, ipsets.HindmanVerified):
-            status, detail = "verified", f"colorings={outcome.colorings_checked}"
-            lines.append(
-                f"Verified: every {colors}-coloring of 1..{n_max} contains a "
-                f"depth-{depth} monochromatic finite-sums set "
-                f"({outcome.colorings_checked} colorings checked)"
-            )
-        else:
-            status = "failing-coloring"
-            detail = ",".join(str(c) for c in outcome.coloring)
-            lines.append(f"least failing coloring (cells 0..{colors - 1}): {detail}")
+        status = "failing-coloring"
+        detail = ",".join(str(c) for c in outcome.coloring)
+        lines.append(f"least failing coloring (cells 0..{colors - 1}): {detail}")
     return _Report(lines, ["status", "detail"], [[status, detail]], status)
 
 
@@ -326,10 +323,11 @@ def _lemma213(p: _Params) -> _Report:
     lines = _params_lines(params) + [""]
     widest = 0
     for n, level in enumerate(chain.levels):
-        for i, pat in enumerate(level):
-            lo, hi = pat.bounds()
-            widest = max(widest, hi - lo)
-            lines.append(f"level {n}, cylinder {i}: {pat.cells}")
+        for i, cells in enumerate(level):
+            spelled = dynamics.letter_cells(cells)
+            if spelled:
+                widest = max(widest, spelled[-1][0] - spelled[0][0] + 1)
+            lines.append(f"level {n}, cylinder {i}: {spelled}")
     lines += ["", _feasibility_line(system, widest),
               f"containments verified = {ok}"]
     rows = [

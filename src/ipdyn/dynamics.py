@@ -378,34 +378,6 @@ def return_set(
     )
 
 
-def return_set_any(
-    sys: SubstitutionSystem,
-    u: CylinderSet,
-    vs: Sequence[CylinderSet],
-    window: int,
-) -> ReturnSet:
-    """Return set against a finite union of cylinders: the union of the
-    per-cylinder return sets.  Enlarging the union never shrinks it."""
-    members: frozenset[int] = frozenset()
-    span = 0
-    for v in vs:
-        part = return_set(sys, u, v, window)
-        members |= part.members
-        span = max(span, part.span)
-    return ReturnSet(
-        window=window,
-        members=members,
-        provenance=(
-            ("op", "return-set-union"),
-            ("system", sys.describe()),
-            ("u", u.word),
-            ("vs", "|".join(v.word for v in vs)),
-            ("window", str(window)),
-        ),
-        span=span,
-    )
-
-
 def check_polynomial_hypotheses(polys: Sequence[IntegralPolynomial]) -> None:
     """Every polynomial nonconstant, every pairwise difference nonconstant."""
     for p in polys:
@@ -584,59 +556,20 @@ class WitnessExhausted(RuntimeError):
         super().__init__(f"no transitivity witness at depth {depth}")
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """A finite partial configuration: (position, symbol) cells."""
-
-    cells: tuple[tuple[int, str], ...]
-
-    def __post_init__(self) -> None:
-        cells = tuple(sorted(self.cells))
-        seen: dict[int, str] = {}
-        for pos, sym in cells:
-            if seen.get(pos, sym) != sym:
-                raise ValueError(f"conflicting symbols at position {pos}")
-            seen[pos] = sym
-        object.__setattr__(self, "cells", tuple(sorted(seen.items())))
-
-    @classmethod
-    def from_word(cls, word: str, offset: int = 0) -> "Pattern":
-        return cls(tuple((offset + i, c) for i, c in enumerate(word)))
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.cells
-
-    def shifted(self, s: int) -> "Pattern":
-        return Pattern(tuple((pos + s, sym) for pos, sym in self.cells))
-
-    def merged(self, other: "Pattern") -> "Pattern | None":
-        """Combined constraints, or None on a symbol conflict."""
-        table = dict(self.cells)
-        for pos, sym in other.cells:
-            if table.get(pos, sym) != sym:
-                return None
-            table[pos] = sym
-        return Pattern(tuple(table.items()))
-
-    def bounds(self) -> tuple[int, int]:
-        """(lo, hi) half-open position range; (0, 0) when trivial."""
-        if not self.cells:
-            return (0, 0)
-        positions = [pos for pos, _ in self.cells]
-        return min(positions), max(positions) + 1
-
-
-def pattern_realizable(sys: SubstitutionSystem, pattern: Pattern) -> bool:
-    """True when some admissible word carries every cell of the pattern."""
-    if pattern.is_trivial:
+def pattern_realizable(sys: SubstitutionSystem, cells: Sequence[Constraint]) -> bool:
+    """True when some admissible word carries every (offset, word) cell;
+    cells that spell two letters at one position are carried nowhere."""
+    cells, span = _pattern(cells)
+    if not span:
         return True
-    lo, hi = pattern.bounds()
-    span = hi - lo
-    cells = tuple((pos - lo, sym) for pos, sym in pattern.cells)
     return any(sys._carriers(
         span, [cells], f"pattern span {span} exceeds bound {sys.max_word_length}"
     ))
+
+
+def letter_cells(cells: Sequence[Constraint]) -> tuple[tuple[int, str], ...]:
+    """The sorted (position, letter) cells a realizable pattern spells."""
+    return tuple(sorted({(off + i, c) for off, w in cells for i, c in enumerate(w)}))
 
 
 def _gamma_shift(g: GammaPolynomial, m: int) -> int:
@@ -646,11 +579,12 @@ def _gamma_shift(g: GammaPolynomial, m: int) -> int:
 
 @dataclass(frozen=True)
 class Lemma213Chain:
-    """Descending open-set levels: ``levels[n][i]`` is the pattern that
-    refines cylinder i after consuming shifts[0..n]."""
+    """Descending open-set levels: ``levels[n][i]`` holds the (offset,
+    word) cells of the pattern that refines cylinder i after consuming
+    shifts[0..n]."""
 
     shifts: tuple[int, ...]
-    levels: tuple[tuple[Pattern, ...], ...]
+    levels: tuple[tuple[tuple[Constraint, ...], ...], ...]
     base_power: int
 
 
@@ -664,26 +598,26 @@ def _build_chain(
 ) -> Lemma213Chain:
     """Levels 0..depth.  Level n takes the first shift m offered by
     ``candidates(n, previous shift or 0)`` for which every pattern of
-    level n-1, merged with its cylinder word at g_i(m) - n * base_power,
+    level n-1, with its cylinder word added at g_i(m) - n * base_power,
     stays realizable; earlier levels are fixed once built.  Raises
     WitnessExhausted with the partial chain when no candidate does."""
     if len(cylinders) != len(gammas):
         raise ValueError("need one exponent element per cylinder")
+    if depth < 0:
+        raise ValueError(f"a chain needs at least one level, got depth {depth}")
     for cyl in cylinders:
         require_admissible(sys, cyl)
+    words = [cyl.word for cyl in cylinders]
     shifts: list[int] = []
-    levels: list[tuple[Pattern, ...]] = []
-    current = tuple(Pattern.from_word(cyl.word) for cyl in cylinders)
+    levels: list[tuple[tuple[Constraint, ...], ...]] = []
+    current = tuple(((0, w),) if w else () for w in words)
     for n in range(depth + 1):
         for m in candidates(n, shifts[-1] if shifts else 0):
             nxt = tuple(
-                pat.merged(
-                    Pattern.from_word(cyl.word, _gamma_shift(g, m) - n * base_power)
-                )
-                for pat, cyl, g in zip(current, cylinders, gammas)
+                cells + ((_gamma_shift(g, m) - n * base_power, w),) if w else cells
+                for cells, w, g in zip(current, words, gammas)
             )
-            # a merge conflict (None) is an empty level
-            if all(p is not None and pattern_realizable(sys, p) for p in nxt):
+            if all(pattern_realizable(sys, cells) for cells in nxt):
                 break
         else:
             raise WitnessExhausted(
@@ -748,20 +682,17 @@ class ContainmentCheck:
 
 
 def _pattern_contained_in_cylinder(
-    sys: SubstitutionSystem, pattern: Pattern, cyl: CylinderSet
+    sys: SubstitutionSystem, cells: Sequence[Constraint], cyl: CylinderSet
 ) -> bool:
     """Inclusion: every admissible word of the span that carries the
     pattern must also spell the cylinder word at position 0."""
     word = cyl.word
     if word == "":
         return True
-    plo, phi = pattern.bounds()
-    lo = min(plo, 0)
-    hi = max(phi, len(word))
-    span = hi - lo
-    cells = tuple((pos - lo, sym) for pos, sym in pattern.cells)
+    # the cylinder's cell goes in last, and it is not empty, so it comes out last
+    (*cells, target), span = _pattern((*cells, (0, word)))
     carriers, spelled = sys._carriers(
-        span, [cells, ((-lo, word),)],
+        span, [cells, [target]],
         f"inclusion span {span} exceeds bound {sys.max_word_length}",
     )
     # a pattern with no admissible realization is vacuously contained
@@ -779,11 +710,11 @@ def verify_chain(
     checks: list[ContainmentCheck] = []
     ok = True
     for n, level in enumerate(chain.levels):
-        for i, pattern in enumerate(level):
+        for i, cells in enumerate(level):
             for j in range(n + 1):
                 s = _gamma_shift(gammas[i], chain.shifts[j]) - j * chain.base_power
                 holds = _pattern_contained_in_cylinder(
-                    sys, pattern.shifted(-s), cylinders[i]
+                    sys, [(off - s, w) for off, w in cells], cylinders[i]
                 )
                 checks.append(ContainmentCheck(n, i, j, holds))
                 ok = ok and holds

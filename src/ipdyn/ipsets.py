@@ -303,12 +303,20 @@ def monochromatic_fs(
     return None
 
 
+def _check_search_size(n_max: int, colors: int, depth: int) -> None:
+    if min(n_max, colors, depth) < 1:
+        raise ValueError(
+            f"N, r and depth must be >= 1, got N={n_max} r={colors} depth={depth}"
+        )
+
+
 def verify_all_colorings(
     n_max: int, colors: int, depth: int, *, budget: int = 2_000_000
 ) -> HindmanVerified | HindmanFailure:
     """Exhaust all colorings of 1..n_max; Verified, or the lex-least
     failing coloring.  The lex scan makes the result independent of any
     parallel partitioning of the coloring space."""
+    _check_search_size(n_max, colors, depth)
     total = colors**n_max
     if total > budget:
         raise BudgetExceeded(
@@ -325,23 +333,19 @@ def hindman_search(
     colors: int,
     depth: int,
     *,
-    mode: str = "all-colorings",
     coloring: Sequence[int] | None = None,
     budget: int = 2_000_000,
-):
-    """Dispatch between the single-coloring witness search and the
-    exhaustive all-colorings verification."""
-    if mode == "one-coloring":
-        if coloring is None:
-            raise ValueError("one-coloring mode requires a coloring")
-        if len(coloring) != n_max:
-            raise ValueError(f"coloring must have length {n_max}")
-        if any(not 0 <= c < colors for c in coloring):
-            raise ValueError(f"colors must lie in 0..{colors - 1}")
-        return monochromatic_fs(coloring, depth)
-    if mode == "all-colorings":
+) -> MonochromaticFS | None | HindmanVerified | HindmanFailure:
+    """The witness search in one coloring of 1..n_max when one is given,
+    else the exhaustive verification of all colorings."""
+    if coloring is None:
         return verify_all_colorings(n_max, colors, depth, budget=budget)
-    raise ValueError(f"unknown mode {mode!r}")
+    _check_search_size(n_max, colors, depth)
+    if len(coloring) != n_max:
+        raise ValueError(f"coloring must have length {n_max}")
+    if any(not 0 <= c < colors for c in coloring):
+        raise ValueError(f"colors must lie in 0..{colors - 1}")
+    return monochromatic_fs(coloring, depth)
 
 
 # -- window densities and structure -----------------------------------------

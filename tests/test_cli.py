@@ -384,6 +384,21 @@ window = 200
         assert run_cli(["lemma213", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "no expansion reaches length" in capsys.readouterr().err
 
+    def test_negative_chain_depth_is_1(self, tmp_path, capsys):
+        cfg = str(GOLDEN / "configs" / "lemma.cfg")
+        out = str(tmp_path / "o")
+        assert run_cli(["lemma213", "--config", cfg, "--depth", "-1", "--out", out]) == 1
+        assert "at least one level" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "n_max, colors, depth",
+        [("5", "-1", "2"), ("5", "0", "2"), ("5", "2", "-1"), ("0", "2", "2")],
+    )
+    def test_hindman_size_below_one_is_1(self, tmp_path, capsys, n_max, colors, depth):
+        argv = ["hindman", "--N", n_max, "--r", colors, "--depth", depth, "--all"]
+        assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 1
+        assert "must be >= 1" in capsys.readouterr().err
+
     def test_zero_divisor_is_1(self, tmp_path, capsys):
         out = str(tmp_path / "o")
         assert run_cli(["weights", "--members", "T1^{n/0}", "--out", out]) == 1

@@ -8,7 +8,6 @@ from ipdyn.dynamics import (
     BadRules,
     CylinderSet,
     HypothesisViolation,
-    Pattern,
     RotationControl,
     SubstitutionSystem,
     WindowTooLarge,
@@ -17,6 +16,7 @@ from ipdyn.dynamics import (
     build_system,
     find_chain_shifts,
     lemma213_chain,
+    letter_cells,
     minimality_probe,
     parse_rules,
     pattern_realizable,
@@ -26,7 +26,6 @@ from ipdyn.dynamics import (
     recurrence_search,
     required_span,
     return_set,
-    return_set_any,
     rotation_probe,
     verify_chain,
 )
@@ -205,15 +204,8 @@ class TestReturnSet:
                 assert a.members == b
                 assert a.span == required_span([N], u, [v], w)
 
-    def test_union_monotone(self, chacon):
+    def test_refining_v_shrinks(self, chacon):
         u = cyl("0")
-        small = return_set_any(chacon, u, [cyl("01")], 40)
-        grown = return_set_any(chacon, u, [cyl("01"), cyl("00")], 40)
-        assert small.members <= grown.members
-        assert grown.span == max(
-            small.span, return_set(chacon, u, cyl("00"), 40).span
-        )
-        # refining the single cylinder shrinks the set
         assert (
             return_set(chacon, u, cyl("00"), 40).members
             <= return_set(chacon, u, cyl("0"), 40).members
@@ -341,7 +333,7 @@ class TestLemma213:
         g = parse_gamma_polynomial("T1^{n}")
         chain = lemma213_chain(chacon, [cyl("")], [g], [1, 2, 3])
         for level in chain.levels:
-            assert level[0] == Pattern(())
+            assert level[0] == ()
 
     def test_depth_three_chain_verifies(self, chacon):
         g = parse_gamma_polynomial("T1^{n}")
@@ -360,12 +352,13 @@ class TestLemma213:
         for earlier, later in zip(chain.levels, chain.levels[1:]):
             # semantic inclusion: every realization of the later level
             # matches the earlier one
-            lo, hi = later[0].bounds()
+            later_cells = letter_cells(later[0])
+            lo, hi = later_cells[0][0], later_cells[-1][0] + 1
             for f in factor_sets.factors(hi - lo):
-                if all(f[p - lo] == s for p, s in later[0].cells):
+                if all(f[p - lo] == s for p, s in later_cells):
                     assert all(
                         0 <= p2 - lo < len(f) and f[p2 - lo] == s2
-                        for p2, s2 in earlier[0].cells
+                        for p2, s2 in letter_cells(earlier[0])
                     )
 
     def test_conflicting_shift_exhausts(self, chacon):
@@ -374,6 +367,13 @@ class TestLemma213:
             lemma213_chain(chacon, [cyl("01")], [g], [1])
         assert info.value.depth == 0
         assert info.value.partial.levels == ()
+
+    def test_empty_chain_rejected(self, chacon):
+        g = parse_gamma_polynomial("T1^{n}")
+        with pytest.raises(ValueError, match="at least one level"):
+            lemma213_chain(chacon, [cyl("0")], [g], [])
+        with pytest.raises(ValueError, match="at least one level"):
+            find_chain_shifts(chacon, [cyl("0")], [g], -1, search_window=10)
 
     def test_shift_magnitude_checked(self, chacon):
         g = parse_gamma_polynomial("T1^{n}")
@@ -454,13 +454,23 @@ class TestRotation:
         assert not RotationControl(1000, 618).is_minimal
 
 
-class TestPatterns:
-    def test_merge_conflict(self):
-        a = Pattern.from_word("01")
-        b = Pattern.from_word("00")
-        assert a.merged(b) is None
-        assert a.merged(Pattern.from_word("1", offset=1)) == a
+class TestPatternCells:
+    def test_conflicting_cells_are_never_carried(self, chacon):
+        # each pattern spells two letters at one position
+        for cells in (
+            [(0, "0"), (0, "1")],
+            [(0, "01"), (0, "00")],
+            [(2, "001"), (3, "1")],
+        ):
+            assert not pattern_realizable(chacon, cells)
 
-    def test_shift(self):
-        p = Pattern.from_word("01", offset=2).shifted(-2)
-        assert p == Pattern.from_word("01")
+    def test_agreeing_overlaps_are_carried(self, chacon):
+        for cells in (
+            [(0, "01"), (1, "1")],
+            [(0, "001"), (1, "01"), (0, "0")],
+            [(5, "0"), (5, "0")],
+        ):
+            assert pattern_realizable(chacon, cells)
+        assert letter_cells([(2, "001"), (3, "01"), (2, "0")]) == (
+            (2, "0"), (3, "0"), (4, "1"),
+        )

@@ -153,10 +153,17 @@ class TestHindman:
 
     def test_dispatch(self):
         assert isinstance(hindman_search(5, 2, 2), HindmanVerified)
-        w = hindman_search(7, 1, 2, mode="one-coloring", coloring=[0] * 7)
+        w = hindman_search(7, 1, 2, coloring=[0] * 7)
         assert w is not None and w.generators == (1, 2)
-        with pytest.raises(ValueError):
-            hindman_search(5, 2, 2, mode="bogus")
+
+    @pytest.mark.parametrize(
+        "n_max, colors, depth", [(0, 2, 2), (5, 0, 2), (5, -1, 2), (5, 2, 0)]
+    )
+    def test_sizes_below_one_rejected(self, n_max, colors, depth):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            verify_all_colorings(n_max, colors, depth)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            hindman_search(n_max, colors, depth, coloring=[0] * n_max)
 
     def test_witness_cell_survives_foreign_splits(self):
         """Splitting a cell disjoint from the found witness never

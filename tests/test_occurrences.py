@@ -13,7 +13,6 @@ import pytest
 from ipdyn.dynamics import (
     CylinderSet,
     Lemma213Chain,
-    Pattern,
     SubstitutionSystem,
     WindowTooLarge,
     WitnessExhausted,
@@ -112,34 +111,39 @@ def scan_poly_members(sys_, u, vs, polys, window):
     )
 
 
-def scan_realizable(sys_, pattern):
-    if pattern.is_trivial:
+def spelled(cells):
+    """The (position, letter) pairs of (offset, word) cells, in order; a
+    position repeats where cells overlap, with two letters where they
+    conflict."""
+    return [(off + i, c) for off, w in cells for i, c in enumerate(w)]
+
+
+def scan_realizable(sys_, cells):
+    letters = spelled(cells)
+    if not letters:
         return True
-    lo, hi = pattern.bounds()
-    span = hi - lo
+    positions = [pos for pos, _ in letters]
+    lo, span = min(positions), max(positions) + 1 - min(positions)
     if span > sys_.max_word_length:
         raise WindowTooLarge(f"pattern span {span} exceeds bound {sys_.max_word_length}")
-    cells = [(pos - lo, sym) for pos, sym in pattern.cells]
     for text in expansions_reaching(sys_, span):
         for a in range(len(text) - span + 1):
-            if all(text[a + off] == sym for off, sym in cells):
+            if all(text[a + pos - lo] == sym for pos, sym in letters):
                 return True
     return False
 
 
-def scan_contained(sys_, pattern, word):
+def scan_contained(sys_, cells, word):
     if word == "":
         return True
-    plo, phi = pattern.bounds()
-    lo, hi = min(plo, 0), max(phi, len(word))
-    span = hi - lo
+    letters, target = spelled(cells), spelled([(0, word)])
+    positions = [pos for pos, _ in letters + target]
+    lo, span = min(positions), max(positions) + 1 - min(positions)
     if span > sys_.max_word_length:
         raise WindowTooLarge(f"inclusion span {span} exceeds bound {sys_.max_word_length}")
-    cells = [(pos - lo, sym) for pos, sym in pattern.cells]
-    target = [(i - lo, c) for i, c in enumerate(word)]
     for f in sys_.factors(span):
-        if all(f[off] == sym for off, sym in cells):
-            if not all(f[off] == sym for off, sym in target):
+        if all(f[pos - lo] == sym for pos, sym in letters):
+            if not all(f[pos - lo] == sym for pos, sym in target):
                 return False
     return True
 
@@ -165,6 +169,14 @@ def scan_recurrence(sys_, gammas, length, n_values):
     return None
 
 
+def partial_chain(sys_, cylinders, gammas, shifts):
+    """The chain of the shifts found so far: none when a search fails at
+    depth 0, and lemma213_chain refuses to build a chain of no levels."""
+    if not shifts:
+        return Lemma213Chain((), (), 1)
+    return lemma213_chain(sys_, cylinders, gammas, shifts)
+
+
 def rebuild_chain_shifts(sys_, cylinders, gammas, depth, search_window):
     """The greedy search rebuilding the whole chain for every candidate."""
     shifts = []
@@ -178,7 +190,7 @@ def rebuild_chain_shifts(sys_, cylinders, gammas, depth, search_window):
             shifts.append(m)
             break
         else:
-            raise WitnessExhausted(n, lemma213_chain(sys_, cylinders, gammas, shifts))
+            raise WitnessExhausted(n, partial_chain(sys_, cylinders, gammas, shifts))
     return lemma213_chain(sys_, cylinders, gammas, shifts)
 
 
@@ -250,28 +262,47 @@ def test_answers_do_not_depend_on_earlier_queries():
 
 
 def random_pattern(rng, sys_):
-    if rng.random() < 0.3:
-        # a window at or near the end of an expansion, or some of its cells
+    """(offset, word) cells.  Either pieces of one window at or near the
+    end of an expansion, which agree where they overlap, or random words
+    (some of them empty), which may overlap and conflict."""
+    if rng.random() < 0.4:
         text = rng.choice(sys_.expansions(1))
         length = rng.randint(1, min(len(text), 50))
         start = len(text) - length - rng.randint(0, min(2, len(text) - length))
-        picked = rng.sample(range(length), rng.choice([length, min(length, 4)]))
         offset = rng.randint(-6, 6)
-        return Pattern(tuple((offset + i, text[start + i]) for i in picked))
+        if rng.random() < 0.2:
+            return ((offset, text[start : start + length]),)
+        cells = []
+        for _ in range(rng.randint(1, 5)):
+            i = rng.randrange(length)
+            j = min(length, i + rng.choice([1, 1, 3, 6]))
+            cells.append((offset + i, text[start + i : start + j]))
+        return tuple(cells)
     symbols = list(sys_.alphabet) + ["z"]  # "z" is in no alphabet here
-    cells = {
-        rng.randint(-6, 70): rng.choice(symbols if rng.random() < 0.1 else sys_.alphabet)
-        for _ in range(rng.randint(0, 4))
-    }
-    return Pattern(tuple(cells.items()))
+    near = rng.random() < 0.5  # close offsets make overlaps, often conflicts
+    cells = []
+    for _ in range(rng.randint(0, 4)):
+        letters = symbols if rng.random() < 0.1 else sys_.alphabet
+        word = "".join(rng.choice(letters) for _ in range(rng.choice([0, 1, 1, 2, 4])))
+        cells.append((rng.randint(-3, 3) if near else rng.randint(-6, 70), word))
+    return tuple(cells)
 
 
 def test_patterns_match_position_scan():
+    kinds = set()
     for name, make in SYSTEMS.items():
         sys_ = make()
         rng = random.Random(name)
-        for _ in range(40):
+        for _ in range(150):
             pattern = random_pattern(rng, sys_)
+            letters = spelled(pattern)
+            positions = {pos for pos, _ in letters}
+            if len(positions) < len(set(letters)):
+                kinds.add("conflict")
+            elif len(positions) < len(letters):
+                kinds.add("agreeing overlap")
+            if any(len(w) > 1 for _, w in pattern):
+                kinds.add("word")
             assert outcome(pattern_realizable, sys_, pattern) == outcome(
                 scan_realizable, sys_, pattern
             ), (name, pattern)
@@ -279,6 +310,7 @@ def test_patterns_match_position_scan():
             assert outcome(
                 _pattern_contained_in_cylinder, sys_, pattern, CylinderSet(word)
             ) == outcome(scan_contained, sys_, pattern, word), (name, pattern, word)
+    assert kinds == {"conflict", "agreeing overlap", "word"}
 
 
 def test_recurrence_matches_position_scan():
@@ -329,4 +361,4 @@ def test_chain_search_matches_rebuild(words, gamma_texts, depth, window, runs_ou
         depth_failed, partial = got
         assert depth_failed == runs_out_at
         assert len(partial.shifts) == len(partial.levels) == runs_out_at
-        assert partial == lemma213_chain(sys_, cylinders, gammas, partial.shifts)
+        assert partial == partial_chain(sys_, cylinders, gammas, partial.shifts)
