@@ -55,6 +55,12 @@ class SubstitutionSystem:
     applies the rules exactly that many times.  Substitutions that stop
     growing (for instance a single fixed letter) are closed off
     periodically, so the constant system has language a, aa, aaa, ...
+
+    Each seed keeps one expansion, with its letter masks, and every
+    query reads a prefix of it.  A seed whose image begins with itself
+    has a fixed point that all its expansions are prefixes of, so its
+    kept prefix only ever grows; any other seed keeps the one iterate,
+    or periodic closure, that its last query read.
     """
 
     def __init__(
@@ -87,68 +93,94 @@ class SubstitutionSystem:
                 raise BadRules(f"seed {s!r} has no rule")
         if depth is not None and depth < 0:
             raise BadRules("depth must be nonnegative")
+        if max_word_length < 1:
+            raise BadRules(f"max word length must be >= 1, got {max_word_length}")
         self.depth = depth
         self.max_word_length = max_word_length
         self._factor_cache: dict[int, frozenset[str]] = {}
-        self._index: _Occurrences | None = None
+        self._kept: dict[str, _Expansion] = {}
 
     def _apply(self, word: str) -> str:
         return word.translate(self._images)
 
-    def _grow(self, seed: str, target: int) -> str:
-        word = seed
-        if self.depth is not None:
-            for _ in range(self.depth):
-                word = self._apply(word)
-            return word
-        while len(word) < target:
-            nxt = self._apply(word)
-            if len(nxt) <= len(word):
-                # non-growing substitution: periodic closure
-                reps = -(-target // len(nxt))
-                return nxt * reps
-            word = nxt
-        return word[:target]
-
     def _target_length(self, factor_length: int) -> int:
         return max(_EXPANSION_MARGIN * factor_length, _MIN_EXPANSION)
+
+    def _shape(self, seed: str, target: int) -> tuple[tuple[str, int], int]:
+        """Which text is ``seed``'s expansion for ``target``, worked out
+        from letter counts without building it: a key naming the text it
+        is a prefix of, and its length.
+
+        - ("prefix", 0): the fixed point of a seed whose image begins
+          with itself and is longer, cut at ``target``;
+        - ("iterate", k): sigma^k(seed), the first iterate at least
+          ``target`` letters long, cut there (whole at a fixed depth);
+        - ("closure", k): sigma^k(seed) repeated, when sigma^(k-1)(seed)
+          is shorter than ``target`` and sigma does not lengthen it; the
+          repeats are rounded up to whole periods.
+        """
+        image = self.rules[seed]
+        if self.depth is None and image[0] == seed and len(image) > 1:
+            return ("prefix", 0), target
+        counts = {seed: 1}
+        k, length = 0, 1
+        while (k < self.depth) if self.depth is not None else (length < target):
+            grown: dict[str, int] = {}
+            for c, n in counts.items():
+                for d in self.rules[c]:
+                    grown[d] = grown.get(d, 0) + n
+            grown_length = sum(grown.values())
+            if self.depth is None and grown_length <= length:
+                return ("closure", k + 1), -(-target // grown_length) * grown_length
+            counts, k, length = grown, k + 1, grown_length
+        return ("iterate", k), length if self.depth is not None else target
+
+    def _build(self, seed: str, key: tuple[str, int], length: int) -> str:
+        """A text the ``_shape`` key names, at least ``length`` letters
+        long; a kept fixed-point prefix is grown, not rebuilt."""
+        kind, k = key
+        kept = self._kept.get(seed)
+        if kind == "prefix":
+            word = kept.text if kept is not None and kept.key == key else seed
+            while len(word) < length:
+                word = self._apply(word)
+            return word
+        word = seed
+        for _ in range(k):
+            word = self._apply(word)
+        return word * (length // len(word)) if kind == "closure" else word
+
+    def _cuts(self, target: int) -> list[tuple[_Expansion, int]]:
+        """Each seed's kept expansion, and the length of the prefix of it
+        that is the seed's expansion for ``target``."""
+        cuts = []
+        for seed in self.seeds:
+            key, length = self._shape(seed, target)
+            kept = self._kept.get(seed)
+            if kept is None or kept.key != key or len(kept.text) < length:
+                kept = _Expansion(key, self._build(seed, key, length))
+                self._kept[seed] = kept
+            cuts.append((kept, length))
+        return cuts
 
     def expansions(self, factor_length: int) -> tuple[str, ...]:
         """One long expansion per seed, deterministically trimmed so the
         result depends only on the requested factor length."""
         target = self._target_length(factor_length)
-        return tuple(self._grow(seed, target) for seed in self.seeds)
+        return tuple(kept.text[:length] for kept, length in self._cuts(target))
 
-    def _carriers(
-        self, span: int, patterns: Iterable[Sequence[Constraint]], too_long: str
-    ) -> Iterator[int]:
-        """Where each pattern of (offset, word) cells is carried, lazily:
-        bit p is set when ``span`` letters from p lie inside one of
-        ``self.expansions(span)`` and every cell's word starts at
-        p + offset.  The only reader of the occurrence index: one index is
-        kept, and a query that needs another expansion length replaces it.
+    def _index(self, span: int, too_long: str) -> _Occurrences:
+        """The occurrence index a ``span``-letter query reads: the
+        prefixes ``self.expansions(span)`` holds, cut with their letter
+        masks from the kept expansions; every occurrence query reads one.
         Raises WindowTooLarge(too_long) past the bound, and when no
         expansion is ``span`` letters long."""
         if span > self.max_word_length:
             raise WindowTooLarge(too_long)
-        target = self._target_length(span)
-        if self._index is None or self._index.target != target:
-            self._index = _Occurrences(target, self.expansions(span))
-        occ = self._index
-        fits = occ.fits(span)
-        if not fits:
+        occ = _Occurrences(self._cuts(self._target_length(span)), span)
+        if not occ.fits:
             raise _no_expansion_reaches(span)
-        starts: dict[str, int] = {}
-
-        def carriers(cells: Sequence[Constraint]) -> int:
-            found = fits
-            for off, w in cells:
-                if w not in starts:
-                    starts[w] = occ.starts(w)
-                found &= starts[w] >> off
-            return found
-
-        return map(carriers, patterns)
+        return occ
 
     def factors(self, length: int) -> frozenset[str]:
         """All admissible words of exactly the given length."""
@@ -184,10 +216,9 @@ class SubstitutionSystem:
         if any(c not in self.rules for c in word):
             return False
         length = len(word)
-        return any(self._carriers(
-            length, [((0, word),)],
-            f"factor length {length} exceeds bound {self.max_word_length}",
-        ))
+        return any(self._index(
+            length, f"factor length {length} exceeds bound {self.max_word_length}"
+        ).carriers([((0, word),)]))
 
     def describe(self) -> str:
         rules = ";".join(f"{s}->{self.rules[s]}" for s in self.alphabet)
@@ -197,26 +228,44 @@ class SubstitutionSystem:
         return f"<SubstitutionSystem {self.describe()}>"
 
 
+class _Expansion:
+    """A seed's kept expansion: the text, the ``_shape`` key naming it,
+    and each letter's bitmask (bit p set when the letter stands at p)."""
+
+    def __init__(self, key: tuple[str, int], text: str):
+        self.key = key
+        self.text = text
+        backwards = text[::-1]  # int() reads its most significant digit first
+        zeros = {ord(c): "0" for c in set(text)}
+        self.letters = {
+            chr(c): int(backwards.translate({**zeros, c: "1"}), 2) for c in zeros
+        }
+
+
 class _Occurrences:
-    """Start positions of every letter in the joined expansions.
+    """Start positions of every letter in the joined expansions of one
+    query span.
 
     Bit p of ``letters[c]`` is set when letter c stands at position p of
-    the joined text.  The starts of a word are the AND of its shifted
-    letter masks, and a pattern of (offset, word) cells holds at p when
-    every cell's word starts at p + offset: the Shift-And idea of
+    the joined ``text``, and bit p of ``fits`` when ``span`` letters from
+    p lie inside one expansion.  The starts of a word are the AND of its
+    shifted letter masks, and a pattern of (offset, word) cells holds at
+    p when every cell's word starts at p + offset: the Shift-And idea of
     Baeza-Yates and Gonnet, "A new approach to text searching", CACM
     35(10), 1992.
     """
 
-    def __init__(self, target: int, texts: Sequence[str]):
-        self.target = target
-        self.text = "".join(texts)
-        self.lengths = tuple(len(t) for t in texts)
-        backwards = self.text[::-1]  # int() reads its most significant digit first
-        zeros = {ord(c): "0" for c in set(self.text)}
-        self.letters = {
-            chr(c): int(backwards.translate({**zeros, c: "1"}), 2) for c in zeros
-        }
+    def __init__(self, cuts: Sequence[tuple[_Expansion, int]], span: int):
+        self.text = "".join(kept.text[:length] for kept, length in cuts)
+        self.letters: dict[str, int] = {}
+        self.fits = start = 0
+        for kept, length in cuts:
+            prefix = (1 << length) - 1
+            for c, mask in kept.letters.items():
+                self.letters[c] = self.letters.get(c, 0) | (mask & prefix) << start
+            if length >= span:
+                self.fits |= ((1 << (length - span + 1)) - 1) << start
+            start += length
 
     def starts(self, word: str) -> int:
         """Positions at which ``word`` begins."""
@@ -225,14 +274,21 @@ class _Occurrences:
             found &= self.letters.get(c, 0) >> j
         return found
 
-    def fits(self, span: int) -> int:
-        """Positions at which ``span`` letters lie inside one expansion."""
-        mask = start = 0
-        for length in self.lengths:
-            if length >= span:
-                mask |= ((1 << (length - span + 1)) - 1) << start
-            start += length
-        return mask
+    def carriers(self, patterns: Iterable[Sequence[Constraint]]) -> Iterator[int]:
+        """Where each pattern of (offset, word) cells is carried, lazily:
+        bit p is set when the span fits at p and every cell's word starts
+        at p + offset."""
+        starts: dict[str, int] = {}
+
+        def carried(cells: Sequence[Constraint]) -> int:
+            found = self.fits
+            for off, w in cells:
+                if w not in starts:
+                    starts[w] = self.starts(w)
+                found &= starts[w] >> off
+            return found
+
+        return map(carried, patterns)
 
 
 def _no_expansion_reaches(span: int) -> WindowTooLarge:
@@ -339,11 +395,10 @@ def _members(
     max_span = max((span for _, span in patterns.values()), default=0)
     if not max_span:
         return frozenset(ns), 0
-    carriers = sys._carriers(
+    carriers = sys._index(
         max_span,
-        (cells for cells, _ in patterns.values()),
         f"query needs words of length {max_span}, bound is {sys.max_word_length}",
-    )
+    ).carriers(cells for cells, _ in patterns.values())
     return frozenset(n for n, found in zip(patterns, carriers) if found), max_span
 
 
@@ -562,9 +617,9 @@ def pattern_realizable(sys: SubstitutionSystem, cells: Sequence[Constraint]) -> 
     cells, span = _pattern(cells)
     if not span:
         return True
-    return any(sys._carriers(
-        span, [cells], f"pattern span {span} exceeds bound {sys.max_word_length}"
-    ))
+    return any(sys._index(
+        span, f"pattern span {span} exceeds bound {sys.max_word_length}"
+    ).carriers([cells]))
 
 
 def letter_cells(cells: Sequence[Constraint]) -> tuple[tuple[int, str], ...]:
@@ -691,10 +746,9 @@ def _pattern_contained_in_cylinder(
         return True
     # the cylinder's cell goes in last, and it is not empty, so it comes out last
     (*cells, target), span = _pattern((*cells, (0, word)))
-    carriers, spelled = sys._carriers(
-        span, [cells, [target]],
-        f"inclusion span {span} exceeds bound {sys.max_word_length}",
-    )
+    carriers, spelled = sys._index(
+        span, f"inclusion span {span} exceeds bound {sys.max_word_length}"
+    ).carriers([cells, [target]])
     # a pattern with no admissible realization is vacuously contained
     return carriers & ~spelled == 0
 
@@ -755,13 +809,12 @@ def recurrence_search(
         lo = min(0, min(shifts, default=0))
         hi = max(shifts, default=0) + agreement_length
         span = hi - lo
-        # the empty pattern is carried wherever the span fits
-        found = next(sys._carriers(
-            span, [()],
+        occ = sys._index(
+            span,
             f"shifts at n={n} need words of length {span}, bound is "
             f"{sys.max_word_length}",
-        ))
-        occ = sys._index
+        )
+        found = occ.fits
         for s in shifts:
             # bit p: the letters at p and p + s agree
             same = 0

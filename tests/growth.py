@@ -1,0 +1,70 @@
+"""Substitution expansions grown from the seed at every call.
+
+The library keeps one expansion per seed and cuts every text it reads
+from it.  This is the plain rule that keeping must agree with: apply
+the rules from the seed until the text reaches the target length, close
+a substitution that stops growing off periodically, and keep nothing
+between calls.  The test oracles read their expansions and factor sets
+from here, never from the library.
+"""
+
+import functools
+
+from ipdyn.dynamics import WindowTooLarge
+
+MIN_EXPANSION = 4096
+EXPANSION_MARGIN = 32
+
+
+def target_length(factor_length):
+    return max(EXPANSION_MARGIN * factor_length, MIN_EXPANSION)
+
+
+@functools.cache
+def grow(rules, depth, seed, target):
+    """The expansion of ``seed`` for ``target``; ``rules`` is a sorted
+    tuple of (letter, image) pairs, so that calls can be cached."""
+    images = {ord(sym): image for sym, image in rules}
+    word = seed
+    if depth is not None:
+        for _ in range(depth):
+            word = word.translate(images)
+        return word
+    while len(word) < target:
+        nxt = word.translate(images)
+        if len(nxt) <= len(word):
+            # non-growing substitution: periodic closure
+            reps = -(-target // len(nxt))
+            return nxt * reps
+        word = nxt
+    return word[:target]
+
+
+def expansions(sys_, factor_length):
+    target = target_length(factor_length)
+    rules = tuple(sorted(sys_.rules.items()))
+    return tuple(grow(rules, sys_.depth, seed, target) for seed in sys_.seeds)
+
+
+def expansions_reaching(sys_, span):
+    """The expansions a span-letter query reads; every oracle raises the
+    same error when none of them is span letters long."""
+    texts = expansions(sys_, span)
+    if all(len(text) < span for text in texts):
+        raise WindowTooLarge(
+            f"no expansion reaches length {span}; raise depth or use "
+            "automatic growth"
+        )
+    return texts
+
+
+def factors(sys_, length):
+    if length > sys_.max_word_length:
+        raise WindowTooLarge(
+            f"factor length {length} exceeds bound {sys_.max_word_length}"
+        )
+    return frozenset(
+        text[i : i + length]
+        for text in expansions_reaching(sys_, length)
+        for i in range(len(text) - length + 1)
+    )

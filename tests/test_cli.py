@@ -327,6 +327,16 @@ window = 500
         )
         assert run_cli(["return-set", "--config", rotation, "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("bound", ["0", "-5"])
+    def test_word_bound_below_one_is_1(self, tmp_path, capsys, bound):
+        cfg = write_config(
+            tmp_path,
+            CHACON_PREAMBLE.replace("seeds = 0", f"seeds = 0\nmax-word-length = {bound}")
+            + "\n[run]\nsystem = chacon\nu = U\nv = V\nwindow = 10\n",
+        )
+        assert run_cli(["return-set", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "max word length must be >= 1" in capsys.readouterr().err
+
     def test_missing_config_is_1(self, tmp_path):
         assert (
             run_cli(

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from growth import expansions
 
 from ipdyn.dynamics import (
     Arc,
@@ -60,7 +61,7 @@ def orbit_members(sys_, u, vs, polys, window):
     max_span = max(span for _, span in span_for.values())
     words = {w for cells in cells_for.values() for _, w in cells}
     tables = []
-    for text in sys_.expansions(max_span):
+    for text in expansions(sys_, max_span):
         table = {}
         for w in words:
             positions = set()
@@ -123,6 +124,9 @@ class TestLanguage:
             SubstitutionSystem({"a": "ab"})
         with pytest.raises(BadRules):
             SubstitutionSystem({"a": "a"}, seeds=("b",))
+        for bound in (0, -5):
+            with pytest.raises(BadRules, match="max word length must be >= 1"):
+                SubstitutionSystem({"a": "ab", "b": "a"}, max_word_length=bound)
 
     def test_window_bound(self, chacon):
         with pytest.raises(WindowTooLarge):

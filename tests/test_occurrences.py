@@ -7,8 +7,10 @@ agree with it on members, witnesses, and exception types and messages.
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
+from growth import expansions, expansions_reaching, factors
 
 from ipdyn.dynamics import (
     CylinderSet,
@@ -59,18 +61,6 @@ def outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
-def expansions_reaching(sys_, span):
-    """The expansions a span-letter query reads; every oracle raises the
-    same error when none of them is span letters long."""
-    texts = sys_.expansions(span)
-    if all(len(text) < span for text in texts):
-        raise WindowTooLarge(
-            f"no expansion reaches length {span}; raise depth or use "
-            "automatic growth"
-        )
-    return texts
-
-
 def random_word(rng, sys_, max_len=3):
     return rng.choice(sorted(sys_.factors(rng.randint(1, max_len))))
 
@@ -92,7 +82,7 @@ def scan_members(sys_, ns, constraints_for):
             f"query needs words of length {max_span}, bound is "
             f"{sys_.max_word_length}"
         )
-    factor_set = sys_.factors(max_span) if max_span else None
+    factor_set = factors(sys_, max_span) if max_span else None
     members = set()
     for n in ns:
         cells, span = patterns[n]
@@ -141,7 +131,7 @@ def scan_contained(sys_, cells, word):
     lo, span = min(positions), max(positions) + 1 - min(positions)
     if span > sys_.max_word_length:
         raise WindowTooLarge(f"inclusion span {span} exceeds bound {sys_.max_word_length}")
-    for f in sys_.factors(span):
+    for f in factors(sys_, span):
         if all(f[pos - lo] == sym for pos, sym in letters):
             if not all(f[pos - lo] == sym for pos, sym in target):
                 return False
@@ -233,7 +223,7 @@ def test_admissibility_matches_factor_set():
             w = random_word(rng, sys_, max_len=12)
             i = rng.randrange(len(w))
             words += [w, w[:i] + rng.choice(sys_.alphabet) + w[i + 1 :]]
-        texts = sys_.expansions(1)
+        texts = expansions(sys_, 1)
         for text in texts:
             words += [text[:k] for k in (1, 7, 33)] + [text[-k:] for k in (1, 7, 33)]
             # past bounded-fibonacci's bound, past chacon-depth-3's expansion
@@ -243,22 +233,84 @@ def test_admissibility_matches_factor_set():
         for w in words:
             assert outcome(sys_.is_admissible, w) == outcome(
                 lambda: w == ""
-                or (set(w) <= set(sys_.rules) and w in sys_.factors(len(w)))
+                or (set(w) <= set(sys_.rules) and w in factors(sys_, len(w)))
             ), (name, w)
 
 
 def test_answers_do_not_depend_on_earlier_queries():
-    # 0 -> 0000000001 grows its runs of 1s slowly, so which words its
-    # expansions hold depends on how long they are: each answer must be
-    # the one for its own span, whatever the previous query indexed
-    sys_ = SubstitutionSystem({"0": "0000000001", "1": "1"})
-    for window in (300, 0, 300):
-        got = return_set(sys_, CylinderSet("1"), CylinderSet("11"), window)
-        assert got.members == scan_poly_members(
-            sys_, "1", ["11"], [parse_polynomial("n")], window
-        )
-        for w in ("1111", "0000000001111"):
-            assert sys_.is_admissible(w) == (w in sys_.factors(len(w))), (window, w)
+    # each answer must be the one for its own span, whatever the previous
+    # query indexed: the windows move the expansion target back and forth
+    # across iterate lengths (non-prefix reads sigma^17(0), sigma^18(0)
+    # and sigma^19(0), of 4181, 6765 and 10946 letters), and past the
+    # bound or the fixed depth and back
+    systems = {
+        **SYSTEMS,
+        # 0 -> 0000000001 grows its runs of 1s slowly, so which words its
+        # expansions hold depends on how long they are
+        "slow": lambda: SubstitutionSystem({"0": "0000000001", "1": "1"}),
+    }
+    for name, make in systems.items():
+        sys_ = make()
+        if name == "slow":
+            u, v, words = "1", "11", ("1111", "0000000001111")
+        else:
+            rng = random.Random(f"{name}/order")
+            u, v = random_word(rng, sys_, 1), random_word(rng, sys_, 2)
+            # two-letter words include ones spanning two seeds' texts
+            words = (u + v, v + u, v + v) + tuple(
+                map("".join, itertools.product(sys_.alphabet, repeat=2))
+            )
+        for window in (230, 0, 150, 230, 10, 150, 0):
+            got = outcome(return_set, sys_, CylinderSet(u), CylinderSet(v), window)
+            if not isinstance(got, tuple):
+                got = got.members
+            assert got == outcome(
+                scan_poly_members, sys_, u, [v], [parse_polynomial("n")], window
+            ), (name, window)
+            for w in words:
+                assert sys_.is_admissible(w) == (w in factors(sys_, len(w))), (
+                    name, window, w,
+                )
+
+
+# SYSTEMS, and growth the query tests would be slow on
+GROWTH_SYSTEMS = {
+    **SYSTEMS,
+    # sigma^k(a) = ab^k: 4096 letters take 4095 iterates
+    "linear": lambda: SubstitutionSystem({"a": "ab", "b": "b"}, max_word_length=40),
+    # sigma(a) = b is no longer than a, so a is closed off as b repeated,
+    # although sigma(b) grows
+    "stalls": lambda: SubstitutionSystem({"a": "b", "b": "bb"}),
+    # sigma(a) = bcd stops growing: repeated in whole periods, past the target
+    "period-3": lambda: SubstitutionSystem({"a": "bcd", "b": "b", "c": "c", "d": "d"}),
+}
+
+
+def test_expansions_match_growth_from_the_seed():
+    # 32 * 128 = 4096: the target leaves its floor after 128 letters;
+    # non-prefix reads sigma^17(0), sigma^18(0) and sigma^19(0) at 129,
+    # 150 and 300, and only iterates of one parity are prefixes of each
+    # other
+    lengths = [1, 5, 40, 127, 128, 129, 150, 300]
+    for name, make in GROWTH_SYSTEMS.items():
+        sys_ = make()
+        rising = lengths[:-2] if name == "linear" else lengths
+        shuffled = random.Random(name).sample(rising, len(rising))
+        for length in rising + rising[::-1] + shuffled:
+            assert sys_.expansions(length) == expansions(sys_, length), (name, length)
+
+
+def test_kept_expansion_stays_small():
+    # the 4096 letters of ab^4095 are the 4095th iterate; a system that
+    # kept every iterate on the way would hold 8.4 million letters
+    tracemalloc.start()
+    try:
+        sys_ = SubstitutionSystem({"a": "ab", "b": "b"}, max_word_length=40)
+        assert sys_.is_admissible("a" + "b" * 39)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
 
 
 def random_pattern(rng, sys_):
@@ -266,7 +318,7 @@ def random_pattern(rng, sys_):
     end of an expansion, which agree where they overlap, or random words
     (some of them empty), which may overlap and conflict."""
     if rng.random() < 0.4:
-        text = rng.choice(sys_.expansions(1))
+        text = rng.choice(expansions(sys_, 1))
         length = rng.randint(1, min(len(text), 50))
         start = len(text) - length - rng.randint(0, min(2, len(text) - length))
         offset = rng.randint(-6, 6)
