@@ -1,13 +1,19 @@
 """Plain-text experiment configs: ``[section]`` headers over ``key = value``
 lines, with cross-references between named systems, sets, polynomials,
-generator lists and the run parameters."""
+generator lists and the run parameters.
+
+The whole format is read here: a ``_SECTIONS`` row per named section
+kind but ``[set]``, a ``_RUN_REFERENCES`` row per ``[run]`` reference,
+and the ``[system]`` keys, of which only those a section sets reach
+``dynamics.SubstitutionSystem``, whose signature holds the defaults."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Any, Mapping
 
 from . import dynamics, gammapoly, intpoly
+from .dynamics import BadRules
 
 
 class ParseError(ValueError):
@@ -73,9 +79,9 @@ def _split_header(header: str) -> tuple[str, str]:
     return kind, name
 
 
-def _int_list(value: str, *, section: str, key: str) -> tuple[int, ...]:
+def _generators(body: Mapping[str, str], where: str) -> tuple[int, ...]:
     out = []
-    for chunk in value.split(","):
+    for chunk in body["generators"].split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
@@ -83,24 +89,91 @@ def _int_list(value: str, *, section: str, key: str) -> tuple[int, ...]:
             out.append(int(chunk))
         except ValueError:
             raise ValidationError(
-                f"section [{section}], key {key!r}: not an integer: {chunk!r}"
+                f"section [{where}], key 'generators': not an integer: {chunk!r}"
             )
     if not out:
-        raise ValidationError(f"section [{section}], key {key!r}: empty list")
+        raise ValidationError(f"section [{where}], key 'generators': empty list")
     return tuple(out)
 
 
-_RUN_REFERENCES = {
-    "system": "systems",
-    "u": "sets",
-    "v": "sets",
-    "gamma-system": "gamma_systems",
+def parse_rules(text: str) -> dict[str, str]:
+    """Parse ``0 -> 0010; 1 -> 1`` rule syntax."""
+    rules: dict[str, str] = {}
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if "->" not in chunk:
+            raise BadRules(f"rule {chunk!r} lacks '->'")
+        left, right = (part.strip() for part in chunk.split("->", 1))
+        if len(left) != 1:
+            raise BadRules(f"rule source must be one symbol: {left!r}")
+        if left in rules:
+            raise BadRules(f"duplicate rule for {left!r}")
+        rules[left] = right
+    if not rules:
+        raise BadRules(f"no rules found in {text!r}")
+    return rules
+
+
+def build_system(spec: Mapping[str, str]) -> dynamics.SubstitutionSystem:
+    """Build a substitution system from a ``[system]`` section's keys.
+    Only the keys the section sets are passed on, so an unset key takes
+    ``SubstitutionSystem``'s default."""
+    kind = spec.get("kind", "substitution")
+    if kind != "substitution":
+        raise BadRules(f"unknown system kind {kind!r}")
+    if "rules" not in spec:
+        raise BadRules("substitution systems need a 'rules' entry")
+    rules = parse_rules(spec["rules"])
+    options: dict[str, Any] = {}
+    if "seeds" in spec:
+        options["seeds"] = tuple(
+            s.strip() for s in spec["seeds"].split(",") if s.strip()
+        )
+    if spec.get("depth", "auto") != "auto":
+        options["depth"] = int(spec["depth"])
+    if "max-word-length" in spec:
+        options["max_word_length"] = int(spec["max-word-length"])
+    return dynamics.SubstitutionSystem(rules, **options)
+
+
+def _polynomial(expr: str) -> intpoly.IntegralPolynomial:
+    try:
+        return intpoly.parse_polynomial(expr)
+    except intpoly.NotIntegralPolynomial as exc:
+        raise ValueError(f"not an integral polynomial: {exc}")
+
+
+# section kind -> (ExperimentConfig field, required key, parser of the
+# section body and its "kind name").  A parser's ValueError is reported
+# as "section [kind name]: ..."; a ValidationError already names its
+# section and is raised as it is.
+_SECTIONS = {
+    "system": ("systems", None, lambda body, _: build_system(body)),
+    "poly": ("polys", "expr", lambda body, _: _polynomial(body["expr"])),
+    "gamma": (
+        "gammas", "expr",
+        lambda body, _: gammapoly.parse_gamma_polynomial(body["expr"]),
+    ),
+    "gamma-system": (
+        "gamma_systems", "members",
+        lambda body, _: gammapoly.parse_system(body["members"]),
+    ),
+    "fs": ("truncations", "generators", _generators),
 }
-_RUN_LIST_REFERENCES = {
-    "vs": "sets",
-    "polys": "polys",
-    "gammas": "gammas",
-    "truncations": "truncations",
+
+# [run] key -> (ExperimentConfig field it names, whether it holds a
+# comma-separated list of names)
+_RUN_REFERENCES = {
+    "system": ("systems", False),
+    "u": ("sets", False),
+    "v": ("sets", False),
+    "gamma-system": ("gamma_systems", False),
+    "vs": ("sets", True),
+    "polys": ("polys", True),
+    "gammas": ("gammas", True),
+    "truncations": ("truncations", True),
 }
 
 
@@ -110,68 +183,27 @@ def parse_config(text: str) -> ExperimentConfig:
     pending_sets: list[tuple[str, dict[str, str]]] = []
     for header, body in _raw_sections(text):
         kind, name = _split_header(header)
-        if kind == "system":
-            if not name:
-                raise ValidationError("section [system] needs a name")
-            try:
-                cfg.systems[name] = dynamics.build_system(body)
-            except (dynamics.BadRules, ValueError) as exc:
-                raise ValidationError(f"section [system {name}]: {exc}")
-        elif kind == "set":
-            if not name:
-                raise ValidationError("section [set] needs a name")
-            pending_sets.append((name, body))
-        elif kind == "poly":
-            if not name:
-                raise ValidationError("section [poly] needs a name")
-            expr = body.get("expr")
-            if expr is None:
-                raise ValidationError(f"section [poly {name}]: missing 'expr'")
-            try:
-                cfg.polys[name] = intpoly.parse_polynomial(expr)
-            except intpoly.NotIntegralPolynomial as exc:
-                raise ValidationError(
-                    f"section [poly {name}]: not an integral polynomial: {exc}"
-                )
-            except intpoly.PolynomialParseError as exc:
-                raise ValidationError(f"section [poly {name}]: {exc}")
-        elif kind == "gamma":
-            if not name:
-                raise ValidationError("section [gamma] needs a name")
-            expr = body.get("expr")
-            if expr is None:
-                raise ValidationError(f"section [gamma {name}]: missing 'expr'")
-            try:
-                cfg.gammas[name] = gammapoly.parse_gamma_polynomial(expr)
-            except (intpoly.PolynomialParseError, ValueError) as exc:
-                raise ValidationError(f"section [gamma {name}]: {exc}")
-        elif kind == "gamma-system":
-            if not name:
-                raise ValidationError("section [gamma-system] needs a name")
-            members = body.get("members")
-            if members is None:
-                raise ValidationError(
-                    f"section [gamma-system {name}]: missing 'members'"
-                )
-            try:
-                cfg.gamma_systems[name] = gammapoly.parse_system(members)
-            except (intpoly.PolynomialParseError, ValueError) as exc:
-                raise ValidationError(f"section [gamma-system {name}]: {exc}")
-        elif kind == "fs":
-            if not name:
-                raise ValidationError("section [fs] needs a name")
-            gens = body.get("generators")
-            if gens is None:
-                raise ValidationError(
-                    f"section [fs {name}]: missing 'generators'"
-                )
-            cfg.truncations[name] = _int_list(
-                gens, section=f"fs {name}", key="generators"
-            )
-        elif kind == "run":
+        if kind == "run":
             cfg.run = dict(body)
-        else:
+            continue
+        if kind != "set" and kind not in _SECTIONS:
             raise ValidationError(f"unknown section kind [{header}]")
+        if not name:
+            raise ValidationError(f"section [{kind}] needs a name")
+        if kind == "set":  # resolved once every system is known
+            pending_sets.append((name, body))
+            continue
+        field_name, key, parse = _SECTIONS[kind]
+        where = f"{kind} {name}"
+        if key is not None and key not in body:
+            raise ValidationError(f"section [{where}]: missing {key!r}")
+        try:
+            value = parse(body, where)
+        except ValidationError:
+            raise
+        except ValueError as exc:
+            raise ValidationError(f"section [{where}]: {exc}")
+        getattr(cfg, field_name)[name] = value
 
     for name, body in pending_sets:
         system = body.get("system")
@@ -195,25 +227,14 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _validate_run_references(cfg: ExperimentConfig) -> None:
-    for key, table_name in _RUN_REFERENCES.items():
-        value = cfg.run.get(key)
-        if value is None:
+    for key, (table_name, is_list) in _RUN_REFERENCES.items():
+        if key not in cfg.run:
             continue
         table: Mapping[str, object] = getattr(cfg, table_name)
-        if value not in table:
-            raise ValidationError(
-                f"section [run], key {key!r}: undefined reference {value!r}"
-            )
-    for key, table_name in _RUN_LIST_REFERENCES.items():
-        value = cfg.run.get(key)
-        if value is None:
-            continue
-        table = getattr(cfg, table_name)
-        for chunk in value.split(","):
-            chunk = chunk.strip()
-            if chunk and chunk not in table:
+        for ref in run_list(cfg, key) if is_list else [cfg.run[key]]:
+            if ref not in table:
                 raise ValidationError(
-                    f"section [run], key {key!r}: undefined reference {chunk!r}"
+                    f"section [run], key {key!r}: undefined reference {ref!r}"
                 )
 
 

@@ -7,6 +7,9 @@ the occurrence positions of its words inside long expansions of the
 substitution, held as Python-int bitmasks.  All answers are exact at
 window scale and every feasibility bound is checked up front and
 reported, never silently truncated.
+
+The config syntax of systems (``[system]`` sections, rule strings)
+lives in ``config``.
 """
 
 from __future__ import annotations
@@ -135,20 +138,31 @@ class SubstitutionSystem:
             counts, k, length = grown, k + 1, grown_length
         return ("iterate", k), length if self.depth is not None else target
 
-    def _build(self, seed: str, key: tuple[str, int], length: int) -> str:
-        """A text the ``_shape`` key names, at least ``length`` letters
-        long; a kept fixed-point prefix is grown, not rebuilt."""
+    def _build(self, seed: str, key: tuple[str, int], length: int) -> _Expansion:
+        """An expansion of the text the ``_shape`` key names, at least
+        ``length`` letters long; a kept fixed-point prefix is lengthened,
+        not rebuilt."""
         kind, k = key
         kept = self._kept.get(seed)
         if kind == "prefix":
-            word = kept.text if kept is not None and kept.key == key else seed
-            while len(word) < length:
-                word = self._apply(word)
-            return word
+            word, previous = self.rules[seed], 1
+            if kept is not None and kept.key == key:
+                word, previous = kept.text, kept.previous
+            # sigma^(j+1)(seed) is sigma^j(seed) followed by sigma of the
+            # letters sigma^j(seed) added to sigma^(j-1)(seed), so each
+            # letter is rewritten once
+            parts, added, total = [word], word[previous:], len(word)
+            while total < length:
+                added = self._apply(added)
+                parts.append(added)
+                total += len(added)
+            return _Expansion(key, "".join(parts), total - len(added))
         word = seed
         for _ in range(k):
             word = self._apply(word)
-        return word * (length // len(word)) if kind == "closure" else word
+        if kind == "closure":
+            word *= length // len(word)
+        return _Expansion(key, word)
 
     def _cuts(self, target: int) -> list[tuple[_Expansion, int]]:
         """Each seed's kept expansion, and the length of the prefix of it
@@ -158,7 +172,7 @@ class SubstitutionSystem:
             key, length = self._shape(seed, target)
             kept = self._kept.get(seed)
             if kept is None or kept.key != key or len(kept.text) < length:
-                kept = _Expansion(key, self._build(seed, key, length))
+                kept = self._build(seed, key, length)
                 self._kept[seed] = kept
             cuts.append((kept, length))
         return cuts
@@ -230,11 +244,14 @@ class SubstitutionSystem:
 
 class _Expansion:
     """A seed's kept expansion: the text, the ``_shape`` key naming it,
-    and each letter's bitmask (bit p set when the letter stands at p)."""
+    each letter's bitmask (bit p set when the letter stands at p) and,
+    for a fixed-point prefix sigma^j(seed), the length of
+    sigma^(j-1)(seed)."""
 
-    def __init__(self, key: tuple[str, int], text: str):
+    def __init__(self, key: tuple[str, int], text: str, previous: int = 0):
         self.key = key
         self.text = text
+        self.previous = previous
         backwards = text[::-1]  # int() reads its most significant digit first
         zeros = {ord(c): "0" for c in set(text)}
         self.letters = {
@@ -300,26 +317,6 @@ def _no_expansion_reaches(span: int) -> WindowTooLarge:
     )
 
 
-def parse_rules(text: str) -> dict[str, str]:
-    """Parse ``0 -> 0010; 1 -> 1`` rule syntax."""
-    rules: dict[str, str] = {}
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "->" not in chunk:
-            raise BadRules(f"rule {chunk!r} lacks '->'")
-        left, right = (part.strip() for part in chunk.split("->", 1))
-        if len(left) != 1:
-            raise BadRules(f"rule source must be one symbol: {left!r}")
-        if left in rules:
-            raise BadRules(f"duplicate rule for {left!r}")
-        rules[left] = right
-    if not rules:
-        raise BadRules(f"no rules found in {text!r}")
-    return rules
-
-
 def chacon(**kwargs) -> SubstitutionSystem:
     """The default candidate system: 0 -> 0010, 1 -> 1, seeded at 0."""
     return SubstitutionSystem({"0": "0010", "1": "1"}, seeds=("0",), **kwargs)
@@ -339,10 +336,6 @@ class CylinderSet:
 
     word: str
 
-    @property
-    def is_whole_space(self) -> bool:
-        return self.word == ""
-
 
 def require_admissible(sys: SubstitutionSystem, cyl: CylinderSet) -> None:
     if not sys.is_admissible(cyl.word):
@@ -359,9 +352,6 @@ class ReturnSet:
     members: frozenset[int]
     provenance: tuple[tuple[str, str], ...] = ()
     span: int = 0
-
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
 
     def __contains__(self, n: int) -> bool:
         return n in self.members
@@ -914,27 +904,3 @@ def rotation_probe(
             ("window", str(window)),
         ),
     )
-
-
-# -- config-facing constructor ---------------------------------------------------
-
-
-def build_system(spec: Mapping[str, str]) -> SubstitutionSystem:
-    """Build a substitution system from a flat key/value mapping (config
-    sections)."""
-    kind = spec.get("kind", "substitution")
-    if kind == "substitution":
-        if "rules" not in spec:
-            raise BadRules("substitution systems need a 'rules' entry")
-        rules = parse_rules(spec["rules"])
-        seeds: Sequence[str] | None = None
-        if "seeds" in spec:
-            seeds = tuple(s.strip() for s in spec["seeds"].split(",") if s.strip())
-        depth: int | None = None
-        if spec.get("depth", "auto") != "auto":
-            depth = int(spec["depth"])
-        max_word_length = int(spec.get("max-word-length", "5000"))
-        return SubstitutionSystem(
-            rules, seeds=seeds, depth=depth, max_word_length=max_word_length
-        )
-    raise BadRules(f"unknown system kind {kind!r}")

@@ -388,55 +388,55 @@ class StructureReport:
     gap_threshold: int
 
 
+def _pieces(members: Sequence[int], gap: int) -> list[tuple[int, int]]:
+    """The maximal [first, last] stretches of sorted ``members`` in which
+    consecutive members lie at most ``gap`` apart; ``gap=1`` gives the
+    runs of consecutive members."""
+    pieces: list[tuple[int, int]] = []
+    for m in members:
+        if pieces and m - pieces[-1][1] <= gap:
+            pieces[-1] = (pieces[-1][0], m)
+        else:
+            pieces.append((m, m))
+    return pieces
+
+
+def _longest_hole(intervals: Sequence[tuple[int, int]], lo: int, hi: int) -> int:
+    """The longest stretch of [lo, hi) that the sorted, disjoint
+    intervals [a, b] leave uncovered."""
+    lasts = [lo - 1] + [b for _, b in intervals]
+    firsts = [a for a, _ in intervals] + [hi]
+    return max(a - b - 1 for b, a in zip(lasts, firsts))
+
+
 def structure_classify(
     ws: WindowSet, *, run_threshold: int = 10, gap_threshold: int = 10
 ) -> StructureReport:
+    """Gap and run statistics of ``ws``, all read off its maximal runs
+    and gap-bounded pieces; thresholds below 1 raise ValueError."""
+    if min(run_threshold, gap_threshold) < 1:
+        raise ValueError(f"thresholds must be >= 1, got {run_threshold}, {gap_threshold}")
     members = sorted(ws.members)
     max_gap = None
     if len(members) >= 2:
         max_gap = max(b - a for a, b in zip(members, members[1:]))
 
-    # maximal runs of consecutive members
-    runs: list[int] = []
-    i = 0
-    while i < len(members):
-        j = i
-        while j + 1 < len(members) and members[j + 1] == members[j] + 1:
-            j += 1
-        runs.append(j - i + 1)
-        i = j + 1
-    max_run = max(runs, default=0)
-    thick_runs = sum(1 for r in runs if r >= run_threshold)
+    runs = _pieces(members, 1)
+    run_lengths = [b - a + 1 for a, b in runs]
+    max_run = max(run_lengths, default=0)
+    thick_runs = sum(1 for r in run_lengths if r >= run_threshold)
 
-    # longest stretch of the window containing no member
-    syndetic_bound = None
-    if members:
-        stretches = [members[0] - ws.lo, ws.hi - 1 - members[-1]]
-        stretches += [b - a - 1 for a, b in zip(members, members[1:])]
-        syndetic_bound = max(stretches) + 1
+    # one more than the longest stretch of the window containing no member
+    syndetic_bound = _longest_hole(runs, ws.lo, ws.hi) + 1 if runs else None
 
-    # maximal pieces where consecutive gaps stay within gap_threshold
-    piece_spans: list[int] = []
-    i = 0
-    while i < len(members):
-        j = i
-        while j + 1 < len(members) and members[j + 1] - members[j] <= gap_threshold:
-            j += 1
-        piece_spans.append(members[j] - members[i] + 1)
-        i = j + 1
-
-    # start positions of runs of length run_threshold
+    # a run [a, b] of at least run_threshold members holds a
+    # run_threshold-run starting at each of a..b - run_threshold + 1
     starts = [
-        p
-        for p in range(ws.lo, ws.hi - run_threshold + 1)
-        if all(q in ws.members for q in range(p, p + run_threshold))
+        (a, b - run_threshold + 1) for a, b in runs if b - a + 1 >= run_threshold
     ]
-    thickly = False
-    if starts:
-        domain_hi = ws.hi - run_threshold
-        gaps = [starts[0] - ws.lo, domain_hi - starts[-1]]
-        gaps += [b - a - 1 for a, b in zip(starts, starts[1:])]
-        thickly = max(gaps) <= gap_threshold
+    thickly = bool(starts) and _longest_hole(
+        starts, ws.lo, ws.hi - run_threshold + 1
+    ) <= gap_threshold
 
     return StructureReport(
         member_count=len(members),
@@ -449,7 +449,7 @@ def structure_classify(
         ),
         thick_indicator=max_run >= run_threshold,
         piecewise_syndetic_indicator=any(
-            span >= run_threshold for span in piece_spans
+            b - a + 1 >= run_threshold for a, b in _pieces(members, gap_threshold)
         ),
         thickly_syndetic_indicator=thickly,
         run_threshold=run_threshold,

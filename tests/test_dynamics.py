@@ -14,12 +14,10 @@ from ipdyn.dynamics import (
     WindowTooLarge,
     WitnessExhausted,
     ZeroPower,
-    build_system,
     find_chain_shifts,
     lemma213_chain,
     letter_cells,
     minimality_probe,
-    parse_rules,
     pattern_realizable,
     poly_return_set,
     power_return_set,
@@ -131,21 +129,6 @@ class TestLanguage:
     def test_window_bound(self, chacon):
         with pytest.raises(WindowTooLarge):
             chacon.factors(chacon.max_word_length + 1)
-
-    def test_parse_rules(self):
-        assert parse_rules("0 -> 0010; 1 -> 1") == {"0": "0010", "1": "1"}
-        with pytest.raises(BadRules):
-            parse_rules("0 0010")
-        with pytest.raises(BadRules):
-            parse_rules("0 -> 1; 0 -> 11")
-
-    def test_build_system(self):
-        sub = build_system({"kind": "substitution", "rules": "0 -> 01; 1 -> 0"})
-        assert isinstance(sub, SubstitutionSystem)
-        with pytest.raises(BadRules):
-            build_system({"kind": "rotation", "modulus": "7", "step": "3"})
-        with pytest.raises(BadRules):
-            build_system({"kind": "nonsense"})
 
 
 class TestMinimalityProbe:

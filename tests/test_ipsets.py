@@ -13,6 +13,7 @@ from ipdyn.ipsets import (
     HindmanVerified,
     IndexOutOfRange,
     IPRingTruncation,
+    StructureReport,
     TruncationTooLarge,
     WindowSet,
     builtin_predicate,
@@ -222,6 +223,69 @@ class TestWindowDensity:
             assert upper2 <= upper
 
 
+def structure_oracle(ws, run_threshold, gap_threshold):
+    """structure_classify by brute force: runs and pieces found by
+    separate scans, and run_threshold-runs by testing every start."""
+    members = sorted(ws.members)
+    max_gap = None
+    if len(members) >= 2:
+        max_gap = max(b - a for a, b in zip(members, members[1:]))
+
+    runs = []
+    i = 0
+    while i < len(members):
+        j = i
+        while j + 1 < len(members) and members[j + 1] == members[j] + 1:
+            j += 1
+        runs.append(j - i + 1)
+        i = j + 1
+    max_run = max(runs, default=0)
+
+    syndetic_bound = None
+    if members:
+        stretches = [members[0] - ws.lo, ws.hi - 1 - members[-1]]
+        stretches += [b - a - 1 for a, b in zip(members, members[1:])]
+        syndetic_bound = max(stretches) + 1
+
+    piece_spans = []
+    i = 0
+    while i < len(members):
+        j = i
+        while j + 1 < len(members) and members[j + 1] - members[j] <= gap_threshold:
+            j += 1
+        piece_spans.append(members[j] - members[i] + 1)
+        i = j + 1
+
+    starts = [
+        p
+        for p in range(ws.lo, ws.hi - run_threshold + 1)
+        if all(q in ws.members for q in range(p, p + run_threshold))
+    ]
+    thickly = False
+    if starts:
+        gaps = [starts[0] - ws.lo, ws.hi - run_threshold - starts[-1]]
+        gaps += [b - a - 1 for a, b in zip(starts, starts[1:])]
+        thickly = max(gaps) <= gap_threshold
+
+    return StructureReport(
+        member_count=len(members),
+        max_gap=max_gap,
+        max_run=max_run,
+        syndetic_bound=syndetic_bound,
+        thick_runs=sum(1 for r in runs if r >= run_threshold),
+        syndetic_indicator=(
+            syndetic_bound is not None and syndetic_bound <= gap_threshold
+        ),
+        thick_indicator=max_run >= run_threshold,
+        piecewise_syndetic_indicator=any(
+            span >= run_threshold for span in piece_spans
+        ),
+        thickly_syndetic_indicator=thickly,
+        run_threshold=run_threshold,
+        gap_threshold=gap_threshold,
+    )
+
+
 class TestStructure:
     def test_evens(self):
         ws = WindowSet.from_predicate(lambda n: n % 2 == 0, 0, 101)
@@ -257,6 +321,29 @@ class TestStructure:
         report = structure_classify(ws, run_threshold=5, gap_threshold=3)
         assert report.thickly_syndetic_indicator
         assert report.piecewise_syndetic_indicator
+
+    @given(
+        lo=st.integers(-30, 30),
+        bits=st.lists(st.booleans(), min_size=1, max_size=80),
+        run_threshold=st.integers(1, 12),
+        gap_threshold=st.integers(1, 12),
+    )
+    def test_matches_oracle(self, lo, bits, run_threshold, gap_threshold):
+        members = frozenset(lo + i for i, bit in enumerate(bits) if bit)
+        ws = WindowSet(lo, lo + len(bits), members)
+        assert structure_classify(
+            ws, run_threshold=run_threshold, gap_threshold=gap_threshold
+        ) == structure_oracle(ws, run_threshold, gap_threshold)
+
+    @pytest.mark.parametrize(
+        ("run_threshold", "gap_threshold"), [(0, 10), (10, 0), (-1, -1)]
+    )
+    def test_thresholds_below_one(self, run_threshold, gap_threshold):
+        ws = WindowSet.from_predicate(lambda n: True, 0, 20)
+        with pytest.raises(ValueError, match="thresholds must be >= 1"):
+            structure_classify(
+                ws, run_threshold=run_threshold, gap_threshold=gap_threshold
+            )
 
 
 class TestWindowSetIngestion:

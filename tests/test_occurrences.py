@@ -313,6 +313,20 @@ def test_kept_expansion_stays_small():
     assert retained < 1 << 20
 
 
+def test_kept_prefix_grows_in_linear_time():
+    # sigma^k(a) = ab^k: applying sigma to the whole kept text at every
+    # step would pass 8 386 560 letters to sigma to reach 4096 letters;
+    # applying it to the letters the last step added passes fewer than
+    # the target length of 32 letters per query letter
+    sys_ = SubstitutionSystem({"a": "ab", "b": "b"})
+    applied = []
+    apply = sys_._apply
+    sys_._apply = lambda word: applied.append(len(word)) or apply(word)
+    for length in (128, 300):
+        assert sys_.is_admissible("b" * length)
+        assert sum(applied) <= 32 * length
+
+
 def random_pattern(rng, sys_):
     """(offset, word) cells.  Either pieces of one window at or near the
     end of an expansion, which agree where they overlap, or random words
