@@ -219,11 +219,15 @@ def _hindman(p: _Params) -> _Report:
         )
         lines.append(f"witness: {detail}")
     elif isinstance(outcome, ipsets.HindmanVerified):
-        status, detail = "verified", f"colorings={outcome.colorings_checked}"
+        try:
+            checked = str(outcome.colorings_checked)
+        except ValueError:  # more decimal digits than int-to-str allows
+            checked = f"{colors}^{n_max}"
+        status, detail = "verified", f"colorings={checked}"
         lines.append(
             f"Verified: every {colors}-coloring of 1..{n_max} contains a "
             f"depth-{depth} monochromatic finite-sums set "
-            f"({outcome.colorings_checked} colorings checked)"
+            f"({checked} colorings checked)"
         )
     else:
         status = "failing-coloring"

@@ -15,6 +15,7 @@ lives in ``config``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -374,22 +375,53 @@ def _pattern(constraints: Sequence[Constraint]) -> tuple[tuple[Constraint, ...],
     return tuple((off - base, w) for off, w in cells), span
 
 
+Column = tuple[Sequence[int], str]  # one cell's offset at each n, and its word
+
+
+def _layout(columns: Sequence[Column]) -> tuple[list[Column], list[int], int]:
+    """The columns with a word, the least of their offsets at each n, and
+    the largest span any n needs: 0 when no column has a word."""
+    cells = [(offs, w) for offs, w in columns if w]
+    bases = list(map(min, zip(*(offs for offs, _ in cells))))
+    ends = map(max, zip(*([off + len(w) for off in offs] for offs, w in cells)))
+    return cells, bases, max(map(operator.sub, ends, bases), default=0)
+
+
 def _members(
-    sys: SubstitutionSystem,
-    ns: Sequence[int],
-    constraints_for: Callable[[int], Sequence[Constraint]],
+    sys: SubstitutionSystem, ns: Sequence[int], columns: Sequence[Column]
 ) -> tuple[frozenset[int], int]:
-    """The n whose pattern some admissible word of the query's largest
-    span carries, and that span."""
-    patterns = {n: _pattern(constraints_for(n)) for n in ns}
-    max_span = max((span for _, span in patterns.values()), default=0)
+    """The n whose cells some admissible word of the query's largest
+    span carries, and that span; ``columns`` gives each cell's offset at
+    every n of ``ns``."""
+    cells, bases, max_span = _layout(columns)
     if not max_span:
         return frozenset(ns), 0
-    carriers = sys._index(
+    index = sys._index(
         max_span,
         f"query needs words of length {max_span}, bound is {sys.max_word_length}",
-    ).carriers(cells for cells, _ in patterns.values())
-    return frozenset(n for n, found in zip(patterns, carriers) if found), max_span
+    )
+    starts = [index.starts(w) for _, w in cells]
+
+    def carried(base: int, *offsets: int) -> int:
+        found = index.fits
+        for start, off in zip(starts, offsets):
+            found &= start >> (off - base)
+        return found
+
+    carriers = map(carried, bases, *(offs for offs, _ in cells))
+    return frozenset(n for n, found in zip(ns, carriers) if found), max_span
+
+
+def _poly_columns(
+    u: CylinderSet,
+    vs: Sequence[CylinderSet],
+    polys: Sequence[IntegralPolynomial],
+    window: int,
+) -> list[Column]:
+    count = 2 * window + 1
+    return [([0] * count, u.word)] + [
+        (p.values(-window, count), v.word) for p, v in zip(polys, vs)
+    ]
 
 
 def return_set(
@@ -408,7 +440,7 @@ def return_set(
     require_admissible(sys, u)
     require_admissible(sys, v)
     ns = range(-window, window + 1)
-    members, span = _members(sys, ns, lambda n: ((0, u.word), (n, v.word)))
+    members, span = _members(sys, ns, [([0] * len(ns), u.word), (ns, v.word)])
     return ReturnSet(
         window=window,
         members=members,
@@ -455,13 +487,8 @@ def poly_return_set(
     for v in vs:
         require_admissible(sys, v)
 
-    def constraints_for(n: int) -> Sequence[Constraint]:
-        cells = [(0, u.word)]
-        cells.extend((p(n), v.word) for p, v in zip(polys, vs))
-        return cells
-
     ns = range(-window, window + 1)
-    members, span = _members(sys, ns, constraints_for)
+    members, span = _members(sys, ns, _poly_columns(u, vs, polys, window))
     return ReturnSet(
         window=window,
         members=members,
@@ -485,12 +512,7 @@ def required_span(
 ) -> int:
     """Longest admissible word a polynomial query will need; lets callers
     report feasibility before computing."""
-    worst = 0
-    for n in range(-window, window + 1):
-        cells = [(0, u.word)] + [(p(n), v.word) for p, v in zip(polys, vs)]
-        _, span = _pattern(cells)
-        worst = max(worst, span)
-    return worst
+    return _layout(_poly_columns(u, vs, polys, window))[2]
 
 
 def power_return_set(

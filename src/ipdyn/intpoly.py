@@ -13,6 +13,7 @@ used for parsing, printing and leading-coefficient comparisons.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -167,6 +168,21 @@ class IntegralPolynomial:
 
     def __neg__(self) -> "IntegralPolynomial":
         return IntegralPolynomial(tuple(-c for c in self.coeffs))
+
+    def values(self, start: int, count: int) -> list[int]:
+        """[p(start), p(start + 1), ..., p(start + count - 1)].
+
+        The coordinates of p(n + start) are the forward differences
+        (Delta^j p)(start) = sum_k c_k C(start, k - j), so each value is
+        a running sum of the level above it: no binomial per value.
+        """
+        if count <= 0:
+            return []
+        *diffs, top = self.translate(start).coeffs or (0,)
+        level = [top] * count
+        for d in reversed(diffs):
+            level = list(itertools.accumulate(level[:-1], initial=d))
+        return level
 
     def translate(self, m: int) -> "IntegralPolynomial":
         """p(n + m) as a polynomial in n (Vandermonde convolution)."""

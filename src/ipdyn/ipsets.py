@@ -1,15 +1,21 @@
-"""Finite truncations of finite-sums sets, exhaustive partition searches,
-and window-scale density/structure classifiers.
+"""Finite truncations of finite-sums sets, partition searches over the
+colorings of 1..N, and window-scale density/structure classifiers.
 
 Everything here is finite and exact.  A truncation can witness that a
 set meets a finite-sums family; it can never refute the infinite
-statement, and reports are worded accordingly by the callers.
+statement, and reports are worded accordingly by the callers.  The
+all-colorings check is a depth-first search with forward checking that
+covers every coloring without visiting each one, in the manner of the
+Schur-number searches (Baumert 1965; Heule, "Schur Number Five",
+AAAI 2018).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, Union
@@ -231,7 +237,7 @@ def ip_witness(
     return None
 
 
-# -- exhaustive partition searches ------------------------------------------
+# -- partition searches ----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -310,22 +316,121 @@ def _check_search_size(n_max: int, colors: int, depth: int) -> None:
         )
 
 
+def _partitions(total: int, parts: int, least: int = 1) -> Iterator[tuple[int, ...]]:
+    """The ascending tuples of ``parts`` integers >= least that sum to
+    ``total``: the generator tuples of ``_candidate_generators`` with
+    that sum, found without walking the others."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(least, total // parts + 1):
+        for rest in _partitions(total - first, parts - 1, first):
+            yield (first, *rest)
+
+
+# (bits of the tail's sums, sub-sums of the tail, bits of the allowed g)
+_Family = tuple[int, tuple[int, ...], int]
+
+
+def _witness_families(k: int, n_max: int, depth: int) -> list[_Family]:
+    """The witnesses that integer k is the last to complete below their
+    largest sum, one family per tail.
+
+    A witness (g, *tail) is a generator tuple with g its least
+    generator; its largest sum is g + sum(tail), and its second largest
+    is sum(tail) = k.  For each tail this gives (the bits of the tail's
+    own sums, the sums s of its proper subsets, the bits of every g with
+    g <= min(tail) and g + k <= n_max): all sums below the largest lie
+    in one colour class m exactly when the tail's sums do and g + s is
+    in m for every s.
+    """
+    families = []
+    for tail in _partitions(k, depth - 1):
+        most = min(tail[0] if tail else n_max, n_max - k)
+        if most < 1:
+            continue
+        sums = _subset_sums(tail)
+        tail_bits = 0
+        for s in sums:
+            tail_bits |= 1 << s
+        # the sums of the tail's subsets other than the whole tail, the
+        # empty one (0) included; an empty tail has no such subset
+        shifts = tuple(sorted({0, *sums[:-1]})) if tail else ()
+        families.append((tail_bits, shifts, (1 << most + 1) - 2))
+    return families
+
+
 def verify_all_colorings(
     n_max: int, colors: int, depth: int, *, budget: int = 2_000_000
 ) -> HindmanVerified | HindmanFailure:
-    """Exhaust all colorings of 1..n_max; Verified, or the lex-least
-    failing coloring.  The lex scan makes the result independent of any
-    parallel partitioning of the coloring space."""
+    """Verified when every coloring of 1..n_max has a monochromatic
+    finite-sums set of ``depth`` generators, else the lex-least coloring
+    that has none.
+
+    A depth-first search colours 1..n_max in order, trying colours in
+    ascending order, and opens colour c only after c - 1 has appeared:
+    the lex-least failing coloring uses its colours in order of first
+    appearance, so it is the first complete leaf.  Bit p of
+    ``forbidden[c]`` is set when colouring p with c would complete a
+    monochromatic witness; a branch is cut as soon as some integer is
+    forbidden in every colour (forward checking).  ``budget`` bounds the
+    integers coloured, and ``colorings_checked`` counts the colors**n_max
+    colorings the search covers, not the nodes it visits.
+    """
     _check_search_size(n_max, colors, depth)
-    total = colors**n_max
-    if total > budget:
-        raise BudgetExceeded(
-            f"{colors}^{n_max} = {total} colorings exceed budget {budget}"
-        )
-    for coloring in itertools.product(range(colors), repeat=n_max):
-        if monochromatic_fs(coloring, depth) is None:
-            return HindmanFailure(n_max, colors, depth, coloring)
-    return HindmanVerified(n_max, colors, depth, total)
+    families: dict[int, list[_Family]] = {}
+    members = [0] * colors
+    # a one-generator witness {g} has no sums below g: it is complete
+    # in every colour before anything is coloured
+    single = functools.reduce(
+        operator.or_, (g_bits for _, _, g_bits in _witness_families(0, n_max, depth)), 0
+    )
+    forbidden = [single] * colors
+    coloring: list[int] = []
+    undo: list[tuple[int, int, int]] = []  # (members, forbidden, opened) before
+    opened = 0  # colours used so far
+    nodes = 0
+    k, c = 1, 0  # the integer to colour and the next colour to try
+    while True:
+        limit = min(colors, opened + 1)
+        while c < limit and forbidden[c] >> k & 1:
+            c += 1
+        if c == limit:
+            if not coloring:
+                return HindmanVerified(n_max, colors, depth, colors**n_max)
+            k, c = k - 1, coloring.pop()
+            members[c], forbidden[c], opened = undo.pop()
+            c += 1
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(
+                f"search exceeded its budget of {budget} nodes (integers colored)"
+            )
+        group = families.get(k)
+        if group is None:
+            group = families[k] = _witness_families(k, n_max, depth)
+        m, f = members[c] | 1 << k, forbidden[c]
+        for tail_bits, shifts, g_bits in group:
+            if tail_bits & ~m:
+                continue
+            for s in shifts:
+                g_bits &= m >> s
+            f |= g_bits << k
+        if k == n_max:
+            return HindmanFailure(n_max, colors, depth, (*coloring, c))
+        before, forbidden[c] = forbidden[c], f
+        if f != before and functools.reduce(operator.and_, forbidden):
+            # some later integer is forbidden in every colour
+            forbidden[c] = before
+            c += 1
+            continue
+        undo.append((members[c], before, opened))
+        members[c] = m
+        coloring.append(c)
+        opened = max(opened, c + 1)
+        k, c = k + 1, 0
 
 
 def hindman_search(

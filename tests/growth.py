@@ -23,15 +23,34 @@ def target_length(factor_length):
 @functools.cache
 def grow(rules, depth, seed, target):
     """The expansion of ``seed`` for ``target``; ``rules`` is a sorted
-    tuple of (letter, image) pairs, so that calls can be cached."""
-    images = {ord(sym): image for sym, image in rules}
+    tuple of (letter, image) pairs, so that calls can be cached.
+
+    sigma^k(c) is built for every letter c reachable from the seed as
+    the concatenation of sigma^(k-1)(d) over the letters d of sigma(c),
+    so a step copies strings instead of mapping the text letter by
+    letter.
+    """
+    images = dict(rules)
+    reachable, todo = set(seed), list(seed)
+    while todo:
+        for d in images.get(todo.pop(), ""):
+            if d not in reachable:
+                reachable.add(d)
+                todo.append(d)
+    power = {c: c for c in reachable}  # sigma^k(c), from k = 0
+
+    def step():
+        nonlocal power
+        power = {c: "".join(power[d] for d in images.get(c, c)) for c in power}
+        return "".join(power[c] for c in seed)
+
     word = seed
     if depth is not None:
         for _ in range(depth):
-            word = word.translate(images)
+            word = step()
         return word
     while len(word) < target:
-        nxt = word.translate(images)
+        nxt = step()
         if len(nxt) <= len(word):
             # non-growing substitution: periodic closure
             reps = -(-target // len(nxt))

@@ -411,3 +411,13 @@ window = 150
             with open(out_b / csv_name, "rb") as fh:
                 second = fh.read()
             assert first == second, f"{csv_name} differed between reruns"
+
+
+def test_criterion_12_schur_four():
+    # S(4) = 44 (Baumert 1965): a 4-coloring of 1..44 with no x + y = z
+    # in one cell exists, and the search reaches the least one
+    with Budget(12, "failing 4-coloring of 1..44 under the default budget", 30.0):
+        failing = ipsets.verify_all_colorings(44, 4, 2)
+        assert isinstance(failing, ipsets.HindmanFailure)
+        assert len(failing.coloring) == 44
+        assert _oracle_schur_triple(failing.coloring) is None

@@ -537,6 +537,14 @@ GOLDEN_CASES = {
     "hindman-config": ["hindman", "--config", "hindman-all.cfg"],
     "hindman-coloring": ["hindman", "--N", "4", "--r", "2", "--depth", "2",
                          "--coloring", "0,1,1,0"],
+    # S(3) = 13: the least failing 3-coloring, then every one verified
+    "hindman-least-failing": ["hindman", "--N", "13", "--r", "3", "--depth", "2",
+                              "--all"],
+    "hindman-verified-past-product": ["hindman", "--N", "14", "--r", "3",
+                                      "--depth", "2", "--all"],
+    # 2^20000 has more decimal digits than int-to-str conversion allows
+    "hindman-count-too-long": ["hindman", "--N", "20000", "--r", "2", "--depth",
+                               "2", "--all"],
     "density-csv": ["density", "--csv-path", "set.csv", "--lo", "0", "--hi", "8",
                     "--length", "4"],
     "return-set-window": ["return-set", "--config", "shared.cfg", "--window", "7"],

@@ -70,6 +70,22 @@ class TestEval:
         assert binomial(4, 2) == 6
 
 
+class TestValues:
+    @given(
+        st.lists(st.integers(-60, 60), min_size=1, max_size=5).map(tuple),
+        st.integers(-80, 80),
+        st.integers(0, 40),
+    )
+    def test_values_are_the_pointwise_evaluations(self, coords, start, count):
+        # degree 0 to 4 in the binomial basis, any start, count 0 included
+        p = IntegralPolynomial(coords)
+        assert p.values(start, count) == [p(n) for n in range(start, start + count)]
+
+    def test_zero_polynomial_and_empty_range(self):
+        assert IntegralPolynomial.zero().values(-3, 4) == [0, 0, 0, 0]
+        assert poly("n^2").values(-5, 0) == []
+
+
 class TestArith:
     def test_add(self):
         assert poly("n^2") + poly("n") == poly("n^2 + n")

@@ -26,6 +26,16 @@ from ipdyn.ipsets import (
     verify_all_colorings,
     window_density,
 )
+from ipdyn.ipsets import _candidate_generators, _partitions
+
+
+def enumerate_colorings(n_max, colors, depth):
+    """Oracle: walk all colors**n_max colorings in lex order and search
+    each for a monochromatic witness."""
+    for coloring in itertools.product(range(colors), repeat=n_max):
+        if monochromatic_fs(coloring, depth) is None:
+            return HindmanFailure(n_max, colors, depth, coloring)
+    return HindmanVerified(n_max, colors, depth, colors**n_max)
 
 
 class TestFSTruncation:
@@ -149,8 +159,38 @@ class TestHindman:
         assert witness.sums == (1, 2)
 
     def test_budget(self):
+        # the budget counts integers coloured; the lex-least failing
+        # 4-coloring of 1..44 takes about a million of them
         with pytest.raises(BudgetExceeded):
-            verify_all_colorings(30, 2, 2, budget=1000)
+            verify_all_colorings(44, 4, 2, budget=1000)
+
+    @pytest.mark.parametrize(
+        "n_max, colors, depth",
+        itertools.product(range(1, 9), range(1, 4), range(1, 4)),
+    )
+    def test_search_matches_product_enumeration(self, n_max, colors, depth):
+        assert verify_all_colorings(n_max, colors, depth) == enumerate_colorings(
+            n_max, colors, depth
+        )
+
+    def test_least_failing_three_coloring_of_thirteen(self):
+        outcome = verify_all_colorings(13, 3, 2)
+        assert outcome == HindmanFailure(
+            13, 3, 2, (0, 1, 1, 0, 2, 2, 0, 2, 2, 0, 1, 1, 0)
+        )
+
+    def test_every_three_coloring_of_fourteen(self):
+        # S(3) = 13; the 3**14 colorings outnumber the default node budget
+        outcome = verify_all_colorings(14, 3, 2)
+        assert isinstance(outcome, HindmanVerified)
+        assert outcome.colorings_checked == 3**14
+
+    @pytest.mark.parametrize("parts", range(5))
+    def test_partitions_are_the_candidate_tuples_of_one_sum(self, parts):
+        for total in range(14):
+            assert sorted(_partitions(total, parts)) == sorted(
+                t for t in _candidate_generators(total, parts) if sum(t) == total
+            )
 
     def test_dispatch(self):
         assert isinstance(hindman_search(5, 2, 2), HindmanVerified)
