@@ -219,10 +219,7 @@ def _hindman(p: _Params) -> _Report:
         )
         lines.append(f"witness: {detail}")
     elif isinstance(outcome, ipsets.HindmanVerified):
-        try:
-            checked = str(outcome.colorings_checked)
-        except ValueError:  # more decimal digits than int-to-str allows
-            checked = f"{colors}^{n_max}"
+        checked = _power_text(colors, n_max)
         status, detail = "verified", f"colorings={checked}"
         lines.append(
             f"Verified: every {colors}-coloring of 1..{n_max} contains a "
@@ -234,6 +231,18 @@ def _hindman(p: _Params) -> _Report:
         detail = ",".join(str(c) for c in outcome.coloring)
         lines.append(f"least failing coloring (cells 0..{colors - 1}): {detail}")
     return _Report(lines, ["status", "detail"], [[status, detail]], status)
+
+
+def _power_text(base: int, exp: int) -> str:
+    """base**exp in decimal, or "base^exp" when that has more digits than
+    int-to-str allows; base**exp is not built then."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and base > 1:
+        bound = 10**digits  # the least number with digits + 1 digits
+        # base**exp >= 2**exp, which is past bound once exp has its bits
+        if exp >= bound.bit_length() or base**exp >= bound:
+            return f"{base}^{exp}"
+    return str(base**exp)
 
 
 def _density(p: _Params) -> _Report:

@@ -14,6 +14,8 @@ lives in ``config``.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -48,6 +50,10 @@ class BadModulus(ValueError):
 
 _MIN_EXPANSION = 4096
 _EXPANSION_MARGIN = 32
+# the fixed-point certificate closes the factor sets of up to this many
+# letters exactly, and looks for all of them in this many kept letters
+_CERTIFIED_WIDTH = 12
+_CERTIFY_SEARCH = 256
 
 
 class SubstitutionSystem:
@@ -65,6 +71,12 @@ class SubstitutionSystem:
     has a fixed point that all its expansions are prefixes of, so its
     kept prefix only ever grows; any other seed keeps the one iterate,
     or periodic closure, that its last query read.
+
+    Occurrence queries on a fixed-point seed (automatic depth) read the
+    shortest prefix its certificate (``_staircase``) proves holds every
+    factor of the query's span, when that is shorter than the expansion:
+    the same factors, so the same answers, from fewer letters.  Other
+    seeds, and spans no certificate reaches, read the expansion.
     """
 
     def __init__(
@@ -103,6 +115,7 @@ class SubstitutionSystem:
         self.max_word_length = max_word_length
         self._factor_cache: dict[int, frozenset[str]] = {}
         self._kept: dict[str, _Expansion] = {}
+        self._staircases: dict[str, tuple[list[int], list[int]]] = {}
 
     def _apply(self, word: str) -> str:
         return word.translate(self._images)
@@ -165,18 +178,116 @@ class SubstitutionSystem:
             word *= length // len(word)
         return _Expansion(key, word)
 
-    def _cuts(self, target: int) -> list[tuple[_Expansion, int]]:
+    def _keep(self, seed: str, key: tuple[str, int], length: int) -> _Expansion:
+        """``seed``'s kept expansion, built or lengthened to hold at least
+        ``length`` letters of the text ``key`` names."""
+        kept = self._kept.get(seed)
+        if kept is None or kept.key != key or len(kept.text) < length:
+            kept = self._kept[seed] = self._build(seed, key, length)
+        return kept
+
+    def _cuts(self, target: int, span: int = 0) -> list[tuple[_Expansion, int]]:
         """Each seed's kept expansion, and the length of the prefix of it
-        that is the seed's expansion for ``target``."""
+        that is the seed's expansion for ``target``; given a ``span``, a
+        fixed-point seed is cut instead at its certified prefix for that
+        span when that is shorter."""
         cuts = []
         for seed in self.seeds:
             key, length = self._shape(seed, target)
-            kept = self._kept.get(seed)
-            if kept is None or kept.key != key or len(kept.text) < length:
-                kept = self._build(seed, key, length)
-                self._kept[seed] = kept
-            cuts.append((kept, length))
+            if span and key[0] == "prefix":
+                caps, bases = self._staircase(seed)
+                i = bisect.bisect_left(caps, span)
+                if i < len(caps):
+                    length = min(length, bases[i] + span - 1)
+            cuts.append((self._keep(seed, key, length), length))
         return cuts
+
+    def _staircase(self, seed: str) -> tuple[list[int], list[int]]:
+        """Certified prefixes of the fixed point u of a seed whose image
+        begins with it and is longer: for every i and every S up to
+        ``caps[i]``, the first ``bases[i] + S - 1`` letters of u hold every
+        factor of u of S letters.  ``caps`` ascend, and ``bases[i]`` is the
+        least base certified for ``caps[i]`` letters or more.  Built once
+        per seed, exactly, from the factor sets of at most
+        _CERTIFIED_WIDTH letters and from letter counts.
+
+        Let F_l be the factors of u of l letters, all of which have
+        occurred by position p_l of u.  Since u = sigma^k(u), u is cut into
+        the blocks sigma^k(u_i), and a window of S letters that starts in
+        block i ends by block i + l - 1 when S is at most cap(k, l) = 1 +
+        min over w in F_(l-1) of |sigma^k(w)|: it lies in sigma^k(w) for
+        the w in F_l at i, and then at the same offset in the copy of
+        sigma^k(w) that w's first occurrence, at most p_l, maps to.  That
+        copy starts in block p_l or before, so the window ends within
+        base(k, l) + S - 1 letters, base(k, l) = |sigma^k(u[:p_l + 1])|.
+        """
+        cached = self._staircases.get(seed)
+        if cached is not None:
+            return cached
+        key, width = ("prefix", 0), _CERTIFIED_WIDTH
+        text = self._keep(seed, key, _CERTIFY_SEARCH).text[:_CERTIFY_SEARCH]
+        # F_width is the least set that holds u[:width] and is closed under
+        # w -> the windows of sigma(w) that start in sigma(w[0]): the window
+        # of u = sigma(u) at q > 0 is one of those for the window of u at
+        # the index i < q of the block sigma(u_i) that holds q.  For the
+        # window at i, they are windows of the text when sigma(u[:i+width])
+        # is, so only windows first seen later need sigma applied.
+        words = {text[i : i + width] for i in range(len(text) - width + 1)}
+        ends = itertools.accumulate(map(len, map(self.rules.__getitem__, text)))
+        seen = bisect.bisect_right(list(ends), len(text)) - width + 1
+        todo = [w for w in words if text.find(w) >= seen]
+        while todo:
+            w = todo.pop()
+            image = self._apply(w)
+            for i in range(len(self.rules[w[0]])):
+                if image[i : i + width] not in words:
+                    words.add(image[i : i + width])
+                    todo.append(image[i : i + width])
+
+        def counts(w: str) -> tuple[int, ...]:
+            return tuple(map(w.count, self.alphabet))
+
+        # u is infinite, so F_l is the l-letter prefixes of F_width; per l,
+        # F_(l-1) and the letter counts of u[:p_l + 1]
+        levels, shorter = [], {w[0] for w in words}
+        for l in range(2, width + 1):
+            factors = {w[:l] for w in words}
+            firsts = [text.find(w) for w in factors]
+            if -1 in firsts:  # then every longer l misses a factor too
+                break
+            head = counts(text[: max(firsts) + 1])
+            if levels and levels[-1][1] == head:  # the same bases, lower caps
+                levels.pop()
+            levels.append((shorter, head))
+            shorter = factors
+        # |sigma^k(c)| never falls, and once k >= A (the alphabet size) it
+        # grows within any A steps unless it never grows again; so a cap
+        # unchanged over A steps from k >= 2A is final; and a base as long
+        # as the expansion for the longest allowed span is of no use
+        rows = [counts(self.rules[c]) for c in self.alphabet]
+        steps, limit = len(rows), self._target_length(self.max_word_length)
+        sizes = [1] * steps  # |sigma^k(c)| per letter c
+        entries: list[tuple[int, int]] = []
+        plans = [(tuple({*map(counts, shorter)}), head, []) for shorter, head in levels]
+        k = 0
+        while plans:
+            growing = []
+            for shorter, head, caps in plans:
+                cap = 1 + min([sum(map(operator.mul, w, sizes)) for w in shorter])
+                base = sum(map(operator.mul, head, sizes))
+                if base >= limit or (k >= 2 * steps and cap == caps[k - steps]):
+                    continue
+                caps.append(cap)
+                entries.append((cap, base))
+                growing.append((shorter, head, caps))
+                if cap >= self.max_word_length:  # no larger base is of use
+                    limit = min(limit, base)
+            plans, k = growing, k + 1
+            sizes = [sum(map(operator.mul, row, sizes)) for row in rows]
+        entries.sort()
+        bases = list(itertools.accumulate(reversed([b for _, b in entries]), min))
+        cached = self._staircases[seed] = ([cap for cap, _ in entries], bases[::-1])
+        return cached
 
     def expansions(self, factor_length: int) -> tuple[str, ...]:
         """One long expansion per seed, deterministically trimmed so the
@@ -185,14 +296,17 @@ class SubstitutionSystem:
         return tuple(kept.text[:length] for kept, length in self._cuts(target))
 
     def _index(self, span: int, too_long: str) -> _Occurrences:
-        """The occurrence index a ``span``-letter query reads: the
-        prefixes ``self.expansions(span)`` holds, cut with their letter
-        masks from the kept expansions; every occurrence query reads one.
-        Raises WindowTooLarge(too_long) past the bound, and when no
-        expansion is ``span`` letters long."""
+        """The occurrence index a ``span``-letter query reads: per seed,
+        the prefix ``self.expansions(span)`` holds, or the certified prefix
+        of the seed's fixed point for ``span`` when that is shorter, cut
+        with their letter masks from the kept expansions; every occurrence
+        query reads one.  A shorter certified prefix holds every factor of
+        ``span`` letters, so the same ones as the expansion, and each at
+        its first occurrence.  Raises WindowTooLarge(too_long) past the
+        bound, and when no expansion is ``span`` letters long."""
         if span > self.max_word_length:
             raise WindowTooLarge(too_long)
-        occ = _Occurrences(self._cuts(self._target_length(span)), span)
+        occ = _Occurrences(self._cuts(self._target_length(span), span), span)
         if not occ.fits:
             raise _no_expansion_reaches(span)
         return occ
@@ -818,9 +932,8 @@ def recurrence_search(
         if n == 0:
             continue
         shifts = tuple(_gamma_shift(g, n) for g in gammas)
-        lo = min(0, min(shifts, default=0))
-        hi = max(shifts, default=0) + agreement_length
-        span = hi - lo
+        lo = min(0, *shifts)
+        span = max(0, *shifts) + agreement_length - lo
         occ = sys._index(
             span,
             f"shifts at n={n} need words of length {span}, bound is "

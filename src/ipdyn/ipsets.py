@@ -254,7 +254,11 @@ class HindmanVerified:
     n_max: int
     colors: int
     depth: int
-    colorings_checked: int
+
+    @property
+    def colorings_checked(self) -> int:
+        """The colors**n_max colorings of 1..n_max the search covers."""
+        return self.colors**self.n_max
 
 
 @dataclass(frozen=True)
@@ -398,7 +402,7 @@ def verify_all_colorings(
             c += 1
         if c == limit:
             if not coloring:
-                return HindmanVerified(n_max, colors, depth, colors**n_max)
+                return HindmanVerified(n_max, colors, depth)
             k, c = k - 1, coloring.pop()
             members[c], forbidden[c], opened = undo.pop()
             c += 1

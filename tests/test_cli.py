@@ -1,6 +1,7 @@
 import os
 import shutil
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -202,6 +203,33 @@ window = 5
         )
         assert code == 0
         assert "0,1,1,0" in (out / "hindman.csv").read_text()
+
+    def test_hindman_huge_count_is_not_built(self, tmp_path):
+        # 3**10**7 has 4.8 million digits: the power alone takes seconds
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        code = run_cli(
+            ["hindman", "--N", "10000000", "--r", "3", "--depth", "2", "--all",
+             "--out", str(out)]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert "(3^10000000 colorings checked)" in (out / "hindman.txt").read_text()
+        assert "verified,colorings=3^10000000" in (out / "hindman.csv").read_text()
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="no int-to-str digit limit",
+    )
+    def test_power_text_switches_past_the_int_to_str_limit(self):
+        digits = sys.get_int_max_str_digits()
+        assert cli._power_text(10, digits - 1) == "1" + "0" * (digits - 1)
+        assert cli._power_text(10, digits) == f"10^{digits}"
+        # 2**exp < 10**digits < 2**(exp + 1): the last power of 2 that fits
+        exp = (10**digits).bit_length() - 1
+        assert cli._power_text(2, exp) == str(2**exp)
+        assert cli._power_text(2, exp + 1) == f"2^{exp + 1}"
+        assert cli._power_text(1, 10**9) == "1"
 
     def test_density_predicate(self, tmp_path):
         out = tmp_path / "out"

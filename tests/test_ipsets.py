@@ -35,7 +35,7 @@ def enumerate_colorings(n_max, colors, depth):
     for coloring in itertools.product(range(colors), repeat=n_max):
         if monochromatic_fs(coloring, depth) is None:
             return HindmanFailure(n_max, colors, depth, coloring)
-    return HindmanVerified(n_max, colors, depth, colors**n_max)
+    return HindmanVerified(n_max, colors, depth)
 
 
 class TestFSTruncation:

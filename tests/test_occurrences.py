@@ -10,7 +10,7 @@ import random
 import tracemalloc
 
 import pytest
-from growth import expansions, expansions_reaching, factors
+from growth import expansions, expansions_reaching, factors, grow, target_length
 
 from ipdyn.dynamics import (
     CylinderSet,
@@ -143,8 +143,8 @@ def scan_recurrence(sys_, gammas, length, n_values):
         if n == 0:
             continue
         shifts = tuple(_gamma_shift(g, n) for g in gammas)
-        lo = min(0, min(shifts, default=0))
-        span = max(shifts, default=0) + length - lo
+        lo = min(0, *shifts)
+        span = max(0, *shifts) + length - lo
         if span > sys_.max_word_length:
             raise WindowTooLarge(
                 f"shifts at n={n} need words of length {span}, bound is "
@@ -427,3 +427,124 @@ def test_chain_search_matches_rebuild(words, gamma_texts, depth, window, runs_ou
         assert depth_failed == runs_out_at
         assert len(partial.shifts) == len(partial.levels) == runs_out_at
         assert partial == partial_chain(sys_, cylinders, gammas, partial.shifts)
+
+
+def test_recurrence_window_reaches_the_origin_when_every_shift_is_negative():
+    sys_ = chacon()
+    for texts in (["T1^{-5n}"], ["T1^{-5n}", "T1^{-2n}"], ["T1^{-n^2}"]):
+        gammas = [parse_gamma_polynomial(t) for t in texts]
+        for length in (1, 2, 4):
+            witness = recurrence_search(sys_, gammas, length, range(1, 9))
+            assert (witness.n, witness.word, witness.shifts) == scan_recurrence(
+                sys_, gammas, length, range(1, 9)
+            )
+            origin = -min(witness.shifts)
+            # the window runs from the least shift to the end of x[0:L]
+            assert len(witness.word) == origin + length, (texts, length)
+            ref = witness.word[origin : origin + length]
+            assert len(ref) == length
+            for s in witness.shifts:
+                assert witness.word[origin + s : origin + s + length] == ref
+            assert sys_.is_admissible(witness.word)
+    witness = recurrence_search(
+        sys_, [parse_gamma_polynomial("T1^{-5n}")], 2, range(1, 5)
+    )
+    assert (witness.n, len(witness.word)) == (1, 7)
+
+
+# -- the certified index cut ---------------------------------------------------------
+
+
+def random_prolongable(rng):
+    """Rules on 2 or 3 letters with images of at most 4 letters, where
+    the image of the seed a begins with a and is longer."""
+    letters = "abc"[: rng.randint(2, 3)]
+    rules = {c: "".join(rng.choices(letters, k=rng.randint(1, 4))) for c in letters}
+    rules["a"] = "a" + "".join(rng.choices(letters, k=rng.randint(1, 3)))
+    return rules
+
+
+CERTIFIED_SYSTEMS = {
+    "chacon": chacon,
+    "fibonacci": fibonacci,
+    "thue-morse-two-seeds": lambda: SubstitutionSystem(
+        {"a": "ab", "b": "ba"}, seeds=("a", "b")
+    ),
+    **{
+        f"random-{i}": lambda rules=random_prolongable(random.Random(i)): (
+            SubstitutionSystem(rules)
+        )
+        for i in range(24)
+    },
+}
+CUT_SPANS = list(range(1, 14)) + [17, 24, 31, 40, 49, 60]
+
+
+def windows(text, span):
+    return {text[i : i + span] for i in range(len(text) - span + 1)}
+
+
+def test_certified_cut_holds_the_factors_of_the_expansion():
+    certified = set()
+    for name, make in CERTIFIED_SYSTEMS.items():
+        sys_ = make()
+        rules = tuple(sorted(sys_.rules.items()))
+        for span in CUT_SPANS:
+            target = target_length(span)
+            texts = [kept.text[:n] for kept, n in sys_._cuts(target, span)]
+            assert "".join(texts) == sys_._index(span, "").text
+            for seed, text in zip(sys_.seeds, texts):
+                expansion = grow(rules, None, seed, target)
+                if len(text) < len(expansion):
+                    certified.add((name, span))
+                assert windows(text, span) == windows(expansion, span), (
+                    name, seed, span,
+                )
+    # the cut is shorter for most systems and spans, not only the famous ones
+    assert len(certified) > len(CERTIFIED_SYSTEMS) * len(CUT_SPANS) // 2
+
+
+def test_certified_queries_match_the_oracles():
+    linear = [parse_polynomial("n"), parse_polynomial("2n")]
+    for name, make in CERTIFIED_SYSTEMS.items():
+        sys_ = make()
+        rng = random.Random(f"{name}/certified")
+        for _ in range(10):
+            w = random_word(rng, sys_, max_len=12)
+            i = rng.randrange(len(w))
+            for word in (w, w[:i] + rng.choice(sys_.alphabet) + w[i + 1 :]):
+                assert sys_.is_admissible(word) == (word in factors(sys_, len(word)))
+        for _ in range(3):
+            u, v = random_word(rng, sys_), random_word(rng, sys_)
+            window = rng.randint(0, 50)
+            got = return_set(sys_, CylinderSet(u), CylinderSet(v), window).members
+            want = scan_poly_members(sys_, u, [v], linear[:1], window)
+            assert got == want, (name, u, v, window)
+            vs = [random_word(rng, sys_) for _ in linear]
+            window = rng.randint(0, 20)
+            got = poly_return_set(
+                sys_, CylinderSet(u), [CylinderSet(v) for v in vs], linear, window
+            ).members
+            assert got == scan_poly_members(sys_, u, vs, linear, window), (name, u, vs)
+        for _ in range(20):
+            pattern = random_pattern(rng, sys_)
+            assert outcome(pattern_realizable, sys_, pattern) == outcome(
+                scan_realizable, sys_, pattern
+            ), (name, pattern)
+
+
+def indexed_length(sys_, span):
+    return len(sys_._index(span, "").text)
+
+
+def test_certified_cut_sizes():
+    assert indexed_length(chacon(), 1207) <= 8 * 1207
+    fib = fibonacci()
+    for span in range(1, 2557):
+        assert indexed_length(fib, span) <= 3 * span, span
+    # neither fixed point has a certificate past the closed factor lengths:
+    # 1^k first occurs after about 10^k letters, and ab^k after none
+    for rules in ({"0": "0000000001", "1": "1"}, {"a": "ab", "b": "b"}):
+        sys_ = SubstitutionSystem(rules)
+        for span in (13, 40, 128, 129, 300):
+            assert indexed_length(sys_, span) == max(32 * span, 4096), (rules, span)
