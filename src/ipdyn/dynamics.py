@@ -72,11 +72,14 @@ class SubstitutionSystem:
     kept prefix only ever grows; any other seed keeps the one iterate,
     or periodic closure, that its last query read.
 
-    Occurrence queries on a fixed-point seed (automatic depth) read the
-    shortest prefix its certificate (``_staircase``) proves holds every
-    factor of the query's span, when that is shorter than the expansion:
-    the same factors, so the same answers, from fewer letters.  Other
-    seeds, and spans no certificate reaches, read the expansion.
+    Every question about the language (factor sets, admissibility,
+    patterns, return sets) reads one occurrence index of its span.  On a
+    fixed-point seed (automatic depth) that index is the shortest prefix
+    its certificate (``_staircase``) proves holds every factor of the
+    span, when that is shorter than the expansion: the same factors, so
+    the same answers, from fewer letters.  Other seeds, and spans no
+    certificate reaches, read the expansion.  Nothing but the kept
+    expansions outlives a query.
     """
 
     def __init__(
@@ -113,7 +116,6 @@ class SubstitutionSystem:
             raise BadRules(f"max word length must be >= 1, got {max_word_length}")
         self.depth = depth
         self.max_word_length = max_word_length
-        self._factor_cache: dict[int, frozenset[str]] = {}
         self._kept: dict[str, _Expansion] = {}
         self._staircases: dict[str, tuple[list[int], list[int]]] = {}
 
@@ -299,55 +301,47 @@ class SubstitutionSystem:
         """The occurrence index a ``span``-letter query reads: per seed,
         the prefix ``self.expansions(span)`` holds, or the certified prefix
         of the seed's fixed point for ``span`` when that is shorter, cut
-        with their letter masks from the kept expansions; every occurrence
-        query reads one.  A shorter certified prefix holds every factor of
-        ``span`` letters, so the same ones as the expansion, and each at
-        its first occurrence.  Raises WindowTooLarge(too_long) past the
-        bound, and when no expansion is ``span`` letters long."""
+        with their letter masks from the kept expansions; every question
+        about the language reads one.  A shorter certified prefix holds
+        every factor of ``span`` letters, so the same ones as the
+        expansion, and each at its first occurrence.  Raises WindowTooLarge
+        past the bound, with {span} and {bound} filled into ``too_long``,
+        and when no expansion is ``span`` letters long."""
         if span > self.max_word_length:
-            raise WindowTooLarge(too_long)
+            raise WindowTooLarge(too_long.format(span=span, bound=self.max_word_length))
         occ = _Occurrences(self._cuts(self._target_length(span), span), span)
         if not occ.fits:
-            raise _no_expansion_reaches(span)
+            # every expansion is shorter than span: a fixed depth set too small
+            raise WindowTooLarge(
+                f"no expansion reaches length {span}; raise depth or use "
+                "automatic growth"
+            )
         return occ
 
     def factors(self, length: int) -> frozenset[str]:
-        """All admissible words of exactly the given length."""
+        """All admissible words of exactly the given length: the windows
+        at the ``fits`` positions of the length's occurrence index, read
+        afresh at every call."""
         if length < 1:
             raise ValueError("factor length must be >= 1")
-        if length > self.max_word_length:
-            raise WindowTooLarge(
-                f"factor length {length} exceeds bound {self.max_word_length}"
-            )
-        cached = self._factor_cache.get(length)
-        if cached is not None:
-            return cached
-        found: set[str] = set()
-        for word in self.expansions(length):
-            for i in range(len(word) - length + 1):
-                found.add(word[i : i + length])
-        if not found:
-            raise _no_expansion_reaches(length)
-        result = frozenset(found)
-        self._factor_cache[length] = result
-        return result
+        occ = self._index(length, "factor length {span} exceeds bound {bound}")
+        fits = bin(occ.fits)[:1:-1]  # bit p at index p
+        return frozenset(
+            occ.text[p : p + length] for p, bit in enumerate(fits) if bit == "1"
+        )
 
     def language(self, max_length: int) -> frozenset[str]:
         """All admissible words of length 1..max_length."""
-        out: set[str] = set()
-        for length in range(1, max_length + 1):
-            out |= self.factors(length)
-        return frozenset(out)
+        lengths = range(1, max_length + 1)
+        return frozenset(itertools.chain.from_iterable(map(self.factors, lengths)))
 
     def is_admissible(self, word: str) -> bool:
         if word == "":
             return True
         if any(c not in self.rules for c in word):
             return False
-        length = len(word)
-        return any(self._index(
-            length, f"factor length {length} exceeds bound {self.max_word_length}"
-        ).carriers([((0, word),)]))
+        index = self._index(len(word), "factor length {span} exceeds bound {bound}")
+        return any(index.carrier_masks([((0,), word)], [0]))
 
     def describe(self) -> str:
         rules = ";".join(f"{s}->{self.rules[s]}" for s in self.alphabet)
@@ -406,30 +400,23 @@ class _Occurrences:
             found &= self.letters.get(c, 0) >> j
         return found
 
-    def carriers(self, patterns: Iterable[Sequence[Constraint]]) -> Iterator[int]:
-        """Where each pattern of (offset, word) cells is carried, lazily:
-        bit p is set when the span fits at p and every cell's word starts
-        at p + offset."""
-        starts: dict[str, int] = {}
+    def carrier_masks(
+        self, columns: Sequence[Column], bases: Sequence[int]
+    ) -> Iterator[int]:
+        """Where the cells of each n are carried, lazily, given each
+        column's offset and the least offset (its base) at every n: bit p
+        is set when the span fits at p and every column's word starts at
+        p + offset - base."""
+        starts = {w: self.starts(w) for w in {w for _, w in columns}}
+        masks = [starts[w] for _, w in columns]
 
-        def carried(cells: Sequence[Constraint]) -> int:
+        def carried(base: int, *offsets: int) -> int:
             found = self.fits
-            for off, w in cells:
-                if w not in starts:
-                    starts[w] = self.starts(w)
-                found &= starts[w] >> off
+            for mask, off in zip(masks, offsets):
+                found &= mask >> (off - base)
             return found
 
-        return map(carried, patterns)
-
-
-def _no_expansion_reaches(span: int) -> WindowTooLarge:
-    # only possible when every expansion is shorter than span
-    # (a fixed depth that was set too small)
-    return WindowTooLarge(
-        f"no expansion reaches length {span}; raise depth or use "
-        "automatic growth"
-    )
+        return map(carried, bases, *(offs for offs, _ in columns))
 
 
 def chacon(**kwargs) -> SubstitutionSystem:
@@ -475,26 +462,14 @@ class ReturnSet:
 Constraint = tuple[int, str]  # (offset, word); empty words are ignored
 
 
-def _pattern(constraints: Sequence[Constraint]) -> tuple[tuple[Constraint, ...], int]:
-    """Normalize constraints so the least constrained offset is 0.
-
-    Returns the shifted constraints and the span of the admissible word
-    needed to carry them; an empty pattern has span 0 (whole space).
-    """
-    cells = [(off, w) for off, w in constraints if w]
-    if not cells:
-        return (), 0
-    base = min(off for off, _ in cells)
-    span = max(off + len(w) for off, w in cells) - base
-    return tuple((off - base, w) for off, w in cells), span
-
-
 Column = tuple[Sequence[int], str]  # one cell's offset at each n, and its word
 
 
 def _layout(columns: Sequence[Column]) -> tuple[list[Column], list[int], int]:
     """The columns with a word, the least of their offsets at each n, and
-    the largest span any n needs: 0 when no column has a word."""
+    the largest span any n needs: 0 when no column has a word.  Every
+    occurrence question is normalized here; a single pattern of (offset,
+    word) cells is the columns ((offset,), word), at one n."""
     cells = [(offs, w) for offs, w in columns if w]
     bases = list(map(min, zip(*(offs for offs, _ in cells))))
     ends = map(max, zip(*([off + len(w) for off in offs] for offs, w in cells)))
@@ -510,20 +485,9 @@ def _members(
     cells, bases, max_span = _layout(columns)
     if not max_span:
         return frozenset(ns), 0
-    index = sys._index(
-        max_span,
-        f"query needs words of length {max_span}, bound is {sys.max_word_length}",
-    )
-    starts = [index.starts(w) for _, w in cells]
-
-    def carried(base: int, *offsets: int) -> int:
-        found = index.fits
-        for start, off in zip(starts, offsets):
-            found &= start >> (off - base)
-        return found
-
-    carriers = map(carried, bases, *(offs for offs, _ in cells))
-    return frozenset(n for n, found in zip(ns, carriers) if found), max_span
+    index = sys._index(max_span, "query needs words of length {span}, bound is {bound}")
+    members = itertools.compress(ns, index.carrier_masks(cells, bases))
+    return frozenset(members), max_span
 
 
 def _poly_columns(
@@ -740,12 +704,11 @@ class WitnessExhausted(RuntimeError):
 def pattern_realizable(sys: SubstitutionSystem, cells: Sequence[Constraint]) -> bool:
     """True when some admissible word carries every (offset, word) cell;
     cells that spell two letters at one position are carried nowhere."""
-    cells, span = _pattern(cells)
+    columns, bases, span = _layout([((off,), w) for off, w in cells])
     if not span:
         return True
-    return any(sys._index(
-        span, f"pattern span {span} exceeds bound {sys.max_word_length}"
-    ).carriers([cells]))
+    index = sys._index(span, "pattern span {span} exceeds bound {bound}")
+    return any(index.carrier_masks(columns, bases))
 
 
 def letter_cells(cells: Sequence[Constraint]) -> tuple[tuple[int, str], ...]:
@@ -871,10 +834,12 @@ def _pattern_contained_in_cylinder(
     if word == "":
         return True
     # the cylinder's cell goes in last, and it is not empty, so it comes out last
-    (*cells, target), span = _pattern((*cells, (0, word)))
-    carriers, spelled = sys._index(
-        span, f"inclusion span {span} exceeds bound {sys.max_word_length}"
-    ).carriers([cells, [target]])
+    (*columns, target), bases, span = _layout(
+        [((off,), w) for off, w in (*cells, (0, word))]
+    )
+    index = sys._index(span, "inclusion span {span} exceeds bound {bound}")
+    (carriers,) = index.carrier_masks(columns, bases)
+    (spelled,) = index.carrier_masks([target], bases)
     # a pattern with no admissible realization is vacuously contained
     return carriers & ~spelled == 0
 
@@ -935,9 +900,7 @@ def recurrence_search(
         lo = min(0, *shifts)
         span = max(0, *shifts) + agreement_length - lo
         occ = sys._index(
-            span,
-            f"shifts at n={n} need words of length {span}, bound is "
-            f"{sys.max_word_length}",
+            span, f"shifts at n={n} need words of length {{span}}, bound is {{bound}}"
         )
         found = occ.fits
         for s in shifts:

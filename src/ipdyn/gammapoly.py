@@ -96,19 +96,6 @@ class GammaPolynomial:
     def identity(cls, generators: int) -> "GammaPolynomial":
         return cls((IntegralPolynomial.zero(),) * generators)
 
-    @classmethod
-    def single(
-        cls, generators: int, index: int, exponent: IntegralPolynomial
-    ) -> "GammaPolynomial":
-        """T_index^{exponent} with all other exponents zero (index 1-based)."""
-        if not 1 <= index <= generators:
-            raise DimensionMismatch(
-                f"generator index {index} out of range 1..{generators}"
-            )
-        exps = [IntegralPolynomial.zero()] * generators
-        exps[index - 1] = exponent
-        return cls(tuple(exps))
-
     # -- queries -----------------------------------------------------------
 
     @property

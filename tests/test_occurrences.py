@@ -237,6 +237,25 @@ def test_admissibility_matches_factor_set():
             ), (name, w)
 
 
+def test_factor_sets_match_growth_from_the_seed():
+    # 12 letters is the certificate's width, chacon-depth-3 has no
+    # expansion of 41 letters, and bounded-fibonacci's bound is 60;
+    # sigma^6 of Fibonacci's seeds has 21 and 13 letters, so the windows
+    # the two seeds hold lie unevenly about their joint
+    systems = {
+        **SYSTEMS,
+        "uneven-seeds": lambda: SubstitutionSystem(
+            {"0": "01", "1": "0"}, seeds=("0", "1"), depth=6
+        ),
+    }
+    for name, make in systems.items():
+        sys_ = make()
+        for length in (1, 2, 12, 13, 40, 41, 60, 61, 150):
+            assert outcome(sys_.factors, length) == outcome(factors, sys_, length), (
+                name, length,
+            )
+
+
 def test_answers_do_not_depend_on_earlier_queries():
     # each answer must be the one for its own span, whatever the previous
     # query indexed: the windows move the expansion target back and forth
@@ -310,6 +329,19 @@ def test_kept_expansion_stays_small():
     finally:
         tracemalloc.stop()
     assert retained < 1 << 20
+
+
+def test_factor_sets_are_not_retained():
+    # a cache of every factor set asked for would hold 2 MiB here
+    sys_ = chacon()
+    tracemalloc.start()
+    try:
+        for length in range(100, 601, 100):
+            sys_.factors(length)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 << 10
 
 
 def test_kept_prefix_grows_in_linear_time():
