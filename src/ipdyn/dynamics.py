@@ -341,7 +341,7 @@ class SubstitutionSystem:
         if any(c not in self.rules for c in word):
             return False
         index = self._index(len(word), "factor length {span} exceeds bound {bound}")
-        return any(index.carrier_masks([((0,), word)], [0]))
+        return any(index.carrier_masks([((0,), word)], 1))
 
     def describe(self) -> str:
         rules = ";".join(f"{s}->{self.rules[s]}" for s in self.alphabet)
@@ -392,31 +392,28 @@ class _Occurrences:
             if length >= span:
                 self.fits |= ((1 << (length - span + 1)) - 1) << start
             start += length
+        self._starts: dict[str, int] = {}
 
     def starts(self, word: str) -> int:
-        """Positions at which ``word`` begins."""
-        found = -1
-        for j, c in enumerate(word):
-            found &= self.letters.get(c, 0) >> j
+        """Positions at which ``word`` begins, matched once per index."""
+        found = self._starts.get(word)
+        if found is None:
+            found = -1
+            for j, c in enumerate(word):
+                found &= self.letters.get(c, 0) >> j
+            self._starts[word] = found
         return found
 
-    def carrier_masks(
-        self, columns: Sequence[Column], bases: Sequence[int]
-    ) -> Iterator[int]:
-        """Where the cells of each n are carried, lazily, given each
-        column's offset and the least offset (its base) at every n: bit p
-        is set when the span fits at p and every column's word starts at
-        p + offset - base."""
-        starts = {w: self.starts(w) for w in {w for _, w in columns}}
-        masks = [starts[w] for _, w in columns]
-
-        def carried(base: int, *offsets: int) -> int:
-            found = self.fits
-            for mask, off in zip(masks, offsets):
-                found &= mask >> (off - base)
-            return found
-
-        return map(carried, bases, *(offs for offs, _ in columns))
+    def carrier_masks(self, columns: Sequence[Column], count: int) -> Iterator[int]:
+        """Where the cells of each of ``count`` n are carried, as a lazy
+        chain of maps, given each column's offsets relative to that n's
+        leftmost cell: bit p is set when the span fits at p and every
+        word starts at p + offset.  One mask per n, ``fits`` if no column."""
+        found = itertools.repeat(self.fits, count)
+        for offs, w in columns:
+            shifted = map(operator.rshift, itertools.repeat(self.starts(w)), offs)
+            found = map(operator.and_, found, shifted)
+        return found
 
 
 def chacon(**kwargs) -> SubstitutionSystem:
@@ -465,15 +462,19 @@ Constraint = tuple[int, str]  # (offset, word); empty words are ignored
 Column = tuple[Sequence[int], str]  # one cell's offset at each n, and its word
 
 
-def _layout(columns: Sequence[Column]) -> tuple[list[Column], list[int], int]:
-    """The columns with a word, the least of their offsets at each n, and
-    the largest span any n needs: 0 when no column has a word.  Every
-    occurrence question is normalized here; a single pattern of (offset,
-    word) cells is the columns ((offset,), word), at one n."""
+def _layout(columns: Sequence[Column]) -> tuple[list[Column], int]:
+    """The columns with a word, each with its offsets relative to that
+    n's leftmost cell, and the largest span any n needs: 0 when no column
+    has a word.  Every occurrence question is normalized here; a
+    single pattern of (offset, word) cells is the columns ((offset,),
+    word), at one n."""
     cells = [(offs, w) for offs, w in columns if w]
-    bases = list(map(min, zip(*(offs for offs, _ in cells))))
-    ends = map(max, zip(*([off + len(w) for off in offs] for offs, w in cells)))
-    return cells, bases, max(map(operator.sub, ends, bases), default=0)
+    if not cells:
+        return [], 0
+    # one column is its own leftmost cell, and map(min, offs) would call min(int)
+    bases = cells[0][0] if len(cells) == 1 else list(map(min, *(o for o, _ in cells)))
+    cells = [(list(map(operator.sub, offs, bases)), w) for offs, w in cells]
+    return cells, max(len(w) + max(offs) for offs, w in cells)
 
 
 def _members(
@@ -481,12 +482,12 @@ def _members(
 ) -> tuple[frozenset[int], int]:
     """The n whose cells some admissible word of the query's largest
     span carries, and that span; ``columns`` gives each cell's offset at
-    every n of ``ns``."""
-    cells, bases, max_span = _layout(columns)
+    every n of ``ns``, and no Python code runs per n."""
+    cells, max_span = _layout(columns)
     if not max_span:
         return frozenset(ns), 0
     index = sys._index(max_span, "query needs words of length {span}, bound is {bound}")
-    members = itertools.compress(ns, index.carrier_masks(cells, bases))
+    members = itertools.compress(ns, index.carrier_masks(cells, len(ns)))
     return frozenset(members), max_span
 
 
@@ -590,7 +591,7 @@ def required_span(
 ) -> int:
     """Longest admissible word a polynomial query will need; lets callers
     report feasibility before computing."""
-    return _layout(_poly_columns(u, vs, polys, window))[2]
+    return _layout(_poly_columns(u, vs, polys, window))[1]
 
 
 def power_return_set(
@@ -704,11 +705,11 @@ class WitnessExhausted(RuntimeError):
 def pattern_realizable(sys: SubstitutionSystem, cells: Sequence[Constraint]) -> bool:
     """True when some admissible word carries every (offset, word) cell;
     cells that spell two letters at one position are carried nowhere."""
-    columns, bases, span = _layout([((off,), w) for off, w in cells])
+    columns, span = _layout([((off,), w) for off, w in cells])
     if not span:
         return True
     index = sys._index(span, "pattern span {span} exceeds bound {bound}")
-    return any(index.carrier_masks(columns, bases))
+    return any(index.carrier_masks(columns, 1))
 
 
 def letter_cells(cells: Sequence[Constraint]) -> tuple[tuple[int, str], ...]:
@@ -834,14 +835,13 @@ def _pattern_contained_in_cylinder(
     if word == "":
         return True
     # the cylinder's cell goes in last, and it is not empty, so it comes out last
-    (*columns, target), bases, span = _layout(
+    (*columns, ((target,), _)), span = _layout(
         [((off,), w) for off, w in (*cells, (0, word))]
     )
     index = sys._index(span, "inclusion span {span} exceeds bound {bound}")
-    (carriers,) = index.carrier_masks(columns, bases)
-    (spelled,) = index.carrier_masks([target], bases)
+    (carriers,) = index.carrier_masks(columns, 1)
     # a pattern with no admissible realization is vacuously contained
-    return carriers & ~spelled == 0
+    return carriers & ~(index.starts(word) >> target) == 0
 
 
 def verify_chain(

@@ -6,6 +6,7 @@ agree with it on members, witnesses, and exception types and messages.
 """
 
 import itertools
+import operator
 import random
 import tracemalloc
 
@@ -19,6 +20,7 @@ from ipdyn.dynamics import (
     WindowTooLarge,
     WitnessExhausted,
     _gamma_shift,
+    _layout,
     _pattern_contained_in_cylinder,
     chacon,
     fibonacci,
@@ -46,10 +48,19 @@ SYSTEMS = {
     "bounded-fibonacci": lambda: fibonacci(max_word_length=60),
 }
 
+# polynomials (None: return_set), the largest window, and which of the
+# words u, v_1, v_2, ... are empty (the whole space)
 QUERY_SHAPES = {
-    "plain": (None, 60),
-    "linear": (["n", "2n"], 40),
-    "quadratic": (["n^2", "n^2 + n"], 9),
+    "plain": (None, 60, ()),
+    "linear": (["n", "2n"], 40, ()),
+    "quadratic": (["n^2", "n^2 + n"], 9, ()),
+    # the leftmost cell changes with n
+    "mirrored": (["-n", "n"], 40, ()),
+    "quadratic-linear": (["n^2 - 5n", "3n"], 12, ()),
+    "three": (["n", "2n", "3n"], 30, ()),
+    "whole-space-u": (None, 60, (0,)),
+    "whole-space-u-linear": (["-n", "2n"], 40, (0,)),
+    "whole-space-v": (["n^2 - 5n", "3n"], 12, (2,)),
 }
 
 
@@ -106,6 +117,28 @@ def spelled(cells):
     position repeats where cells overlap, with two letters where they
     conflict."""
     return [(off + i, c) for off, w in cells for i, c in enumerate(w)]
+
+
+def carried_masks(index, columns, count):
+    """The per-n sweep: at every n, the AND of each word's starts shifted
+    by its offset less that n's least offset (0 with no word), and the
+    largest span any n needs.  Starts are read off the text."""
+    cells = [(offs, w) for offs, w in columns if w]
+    starts = {
+        w: sum(1 << p for p in range(len(index.text)) if index.text.startswith(w, p))
+        for _, w in cells
+    }
+    bases = list(map(min, zip(*(offs for offs, _ in cells)))) or [0] * count
+    ends = map(max, zip(*([off + len(w) for off in offs] for offs, w in cells)))
+
+    def carried(base, *offsets):
+        found = index.fits
+        for (_, w), off in zip(cells, offsets):
+            found &= starts[w] >> (off - base)
+        return found
+
+    masks = list(map(carried, bases, *(offs for offs, _ in cells)))
+    return masks, max(map(operator.sub, ends, bases), default=0)
 
 
 def scan_realizable(sys_, cells):
@@ -190,20 +223,22 @@ def rebuild_chain_shifts(sys_, cylinders, gammas, depth, search_window):
 def test_return_sets_match_factor_scan():
     for name, make in SYSTEMS.items():
         sys_ = make()
-        for shape, (poly_texts, max_window) in QUERY_SHAPES.items():
+        for shape, (poly_texts, max_window, blank) in QUERY_SHAPES.items():
             rng = random.Random(f"{name}/{shape}")
             for _ in range(6):
                 window = rng.randint(0, max_window)
-                u = random_word(rng, sys_)
+                words = 2 if poly_texts is None else 1 + len(poly_texts)
+                u, *vs = (
+                    "" if i in blank else random_word(rng, sys_) for i in range(words)
+                )
                 if poly_texts is None:
-                    v = random_word(rng, sys_)
+                    (v,) = vs
                     got = outcome(return_set, sys_, CylinderSet(u), CylinderSet(v), window)
                     want = outcome(
                         scan_poly_members, sys_, u, [v], [parse_polynomial("n")], window
                     )
                 else:
                     polys = [parse_polynomial(t) for t in poly_texts]
-                    vs = [random_word(rng, sys_) for _ in polys]
                     got = outcome(
                         poly_return_set, sys_, CylinderSet(u),
                         [CylinderSet(v) for v in vs], polys, window,
@@ -212,6 +247,27 @@ def test_return_sets_match_factor_scan():
                 if not isinstance(got, tuple):
                     got = got.members
                 assert got == want, (name, shape, u, window)
+
+
+def test_carrier_masks_match_the_per_n_sweep():
+    for name, make in SYSTEMS.items():
+        sys_ = make()
+        rng = random.Random(f"{name}/masks")
+        for _ in range(60):
+            count = rng.randint(1, 8)
+            columns = []
+            for _ in range(rng.randint(0, 4)):
+                word = "" if rng.random() < 0.2 else random_word(rng, sys_)
+                low = rng.randint(-6, 3)  # negative, mixed-sign or positive
+                offsets = [rng.randint(low, low + 6) for _ in range(count)]
+                columns.append((offsets, word))
+            cells, span = _layout(columns)
+            index = sys_._index(max(span, 1), "")
+            # one past count: an unbounded chain shows as one mask too many
+            masks = list(itertools.islice(index.carrier_masks(cells, count), count + 1))
+            assert len(masks) == count, (name, columns)
+            want = carried_masks(index, columns, count)
+            assert (masks, span) == want, (name, columns)
 
 
 def test_admissibility_matches_factor_set():
