@@ -37,10 +37,8 @@ from .ipsets import (
     window_density,
 )
 from .dynamics import (
-    Arc,
     CylinderSet,
     ReturnSet,
-    RotationControl,
     SubstitutionSystem,
     chacon,
     lemma213_chain,
@@ -50,7 +48,6 @@ from .dynamics import (
     product_return_set,
     recurrence_search,
     return_set,
-    rotation_probe,
 )
 
 __version__ = "0.1.0"

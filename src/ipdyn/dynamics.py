@@ -1,6 +1,6 @@
 """Finite-window symbolic dynamics: substitution subshift languages,
-cylinder sets, return-time sets, descending open-set chains, and an
-exact rotation control system.
+cylinder sets, return-time sets, descending open-set chains and
+recurrence searches.
 
 Points are never materialized: a query about open sets is answered from
 the occurrence positions of its words inside long expansions of the
@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .gammapoly import GammaPolynomial
@@ -40,10 +39,6 @@ class HypothesisViolation(ValueError):
 
 class ZeroPower(ValueError):
     """Power-return queries need a nonzero exponent."""
-
-
-class BadModulus(ValueError):
-    """A rotation needs a modulus of at least 1."""
 
 
 # -- substitution systems ---------------------------------------------------
@@ -107,6 +102,8 @@ class SubstitutionSystem:
         self._images = {ord(sym): image for sym, image in self.rules.items()}
         self.alphabet = alphabet
         self.seeds = tuple(seeds) if seeds is not None else (alphabet[0],)
+        if not self.seeds:
+            raise BadRules("at least one seed is required")
         for s in self.seeds:
             if s not in self.rules:
                 raise BadRules(f"seed {s!r} has no rule")
@@ -503,23 +500,18 @@ def _poly_columns(
     ]
 
 
-def return_set(
-    sys: SubstitutionSystem,
-    u: CylinderSet,
-    v: CylinderSet,
-    window: int,
+def _return_set(
+    sys: SubstitutionSystem, u: CylinderSet, v: CylinderSet, window: int, k: int
 ) -> ReturnSet:
-    """{n in [-W, W] : some admissible word carries u at 0 and v at n}.
-
-    Negative n is the symmetric check with the roles of u and v swapped,
-    which is the two-sided convention for factor languages.
-    """
+    """{n in [-W, W] : some admissible word carries u at 0 and v at k*n},
+    with the provenance of a plain return set."""
     if window < 0:
         raise ValueError("window must be nonnegative")
     require_admissible(sys, u)
     require_admissible(sys, v)
     ns = range(-window, window + 1)
-    members, span = _members(sys, ns, [([0] * len(ns), u.word), (ns, v.word)])
+    shifts = range(-k * window, k * (window + 1), k)
+    members, span = _members(sys, ns, [([0] * len(ns), u.word), (shifts, v.word)])
     return ReturnSet(
         window=window,
         members=members,
@@ -532,6 +524,20 @@ def return_set(
         ),
         span=span,
     )
+
+
+def return_set(
+    sys: SubstitutionSystem,
+    u: CylinderSet,
+    v: CylinderSet,
+    window: int,
+) -> ReturnSet:
+    """{n in [-W, W] : some admissible word carries u at 0 and v at n}.
+
+    Negative n is the symmetric check with the roles of u and v swapped,
+    which is the two-sided convention for factor languages.
+    """
+    return _return_set(sys, u, v, window, 1)
 
 
 def check_polynomial_hypotheses(polys: Sequence[IntegralPolynomial]) -> None:
@@ -601,19 +607,12 @@ def power_return_set(
     v: CylinderSet,
     window: int,
 ) -> ReturnSet:
-    """{n : k*n lies in the plain return set over the inflated window}."""
+    """{n in [-W, W] : some admissible word carries u at 0 and v at k*n}:
+    the return set of T^k."""
     if k == 0:
         raise ZeroPower("power must be nonzero")
-    base = return_set(sys, u, v, abs(k) * window)
-    members = frozenset(
-        n for n in range(-window, window + 1) if k * n in base.members
-    )
-    return ReturnSet(
-        window=window,
-        members=members,
-        provenance=base.provenance + (("power", str(k)),),
-        span=base.span,
-    )
+    base = _return_set(sys, u, v, window, k)
+    return replace(base, provenance=base.provenance + (("power", str(k)),))
 
 
 Transform = Union[SubstitutionSystem, tuple[SubstitutionSystem, int]]
@@ -671,22 +670,32 @@ class MinimalityReport:
 def minimality_probe(
     sys: SubstitutionSystem, word_length: int, scan_limit: int
 ) -> MinimalityReport:
+    """The least radius R in [word_length, scan_limit] at which every
+    admissible word of R letters contains every admissible word of
+    ``word_length`` letters.  On failure, ``missing`` is the
+    lexicographically least word of ``scan_limit`` letters that lacks
+    one, and the first short word, in sorted order, that it lacks."""
     if word_length < 1 or scan_limit < word_length:
         raise ValueError("need 1 <= word_length <= scan_limit")
     short = sorted(sys.factors(word_length))
-    missing: tuple[str, str] | None = None
     for radius in range(word_length, scan_limit + 1):
-        missing = None
-        for w in sorted(sys.factors(radius)):
-            for u in short:
-                if u not in w:
-                    missing = (w, u)
-                    break
-            if missing:
-                break
-        if missing is None:
+        index = sys._index(radius, "factor length {span} exceeds bound {bound}")
+        # bit p of lacks[i]: the window at p holds no start of short[i], so
+        # none at p..p+room-1; shifts by 1, 2, 4, ... spread each start
+        room, lacks, lacking = radius - word_length + 1, [], 0
+        for u in short:
+            within, width = index.starts(u), 1
+            while 2 * width <= room:
+                within |= within >> width
+                width *= 2
+            lacks.append(index.fits & ~(within | within >> (room - width)))
+            lacking |= lacks[-1]
+        if not lacking:
             return MinimalityReport(word_length, scan_limit, radius, True, None)
-    return MinimalityReport(word_length, scan_limit, None, False, missing)
+    positions = [p for p, bit in enumerate(bin(lacking)[:1:-1]) if bit == "1"]
+    w, p = min((index.text[p : p + scan_limit], p) for p in positions)
+    u = next(u for u, lack in zip(short, lacks) if lack >> p & 1)
+    return MinimalityReport(word_length, scan_limit, None, False, (w, u))
 
 
 # -- descending open-set chains ----------------------------------------------
@@ -914,91 +923,3 @@ def recurrence_search(
             a = (found & -found).bit_length() - 1
             return RecurrenceWitness(n=n, word=occ.text[a : a + span], shifts=shifts)
     return None
-
-
-# -- rotation control system ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Arc:
-    """Residues start..end-1 modulo the ambient modulus (half-open)."""
-
-    start: int
-    end: int
-
-    def __post_init__(self) -> None:
-        if self.end <= self.start:
-            raise ValueError(f"empty arc [{self.start}, {self.end})")
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
-    def contains(self, x: int, modulus: int) -> bool:
-        return (x - self.start) % modulus < self.length
-
-
-@dataclass(frozen=True)
-class RotationControl:
-    """x -> x + step on Z_modulus; a non-mixing control system used as a
-    negative example generator.  The map is a bijection for any step;
-    it is minimal exactly when the step is coprime to the modulus."""
-
-    modulus: int
-    step: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise BadModulus(f"modulus must be >= 1, got {self.modulus}")
-
-    @property
-    def is_minimal(self) -> bool:
-        return math.gcd(self.step % self.modulus, self.modulus) == 1
-
-    def describe(self) -> str:
-        return f"rotation[q={self.modulus},p={self.step}]"
-
-
-def rotation_probe(
-    control: RotationControl,
-    u: Arc,
-    v1: Arc,
-    v2: Arc,
-    *,
-    a1: int = 1,
-    a2: int = 2,
-    window: int,
-) -> ReturnSet:
-    """{n in [-W, W] : some x in U has x + a1*n*p in V1 and x + a2*n*p
-    in V2 (mod q)}, computed exhaustively and exactly."""
-    q, p = control.modulus, control.step
-    for arc in (u, v1, v2):
-        if arc.length > q:
-            raise ValueError(f"arc longer than the modulus: {arc}")
-    members = set()
-    cache: dict[int, bool] = {}
-    for n in range(-window, window + 1):
-        np_ = (n * p) % q
-        hit = cache.get(np_)
-        if hit is None:
-            hit = any(
-                v1.contains(x + a1 * np_, q) and v2.contains(x + a2 * np_, q)
-                for x in range(u.start, u.end)
-            )
-            cache[np_] = hit
-        if hit:
-            members.add(n)
-    return ReturnSet(
-        window=window,
-        members=frozenset(members),
-        provenance=(
-            ("op", "rotation-probe"),
-            ("system", control.describe()),
-            ("u", f"{u.start}:{u.end}"),
-            ("v1", f"{v1.start}:{v1.end}"),
-            ("v2", f"{v2.start}:{v2.end}"),
-            ("a1", str(a1)),
-            ("a2", str(a2)),
-            ("window", str(window)),
-        ),
-    )

@@ -5,6 +5,8 @@ import itertools
 import random
 import time
 
+import rotation
+
 from ipdyn import cli
 from ipdyn import dynamics as dyn
 from ipdyn import gammapoly as gp
@@ -288,12 +290,12 @@ def test_criterion_09_chain_with_independent_verification(chacon):
 
 def test_criterion_10_rotation_negative_control():
     with Budget(10, "rotation probe empty with independent exhaustive scan", 10.0):
-        ctrl = dyn.RotationControl(1000, 618)
-        probe = dyn.rotation_probe(
+        ctrl = rotation.RotationControl(1000, 618)
+        probe = rotation.rotation_probe(
             ctrl,
-            dyn.Arc(0, 100),
-            dyn.Arc(0, 100),
-            dyn.Arc(500, 600),
+            rotation.Arc(0, 100),
+            rotation.Arc(0, 100),
+            rotation.Arc(500, 600),
             window=10_000,
         )
         assert probe.members == frozenset()

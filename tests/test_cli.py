@@ -365,6 +365,18 @@ window = 500
         assert run_cli(["return-set", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "max word length must be >= 1" in capsys.readouterr().err
 
+    def test_empty_seed_list_is_1(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            CHACON_PREAMBLE.replace("seeds = 0", "seeds = ,")
+            + "\n[run]\nsystem = chacon\nu = U\nv = V\nwindow = 10\n",
+        )
+        assert run_cli(["return-set", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert (
+            "section [system chacon]: at least one seed is required"
+            in capsys.readouterr().err
+        )
+
     def test_missing_config_is_1(self, tmp_path):
         assert (
             run_cli(

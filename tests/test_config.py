@@ -75,6 +75,11 @@ ERRORS = [
         "section [system S]: seed '2' has no rule",
     ),
     (
+        SYSTEM + "seeds = ,\n",
+        ValidationError,
+        "section [system S]: at least one seed is required",
+    ),
+    (
         SYSTEM + "depth = -1\n",
         ValidationError,
         "section [system S]: depth must be nonnegative",

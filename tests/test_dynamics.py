@@ -1,15 +1,17 @@
 import random
+import time
 
 import pytest
-from growth import expansions
+from growth import expansions, factors
+from rotation import Arc, BadModulus, RotationControl, rotation_probe
+from test_occurrences import SYSTEMS, outcome, random_word
 
 from ipdyn.dynamics import (
-    Arc,
-    BadModulus,
     BadRules,
     CylinderSet,
     HypothesisViolation,
-    RotationControl,
+    MinimalityReport,
+    ReturnSet,
     SubstitutionSystem,
     WindowTooLarge,
     WitnessExhausted,
@@ -25,7 +27,6 @@ from ipdyn.dynamics import (
     recurrence_search,
     required_span,
     return_set,
-    rotation_probe,
     verify_chain,
 )
 from ipdyn.gammapoly import parse_gamma_polynomial
@@ -122,6 +123,8 @@ class TestLanguage:
             SubstitutionSystem({"a": "ab"})
         with pytest.raises(BadRules):
             SubstitutionSystem({"a": "a"}, seeds=("b",))
+        with pytest.raises(BadRules, match="at least one seed is required"):
+            SubstitutionSystem({"a": "a"}, seeds=())
         for bound in (0, -5):
             with pytest.raises(BadRules, match="max word length must be >= 1"):
                 SubstitutionSystem({"a": "ab", "b": "a"}, max_word_length=bound)
@@ -129,6 +132,27 @@ class TestLanguage:
     def test_window_bound(self, chacon):
         with pytest.raises(WindowTooLarge):
             chacon.factors(chacon.max_word_length + 1)
+
+
+def scan_minimality_probe(sys_, word_length, scan_limit):
+    """The minimality probe the slow way: at each radius, look for every
+    short factor, by substring test, in every sorted long factor."""
+    if word_length < 1 or scan_limit < word_length:
+        raise ValueError("need 1 <= word_length <= scan_limit")
+    short = sorted(factors(sys_, word_length))
+    missing = None
+    for radius in range(word_length, scan_limit + 1):
+        missing = None
+        for w in sorted(factors(sys_, radius)):
+            for u in short:
+                if u not in w:
+                    missing = (w, u)
+                    break
+            if missing:
+                break
+        if missing is None:
+            return MinimalityReport(word_length, scan_limit, radius, True, None)
+    return MinimalityReport(word_length, scan_limit, None, False, missing)
 
 
 class TestMinimalityProbe:
@@ -148,6 +172,28 @@ class TestMinimalityProbe:
         assert not report.passed
         assert report.radius is None
         assert report.missing is not None
+
+    def test_reports_match_substring_scan(self):
+        systems = [
+            *(make() for make in SYSTEMS.values()),
+            SubstitutionSystem({"0": "0000000001", "1": "1"}),
+            # not minimal: the witness is the least word lacking a factor
+            SubstitutionSystem({"a": "ab", "b": "b"}),
+            # past the bound, or a short expansion, a radius raises
+            SubstitutionSystem(
+                {"a": "a", "b": "b"}, seeds=("a", "b"), max_word_length=20
+            ),
+            SubstitutionSystem({"a": "aa", "b": "bb"}, seeds=("a", "b"), depth=3),
+        ]
+        seen = set()
+        for sys_ in systems:
+            for word_length, scan_limit in ((1, 1), (1, 12), (2, 30), (3, 45), (5, 64)):
+                got = outcome(minimality_probe, sys_, word_length, scan_limit)
+                want = outcome(scan_minimality_probe, sys_, word_length, scan_limit)
+                assert got == want, (sys_, word_length, scan_limit)
+                # a report's verdict, or the first word of the error message
+                seen.add(got.passed if isinstance(got, MinimalityReport) else got[1][:2])
+        assert seen == {True, False, "fa", "no"}
 
 
 class TestReturnSet:
@@ -252,7 +298,104 @@ class TestPolyReturnSet:
             assert a.span == required_span([N, TWO_N], u, [v1, v2], w)
 
 
+def inflated_power_return_set(sys_, k, u, v, window):
+    """The power return set the slow way: the plain return set over a
+    window |k| times wider, kept at every k-th n."""
+    if k == 0:
+        raise ZeroPower("power must be nonzero")
+    base = return_set(sys_, u, v, abs(k) * window)
+    members = frozenset(
+        n for n in range(-window, window + 1) if k * n in base.members
+    )
+    return ReturnSet(
+        window=window,
+        members=members,
+        provenance=base.provenance + (("power", str(k)),),
+        span=base.span,
+    )
+
+
+def answer(rs):
+    """What a return-set query answers, leaving out its provenance."""
+    return rs if isinstance(rs, tuple) else (rs.window, rs.members, rs.span)
+
+
 class TestPowerAndProduct:
+    def test_powers_match_the_inflated_window(self):
+        for name, make in SYSTEMS.items():
+            sys_ = make()
+            rng = random.Random(f"{name}/power")
+            for k in (1, -1, 2, -2, 3, -3, 5):
+                for window in (0, 1, 7, 40):
+                    u, v = (
+                        "" if rng.random() < 0.2 else random_word(rng, sys_)
+                        for _ in range(2)
+                    )
+                    args = (sys_, k, cyl(u), cyl(v), window)
+                    want = answer(outcome(inflated_power_return_set, *args))
+                    assert answer(outcome(power_return_set, *args)) == want, (
+                        name, k, u, v, window,
+                    )
+            # check order: the window, then each word, then the bound
+            for args in ((0, "0", "0", -1), (2, "0", "0", -1), (2, "z", "0", 40),
+                         (2, sys_.alphabet[0], "z", 40)):
+                k, u, v, window = args
+                assert outcome(power_return_set, sys_, k, cyl(u), cyl(v), window) == (
+                    outcome(inflated_power_return_set, sys_, k, cyl(u), cyl(v), window)
+                ), (name, args)
+
+    def test_products_with_powers_match_the_inflated_window(self):
+        for name, make in SYSTEMS.items():
+            sys_ = make()
+            rng = random.Random(f"{name}/product")
+            for _ in range(8):
+                ks = [rng.choice((1, -1, 2, -2, 3, -3, 5)) for _ in range(2)]
+                pairs = [
+                    ["" if rng.random() < 0.2 else random_word(rng, sys_) for _ in "uv"]
+                    for _ in ks
+                ]
+                window = rng.choice((0, 1, 7, 40))
+                got = outcome(
+                    product_return_set,
+                    [(sys_, k) for k in ks],
+                    [cyl(u) for u, _ in pairs],
+                    [cyl(v) for _, v in pairs],
+                    window,
+                )
+                parts = [
+                    outcome(inflated_power_return_set, sys_, k, cyl(u), cyl(v), window)
+                    for k, (u, v) in zip(ks, pairs)
+                ]
+                failed = [part for part in parts if isinstance(part, tuple)]
+                if failed:
+                    assert got == failed[0], (name, ks, pairs, window)
+                    continue
+                assert got.members == frozenset.intersection(
+                    *(part.members for part in parts)
+                ), (name, ks, pairs, window)
+                assert got.span == max(part.span for part in parts)
+
+    def test_power_provenance_records_the_window_asked(self, chacon):
+        rs = power_return_set(chacon, -3, cyl("0"), cyl("1"), 10)
+        assert rs.provenance == (
+            ("op", "return-set"),
+            ("system", chacon.describe()),
+            ("u", "0"),
+            ("v", "1"),
+            ("window", "10"),
+            ("power", "-3"),
+        )
+
+    def test_huge_power_fails_fast(self, chacon):
+        # the span is 10**7 + 1 letters, far past the bound; the inflated
+        # window took seconds and more than a gigabyte to say so
+        start = time.perf_counter()
+        with pytest.raises(
+            WindowTooLarge, match="query needs words of length 10000001, bound is 5000"
+        ):
+            power_return_set(chacon, 10**5, cyl("0"), cyl("0"), 100)
+        assert time.perf_counter() - start < 1.0
+
     def test_power_one_is_identity(self, chacon):
         u, v = cyl("0"), cyl("00")
         assert (
