@@ -15,6 +15,7 @@ lives in ``config``.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, replace
@@ -474,29 +475,118 @@ def _layout(columns: Sequence[Column]) -> tuple[list[Column], int]:
     return cells, max(len(w) + max(offs) for offs, w in cells)
 
 
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(mask: int) -> bytes:
+    """Bit p of a nonnegative mask as byte p, 0 or 1, for itertools.compress."""
+    return bin(mask)[:1:-1].encode().translate(_BITS)
+
+
+def _anchored(
+    index: _Occurrences, lines: Sequence[tuple[int, int, str]], window: int
+) -> tuple[int, int | None]:
+    """One side of an affine query, read off its lead word's occurrences.
+
+    ``lines`` gives each cell as (offset at n = 0, slope, word), with n
+    counted outward from 0 on this side.  The lead is the cell of least
+    slope, the least offset breaking a tie; from ``first`` >= 1 on, every
+    other cell's offset from it is >= 0, so it is the leftmost cell.  The
+    anchors are the positions where the span fits and the lead word
+    starts, and n is a member through anchor p when every other word
+    starts at p plus its offset from the lead.  A cell of slope s >= 2
+    reads a copy of its starts that keeps the residue class of p mod s.
+    Returns ``first`` (window + 1 past the window) and a mask whose bit j
+    is the membership of first + j; the mask is None, and the n left to
+    the sweep, when the anchors are no fewer than the n they would
+    answer."""
+    (a0, s0, lead), *others = sorted(lines, key=lambda line: (line[1], line[0]))
+    rel = [(a - a0, s - s0, w) for a, s, w in others]  # offset e + t*n, t >= 0
+    first = min(max([1] + [-(e // t) for e, t, _ in rel if t]), window + 1)
+    count = window + 1 - first
+    anchors = index.fits & index.starts(lead)
+    for e, t, w in rel:
+        if not t:  # a fixed offset e >= 0 from the lead
+            anchors &= index.starts(w) >> e
+    if anchors.bit_count() >= count:
+        return first, None
+    ps = list(itertools.compress(range(anchors.bit_length()), _bits(anchors)))
+    found = itertools.repeat((1 << count) - 1, len(ps))
+    for e, t, w in rel:
+        # at n = first + j the cell starts at p + e + t*first + t*j, and
+        # e + t*first >= 0
+        starts = index.starts(w) >> (e + t * first)
+        if t == 1:
+            shifted = map(operator.rshift, itertools.repeat(starts), ps)
+        elif t:
+            # copies[r] keeps the bits r, r + t, r + 2t, ... of starts
+            bits = bin(starts)[2:]  # bit i at index len(bits) - 1 - i
+            top = len(bits) - 1
+            copies = [int(bits[(top - r) % t :: t] or "0", 2) for r in range(t)]
+            residues = map(operator.mod, ps, itertools.repeat(t))
+            quotients = map(operator.floordiv, ps, itertools.repeat(t))
+            shifted = map(operator.rshift, map(copies.__getitem__, residues), quotients)
+        else:
+            continue
+        found = map(operator.and_, found, shifted)
+    return first, functools.reduce(operator.or_, found, 0)
+
+
 def _members(
-    sys: SubstitutionSystem, ns: Sequence[int], columns: Sequence[Column]
+    sys: SubstitutionSystem,
+    window: int,
+    columns: Sequence[tuple[IntegralPolynomial, str]],
 ) -> tuple[frozenset[int], int]:
-    """The n whose cells some admissible word of the query's largest
-    span carries, and that span; ``columns`` gives each cell's offset at
-    every n of ``ns``, and no Python code runs per n."""
-    cells, max_span = _layout(columns)
-    if not max_span:
+    """The n in [-window, window] whose cells some admissible word of the
+    query's largest span carries, and that span; ``columns`` gives each
+    cell's offset as a polynomial in n, and its word.
+
+    Two routes give the same members, and no Python code runs per n on
+    either.  The sweep (``_layout``, ``carrier_masks``) ANDs one shifted
+    mask per cell for every n.  When every offset is affine in n, each
+    side of 0 may instead take ``_anchored``, which ORs over the lead
+    word's occurrences and answers every n from each; it does so when
+    those are fewer than the side's n.  n = 0, the n before the lead
+    becomes the leftmost cell and any side the anchor route declines take
+    the sweep.  Both read one index, of the span fixed before either
+    runs, and test ``fits`` at the leftmost cell and the same starts of
+    every word, so the answers do not depend on the route."""
+    cells = [(p, w) for p, w in columns if w]
+    ns = range(-window, window + 1)
+    affine = all(p.degree <= 1 for p, _ in cells)
+    if affine:
+        # an offset from the leftmost cell is a maximum of affine
+        # functions of n, so the span peaks at n = -window or window
+        span = _layout([([p(-window), p(window)], w) for p, w in cells])[1]
+    else:
+        layout, span = _layout([(p.values(-window, len(ns)), w) for p, w in cells])
+    if not span:
         return frozenset(ns), 0
-    index = sys._index(max_span, "query needs words of length {span}, bound is {bound}")
-    members = itertools.compress(ns, index.carrier_masks(cells, len(ns)))
-    return frozenset(members), max_span
+    index = sys._index(span, "query needs words of length {span}, bound is {bound}")
+    answered, near = [], ns
+    if affine:
+        lines = [(p(0), p(1) - p(0), w) for p, w in cells]
+        bounds = []
+        for sign in (1, -1):
+            side = [(a, sign * s, w) for a, s, w in lines]
+            first, found = _anchored(index, side, window)
+            if found is None:
+                first = window + 1
+            else:
+                outward = range(sign * first, sign * (window + 1), sign)
+                answered.append(itertools.compress(outward, _bits(found)))
+            bounds.append(first)
+        near = range(1 - bounds[1], bounds[0])
+        layout, _ = _layout([(p.values(near.start, len(near)), w) for p, w in cells])
+    swept = itertools.compress(near, index.carrier_masks(layout, len(near)))
+    return frozenset(itertools.chain(swept, *answered)), span
 
 
 def _poly_columns(
-    u: CylinderSet,
-    vs: Sequence[CylinderSet],
-    polys: Sequence[IntegralPolynomial],
-    window: int,
-) -> list[Column]:
-    count = 2 * window + 1
-    return [([0] * count, u.word)] + [
-        (p.values(-window, count), v.word) for p, v in zip(polys, vs)
+    u: CylinderSet, vs: Sequence[CylinderSet], polys: Sequence[IntegralPolynomial]
+) -> list[tuple[IntegralPolynomial, str]]:
+    return [(IntegralPolynomial.zero(), u.word)] + [
+        (p, v.word) for p, v in zip(polys, vs)
     ]
 
 
@@ -509,9 +599,9 @@ def _return_set(
         raise ValueError("window must be nonnegative")
     require_admissible(sys, u)
     require_admissible(sys, v)
-    ns = range(-window, window + 1)
-    shifts = range(-k * window, k * (window + 1), k)
-    members, span = _members(sys, ns, [([0] * len(ns), u.word), (shifts, v.word)])
+    members, span = _members(
+        sys, window, _poly_columns(u, [v], [IntegralPolynomial((0, k))])
+    )
     return ReturnSet(
         window=window,
         members=members,
@@ -572,8 +662,7 @@ def poly_return_set(
     for v in vs:
         require_admissible(sys, v)
 
-    ns = range(-window, window + 1)
-    members, span = _members(sys, ns, _poly_columns(u, vs, polys, window))
+    members, span = _members(sys, window, _poly_columns(u, vs, polys))
     return ReturnSet(
         window=window,
         members=members,
@@ -597,7 +686,9 @@ def required_span(
 ) -> int:
     """Longest admissible word a polynomial query will need; lets callers
     report feasibility before computing."""
-    return _layout(_poly_columns(u, vs, polys, window))[1]
+    count = 2 * window + 1
+    columns = _poly_columns(u, vs, polys)
+    return _layout([(p.values(-window, count), w) for p, w in columns])[1]
 
 
 def power_return_set(
@@ -902,6 +993,8 @@ def recurrence_search(
     """
     if agreement_length < 1:
         raise ValueError("agreement length must be >= 1")
+    if not gammas:
+        raise ValueError("recurrence search needs at least one exponent element")
     for n in n_values:
         if n == 0:
             continue

@@ -8,7 +8,8 @@ is structural, evaluation is exact with arbitrary-precision integers,
 and nothing ever touches floating point.
 
 The monomial view (ordinary coefficients as `fractions.Fraction`) is
-used for parsing, printing and leading-coefficient comparisons.
+used for parsing and leading-coefficient comparisons; printing reads the
+same coefficients as integer numerators over deg!.
 """
 
 from __future__ import annotations
@@ -47,17 +48,17 @@ def binomial(n: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _binomial_monomials(k: int) -> tuple[Fraction, ...]:
-    # Monomial coefficients of C(n, k) = n(n-1)...(n-k+1) / k!.
-    coeffs = [Fraction(1)]
+def _falling_factorial(k: int) -> tuple[int, ...]:
+    # Monomial coefficients of n(n-1)...(n-k+1) = k! C(n, k), constant
+    # first: the signed Stirling numbers of the first kind.
+    coeffs = [1]
     for i in range(k):
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
+        nxt = [0] * (len(coeffs) + 1)
         for j, c in enumerate(coeffs):
             nxt[j + 1] += c
             nxt[j] -= c * i
         coeffs = nxt
-    fact = math.factorial(k)
-    return tuple(c / fact for c in coeffs)
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -133,18 +134,22 @@ class IntegralPolynomial:
     def __call__(self, n: int) -> int:
         return sum(c * binomial(n, j) for j, c in enumerate(self.coeffs))
 
-    def to_monomials(self) -> tuple[Fraction, ...]:
-        """Ordinary coefficients (constant first), exact rationals."""
-        if not self.coeffs:
-            return ()
-        out = [Fraction(0)] * len(self.coeffs)
+    def _monomial_numerators(self) -> tuple[list[int], int]:
+        """Ordinary coefficients (constant first) as integer numerators
+        over one denominator, deg!; the leading numerator is nonzero."""
+        denominator = math.factorial(max(self.degree, 0))
+        out = [0] * len(self.coeffs)
         for k, c in enumerate(self.coeffs):
             if c:
-                for j, m in enumerate(_binomial_monomials(k)):
-                    out[j] += c * m
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
+                scale = c * (denominator // math.factorial(k))
+                for j, s in enumerate(_falling_factorial(k)):
+                    out[j] += scale * s
+        return out, denominator
+
+    def to_monomials(self) -> tuple[Fraction, ...]:
+        """Ordinary coefficients (constant first), exact rationals."""
+        numerators, denominator = self._monomial_numerators()
+        return tuple(Fraction(c, denominator) for c in numerators)
 
     def leading_coefficient(self) -> Fraction:
         """Leading monomial coefficient; 0 for the zero polynomial."""
@@ -209,21 +214,23 @@ class IntegralPolynomial:
     # -- rendering -------------------------------------------------------
 
     def __str__(self) -> str:
-        mono = self.to_monomials()
-        if not mono:
+        numerators, denominator = self._monomial_numerators()
+        if not numerators:
             return "0"
         parts: list[str] = []
-        for j in range(len(mono) - 1, -1, -1):
-            c = mono[j]
+        for j in range(len(numerators) - 1, -1, -1):
+            c = numerators[j]
             if c == 0:
                 continue
             sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
+            common = math.gcd(c, denominator)
+            num, den = abs(c) // common, denominator // common
+            mag = str(num) if den == 1 else f"{num}/{den}"
             if j == 0:
-                body = str(mag)
+                body = mag
             else:
                 var = "n" if j == 1 else f"n^{j}"
-                body = var if mag == 1 else f"{mag}{var}"
+                body = var if num == den == 1 else f"{mag}{var}"
             if not parts:
                 parts.append(body if sign == "+" else f"-{body}")
             else:

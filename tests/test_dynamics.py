@@ -520,6 +520,16 @@ class TestLemma213:
 
 
 class TestRecurrence:
+    def test_no_gammas_is_rejected_before_scanning(self, chacon):
+        scanned = []
+        n_values = (scanned.append(n) or n for n in range(1, 5))
+        with pytest.raises(ValueError) as info:
+            recurrence_search(chacon, [], 3, n_values)
+        assert type(info.value) is ValueError
+        message = "recurrence search needs at least one exponent element"
+        assert str(info.value) == message
+        assert scanned == []
+
     def test_identity_gamma_trivial(self, chacon):
         g = parse_gamma_polynomial("e")
         w = recurrence_search(chacon, [g], 4, range(1, 5))

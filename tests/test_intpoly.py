@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,49 @@ def poly(text):
 def mono_eval(coeffs, n):
     # independent oracle: direct rational evaluation of monomial coefficients
     return sum(Fraction(c) * n**j for j, c in enumerate(coeffs))
+
+
+def fraction_monomials(p):
+    """Ordinary coefficients by Fraction arithmetic: each C(n, k) expanded
+    as n(n-1)...(n-k+1) / k!."""
+    out = [Fraction(0)] * len(p.coeffs)
+    for k, c in enumerate(p.coeffs):
+        mono = [Fraction(1)]
+        for i in range(k):
+            nxt = [Fraction(0)] * (len(mono) + 1)
+            for j, m in enumerate(mono):
+                nxt[j + 1] += m
+                nxt[j] -= m * i
+            mono = nxt
+        for j, m in enumerate(mono):
+            out[j] += c * m / math.factorial(k)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def fraction_str(p):
+    """The printed form, from the Fraction coefficients."""
+    mono = fraction_monomials(p)
+    if not mono:
+        return "0"
+    parts = []
+    for j in range(len(mono) - 1, -1, -1):
+        c = mono[j]
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else "+"
+        mag = -c if c < 0 else c
+        if j == 0:
+            body = str(mag)
+        else:
+            var = "n" if j == 1 else f"n^{j}"
+            body = var if mag == 1 else f"{mag}{var}"
+        if not parts:
+            parts.append(body if sign == "+" else f"-{body}")
+        else:
+            parts.append(f" {sign} {body}")
+    return "".join(parts)
 
 
 class TestBasisConversion:
@@ -208,3 +252,17 @@ class TestParse:
     def test_str_round_trip(self, coords):
         p = IntegralPolynomial(coords)
         assert parse_polynomial(str(p)) == p
+
+    def test_monomials_and_str_match_fraction_arithmetic(self):
+        rng = random.Random(20261018)
+        cases = [(), (0,), (1,), (-1,), (0, 1), (0, 0, 1), (0, 0, 0, 1), (3, -2, 1)]
+        for _ in range(1000):
+            degree = rng.randint(0, 7)
+            bound = rng.choice([1, 3, 100, 10**30])
+            cases.append(tuple(rng.randint(-bound, bound) for _ in range(degree + 1)))
+        for coords in cases:
+            p = IntegralPolynomial(coords)
+            assert p.to_monomials() == fraction_monomials(p), coords
+            assert str(p) == fraction_str(p), coords
+        assert str(poly("1/2n^2 - 1/2n")) == "1/2n^2 - 1/2n"
+        assert str(poly("-n^3/6 + n/6 - 4")) == "-1/6n^3 + 1/6n - 4"

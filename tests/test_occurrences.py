@@ -19,6 +19,7 @@ from ipdyn.dynamics import (
     SubstitutionSystem,
     WindowTooLarge,
     WitnessExhausted,
+    _anchored,
     _gamma_shift,
     _layout,
     _pattern_contained_in_cylinder,
@@ -29,6 +30,7 @@ from ipdyn.dynamics import (
     pattern_realizable,
     poly_return_set,
     recurrence_search,
+    required_span,
     return_set,
 )
 from ipdyn.gammapoly import parse_gamma_polynomial
@@ -61,6 +63,11 @@ QUERY_SHAPES = {
     "whole-space-u": (None, 60, (0,)),
     "whole-space-u-linear": (["-n", "2n"], 40, (0,)),
     "whole-space-v": (["n^2 - 5n", "3n"], 12, (2,)),
+    # affine with constant terms: the leftmost cell changes near n = 0,
+    # so the n beside each crossing are swept and the rest may be anchored
+    "affine": (["n + 3", "-2n + 1"], 40, ()),
+    "steep": (["3n - 4"], 40, ()),
+    "steep-mirrored": (["-3n + 2", "4n - 5"], 25, ()),
 }
 
 
@@ -220,33 +227,78 @@ def rebuild_chain_shifts(sys_, cylinders, gammas, depth, search_window):
 # -- differential tests -------------------------------------------------------------
 
 
-def test_return_sets_match_factor_scan():
+def record_routes(monkeypatch):
+    """(first, taken) for every side the anchor route is offered from
+    now on: taken is False when its selector leaves the side to the
+    sweep."""
+    routes = []
+    anchored = _anchored
+
+    def recorded(*args):
+        first, found = anchored(*args)
+        routes.append((first, found is not None))
+        return first, found
+
+    monkeypatch.setattr("ipdyn.dynamics._anchored", recorded)
+    return routes
+
+
+def check_query(sys_, poly_texts, words, window):
+    """A return set (poly_texts None) or polynomial return set against the
+    factor scan: members and span, or exception type and message."""
+    u, *vs = words
+    if poly_texts is None:
+        (v,) = vs
+        polys = [parse_polynomial("n")]
+        got = outcome(return_set, sys_, CylinderSet(u), CylinderSet(v), window)
+    else:
+        polys = [parse_polynomial(t) for t in poly_texts]
+        got = outcome(
+            poly_return_set, sys_, CylinderSet(u),
+            [CylinderSet(v) for v in vs], polys, window,
+        )
+    if not isinstance(got, tuple):
+        cyls = [CylinderSet(v) for v in vs]
+        span = required_span(polys, CylinderSet(u), cyls, window)
+        assert got.span == span, (sys_, poly_texts, words, window)
+        got = got.members
+    want = outcome(scan_poly_members, sys_, u, vs, polys, window)
+    assert got == want, (sys_, poly_texts, words, window)
+
+
+def test_return_sets_match_factor_scan(monkeypatch):
+    routes = record_routes(monkeypatch)
     for name, make in SYSTEMS.items():
         sys_ = make()
         for shape, (poly_texts, max_window, blank) in QUERY_SHAPES.items():
             rng = random.Random(f"{name}/{shape}")
             for _ in range(6):
                 window = rng.randint(0, max_window)
-                words = 2 if poly_texts is None else 1 + len(poly_texts)
-                u, *vs = (
-                    "" if i in blank else random_word(rng, sys_) for i in range(words)
-                )
-                if poly_texts is None:
-                    (v,) = vs
-                    got = outcome(return_set, sys_, CylinderSet(u), CylinderSet(v), window)
-                    want = outcome(
-                        scan_poly_members, sys_, u, [v], [parse_polynomial("n")], window
-                    )
-                else:
-                    polys = [parse_polynomial(t) for t in poly_texts]
-                    got = outcome(
-                        poly_return_set, sys_, CylinderSet(u),
-                        [CylinderSet(v) for v in vs], polys, window,
-                    )
-                    want = outcome(scan_poly_members, sys_, u, vs, polys, window)
-                if not isinstance(got, tuple):
-                    got = got.members
-                assert got == want, (name, shape, u, window)
+                count = 2 if poly_texts is None else 1 + len(poly_texts)
+                words = [
+                    "" if i in blank else random_word(rng, sys_) for i in range(count)
+                ]
+                check_query(sys_, poly_texts, words, window)
+    # both outcomes of the selector
+    assert {taken for _, taken in routes} == {True, False}
+
+
+def test_affine_queries_cross_between_routes(monkeypatch):
+    # long words start in few places, so the anchor route answers most
+    # n, and the sweep the n up to each crossing of the lead cell
+    routes = record_routes(monkeypatch)
+    for name, make in SYSTEMS.items():
+        sys_ = make()
+        for shape in ("plain", "linear", "mirrored", "affine", "steep",
+                      "steep-mirrored"):
+            poly_texts, max_window, _ = QUERY_SHAPES[shape]
+            rng = random.Random(f"{name}/{shape}/long")
+            for _ in range(4):
+                window = rng.randint(0, max_window)
+                count = 2 if poly_texts is None else 1 + len(poly_texts)
+                words = [random_word(rng, sys_, 10) for _ in range(count)]
+                check_query(sys_, poly_texts, words, window)
+    assert any(taken and first > 1 for first, taken in routes)
 
 
 def test_carrier_masks_match_the_per_n_sweep():
@@ -268,6 +320,46 @@ def test_carrier_masks_match_the_per_n_sweep():
             assert len(masks) == count, (name, columns)
             want = carried_masks(index, columns, count)
             assert (masks, span) == want, (name, columns)
+
+
+def test_anchor_route_matches_the_per_n_sweep():
+    outcomes = set()
+    for name, make in SYSTEMS.items():
+        sys_ = make()
+        rng = random.Random(f"{name}/anchored")
+        for _ in range(80):
+            window = rng.randint(0, 60)
+            lines = []
+            for _ in range(rng.randint(2, 4)):
+                length = rng.choice([1, 6, 12])
+                word = "" if rng.random() < 0.2 else random_word(rng, sys_, length)
+                lines.append((rng.randint(-6, 6), rng.randint(-4, 4), word))
+            # the route reads the cells with a word, as _members passes them
+            cells = [line for line in lines if line[2]]
+            ns = range(-window, window + 1)
+            columns = [([a + s * n for n in ns], w) for a, s, w in cells]
+            layout, span = _layout(columns)
+            if not span:
+                continue
+            try:
+                index = sys_._index(span, "")
+            except WindowTooLarge:
+                continue
+            swept = list(index.carrier_masks(layout, len(ns)))
+            for sign in (1, -1):
+                side = [(a, sign * s, w) for a, s, w in cells]
+                first, found = _anchored(index, side, window)
+                assert 1 <= first <= window + 1, (name, lines, window)
+                if found is None:
+                    if first <= window:
+                        outcomes.add("sweep")
+                    continue
+                outcomes.add("anchors")
+                assert found >> (window + 1 - first) == 0, (name, lines, window)
+                for t in range(first, window + 1):
+                    member = swept[window + sign * t] != 0
+                    assert (found >> (t - first) & 1) == member, (name, lines, sign * t)
+    assert outcomes == {"anchors", "sweep"}
 
 
 def test_admissibility_matches_factor_set():
