@@ -7,10 +7,10 @@ run parameters to a report.  ``_run`` is the one emit path: it writes
 ``<subcommand>.txt`` and ``<subcommand>.csv`` under ``--out`` and prints
 a one-line summary.
 
-Exit codes: 0 on completion, 1 on config/usage/IO problems, 2 on a
-polynomial hypothesis violation, 3 on window/budget limits, 4 when a
-``lemma213`` chain fails its independent containment check (both
-artifacts are still written).
+Exit codes: 0 on completion, 1 on config/usage/IO problems (command-line
+usage errors included), 2 on a polynomial hypothesis violation, 3 on
+window/budget limits, 4 when a ``lemma213`` chain fails its independent
+containment check (both artifacts are still written).
 """
 
 from __future__ import annotations
@@ -80,8 +80,15 @@ class _Params:
             raise self._missing(key)
         return value
 
-    def integer(self, key: str) -> int:
-        return int(self.need(key))
+    def integer(self, key: str, default: str | None = None) -> int:
+        value = self.need(key) if default is None else self.get(key, default)
+        try:
+            return int(value)
+        except ValueError:
+            raise _CliError(
+                f"parameter {self._flag_for.get(key, key)}: "
+                f"not an integer: {value!r}"
+            ) from None
 
     def names(self, key: str) -> list[str]:
         names = config_mod.run_list(self.cfg, key)
@@ -311,7 +318,7 @@ def _lemma213(p: _Params) -> _Report:
     system = p.system()
     cylinders = [p.cylinder(name) for name in p.names("vs")]
     gammas = [p.cfg.gammas[name] for name in p.names("gammas")]
-    base_power = int(p.get("base-power", "1"))
+    base_power = p.integer("base-power", "1")
     shifts_text = p.get("shifts")
     if shifts_text is not None:
         shifts = [int(x) for x in shifts_text.split(",") if x.strip()]
@@ -440,19 +447,50 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit ``EXIT_USAGE``;
+    argparse's own status 2 is ``EXIT_HYPOTHESIS`` here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _add_flags(parser: argparse.ArgumentParser, flags) -> None:
+    """The options of one subcommand: --config, --out and its flags."""
+    parser.add_argument("--config", help="path to a config file")
+    parser.add_argument("--out", default="out", help="output directory")
+    for flag, _, options in flags:
+        parser.add_argument(f"--{flag}", **options)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ipdyn",
         description="deterministic experiments on exact combinatorial dynamics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="path to a config file")
-        p.add_argument("--out", default="out", help="output directory")
-        for flag, _, options in flags:
-            p.add_argument(f"--{flag}", **options)
+        _add_flags(sub.add_parser(name, help=help_text), flags)
     return parser
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The parsed command line.  A leading subcommand name is parsed by
+    that subcommand's parser alone, which is the parser the full one
+    hands the rest of ``argv`` to.  The full parser, with all the
+    subcommands, is built only when there is no leading subcommand or
+    tokens are left over, so that top-level help and errors keep their
+    top-level usage."""
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        parser = _Parser(prog=f"ipdyn {name}")
+        _add_flags(parser, _COMMANDS[name][1])
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = name
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _run(args) -> int:
@@ -482,7 +520,7 @@ def _run(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return _run(args)
     except dynamics.HypothesisViolation as exc:

@@ -12,6 +12,7 @@ AAAI 2018).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -462,17 +463,27 @@ def hindman_search(
 
 def window_density(ws: WindowSet, length: int) -> tuple[Fraction, Fraction]:
     """(bd_upper, bd_lower): extreme densities over all length-L
-    subintervals of the window, as exact rationals."""
+    subintervals of the window, as exact rationals.
+
+    The count of members in [s, s + L) changes with s only where a
+    member m leaves (s = m + 1) or enters (s = m - L + 1).  So every
+    count over the starts lo..hi - L is taken at lo or at one of those
+    change points, and only they are counted, by bisection in the sorted
+    members: the work and memory follow the member count, not the width
+    of the window.
+    """
     if not 1 <= length <= ws.length:
         raise BadLength(
             f"length {length} does not fit window [{ws.lo}, {ws.hi})"
         )
-    prefix = [0]
-    for n in range(ws.lo, ws.hi):
-        prefix.append(prefix[-1] + (1 if n in ws.members else 0))
-    counts = [
-        prefix[s + length] - prefix[s] for s in range(ws.length - length + 1)
-    ]
+    members = sorted(ws.members)
+    last = ws.hi - length
+    changes = {ws.lo}
+    changes.update([m + 1 for m in members], [m - length + 1 for m in members])
+    starts = [s for s in changes if ws.lo <= s <= last]
+    rank = functools.partial(bisect.bisect_left, members)
+    ends = map(rank, [s + length for s in starts])
+    counts = list(map(operator.sub, ends, map(rank, starts)))
     return Fraction(max(counts), length), Fraction(min(counts), length)
 
 

@@ -458,12 +458,98 @@ window = 200
         assert "division by zero in 'n/0'" in err
         assert "[poly z]: division by zero in '1/0n'" in err
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["fs", "--bogus"], 1),
+            (["return-set", "--window", "x"], 1),
+            (["hindman", "--N"], 1),
+            ([], 1),
+            (["bogus"], 1),
+            (["--help"], 0),
+            (["return-set", "--help"], 0),
+        ],
+    )
+    def test_usage_error_is_1_and_help_is_0(self, capsys, argv, code):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == code
+        out, err = capsys.readouterr()
+        if code:
+            assert err.startswith("usage: ipdyn") and ": error: " in err
+        else:
+            assert out.startswith("usage: ipdyn") and not err
+
+    @pytest.mark.parametrize(
+        "run, argv, message",
+        [
+            ("window = abc", ["return-set"], "parameter window: not an integer: 'abc'"),
+            ("n-max = 4.5\ncolors = 2\ndepth = 2", ["hindman"],
+             "parameter N: not an integer: '4.5'"),
+            ("base-power = two\nshifts = 1", ["lemma213"],
+             "parameter base-power: not an integer: 'two'"),
+        ],
+    )
+    def test_non_integer_value_names_its_key(self, tmp_path, capsys, run, argv, message):
+        cfg = write_config(
+            tmp_path,
+            CHACON_PREAMBLE
+            + "\n[gamma g]\nexpr = T1^{n}\n\n[run]\nsystem = chacon\nu = U\n"
+            + "v = V\nvs = V\ngammas = g\n" + run + "\n",
+        )
+        assert run_cli(argv + ["--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_truncation_overflow_is_3(self, tmp_path):
         gens = ",".join(str(i) for i in range(1, 26))
         assert (
             run_cli(["fs", "--generators", gens, "--out", str(tmp_path / "o")])
             == 3
         )
+
+
+# Command lines the one-subcommand parser and the full parser must treat
+# alike: help, bad and missing values, abbreviations, stray tokens.
+PARSER_CORPUS = [
+    [], ["-h"], ["--help"], ["-h", "fs"], ["bogus"], ["return"], ["[]"],
+    ["--", "fs"], ["fs", "[]"], ["fs", "--", "x"], ["fs", "--"], ["fs", "fs"],
+    ["fs", "-h", "--bogus"], ["fs", "--bogus", "-h"], ["fs", "-x"],
+    ["fs", "--out=o", "--config=c", "--generators=1,2"],
+    ["fs", "--generators", "-1"], ["fs", "--config", "a", "--config", "b"],
+    ["return-set", "--win", "7"], ["return-set", "--win", "x"],
+    ["return-set", "--window=-5"], ["return-set", "--window", "1.5"],
+    ["lemma213", "--de", "3", "--win", "x"], ["hindman", "--N", "-1", "--N"],
+    ["hindman", "--d", "3"], ["hindman", "--all", "--all", "extra", "more"],
+    ["density", "--lo", "1", "--lo", "x"], ["density", "--c", "a"],
+    ["density", "--csv", "a"], ["weights", "--members", "--out", "o"],
+    ["pet-trace", "--help", "--members"], ["poly-return", "-h", "x"],
+] + [
+    [name] + tail
+    for name in cli._COMMANDS
+    for tail in ([], ["-h"], ["--help"], ["--bogus"], ["--out"], ["extra"],
+                 ["--", "extra"])
+]
+
+
+def parse_outcome(parse, argv):
+    """Exit code (None when parsing returned), stdout, stderr and the
+    parsed namespace of one parse."""
+    stdout, stderr = StringIO(), StringIO()
+    args = code = None
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            args = vars(parse(list(argv)))
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue(), args
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+def test_one_subcommand_parser_matches_the_full_parser(argv):
+    # help wraps at the terminal width (COLUMNS); CI runs this at two
+    full = parse_outcome(lambda a: cli._build_parser().parse_args(a), argv)
+    assert parse_outcome(cli._parse, argv) == full
+    assert full[0] in (None, cli.EXIT_OK, cli.EXIT_USAGE)
 
 
 class TestDeterminism:
@@ -617,6 +703,7 @@ GOLDEN_CASES = {
     "window-over-bound": ["poly-return", "--config", "quadratic-wide.cfg"],
     "hypothesis-violation": ["poly-return", "--config", "constant-poly.cfg"],
     "truncation-overflow": ["fs", "--generators", ",".join(map(str, range(1, 26)))],
+    "non-integer-window": ["return-set", "--config", "non-integer-window.cfg"],
 }
 
 

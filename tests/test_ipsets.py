@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -227,6 +229,21 @@ class TestHindman:
                         assert survived is not None
 
 
+def density_oracle(ws, length):
+    """window_density by prefix sums over every integer of the window."""
+    if not 1 <= length <= ws.length:
+        raise BadLength(
+            f"length {length} does not fit window [{ws.lo}, {ws.hi})"
+        )
+    prefix = [0]
+    for n in range(ws.lo, ws.hi):
+        prefix.append(prefix[-1] + (1 if n in ws.members else 0))
+    counts = [
+        prefix[s + length] - prefix[s] for s in range(ws.length - length + 1)
+    ]
+    return Fraction(max(counts), length), Fraction(min(counts), length)
+
+
 class TestWindowDensity:
     def test_periodic_set(self):
         ws = WindowSet.from_predicate(lambda n: n % 2 == 0, 0, 100)
@@ -261,6 +278,43 @@ class TestWindowDensity:
         if longer <= ws.length:
             upper2, _ = window_density(ws, longer)
             assert upper2 <= upper
+
+    def test_matches_prefix_sum_oracle(self):
+        rng = random.Random(15)
+        for trial in range(400):
+            lo = rng.randint(-60, 40)
+            hi = lo + rng.randint(1, 90)
+            shape = trial % 4
+            if shape == 0:  # empty or full
+                members = range(lo, hi) if rng.random() < 0.5 else ()
+            elif shape == 1:  # dense
+                members = [n for n in range(lo, hi) if rng.random() < 0.8]
+            elif shape == 2:  # sparse
+                members = rng.sample(range(lo, hi), min(3, hi - lo))
+            else:
+                members = [n for n in range(lo, hi) if rng.random() < 0.4]
+            ws = WindowSet(lo, hi, frozenset(members))
+            width = hi - lo
+            lengths = {1, width, rng.randint(1, width), width + 1, 0, -rng.randint(1, 3)}
+            for length in lengths:
+                try:
+                    want = density_oracle(ws, length)
+                except BadLength as exc:
+                    with pytest.raises(BadLength, match=re.escape(str(exc))):
+                        window_density(ws, length)
+                else:
+                    assert window_density(ws, length) == want, (ws, length)
+
+    def test_sparse_members_in_a_wide_window(self):
+        # the prefix sums walk all 10**7 integers: about 3 s and 170 MB
+        ws = WindowSet.from_csv_text("5\n17\n9999990\n", 0, 10**7)
+        start = time.perf_counter()
+        assert window_density(ws, 13) == (Fraction(2, 13), Fraction(0))
+        assert window_density(ws, 10**7) == (Fraction(3, 10**7),) * 2
+        assert window_density(ws, 10**7 - 6) == (
+            Fraction(3, 10**7 - 6), Fraction(2, 10**7 - 6)
+        )
+        assert time.perf_counter() - start < 1.0
 
 
 def structure_oracle(ws, run_threshold, gap_threshold):
