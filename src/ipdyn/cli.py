@@ -82,6 +82,14 @@ class _Params:
 
     def integer(self, key: str, default: str | None = None) -> int:
         value = self.need(key) if default is None else self.get(key, default)
+        return self._int(key, value)
+
+    def integers(self, key: str) -> list[int]:
+        """A required comma list of integers; blank items are skipped."""
+        items = str(self.need(key)).split(",")
+        return [self._int(key, item) for item in items if item.strip()]
+
+    def _int(self, key: str, value) -> int:
         try:
             return int(value)
         except ValueError:
@@ -188,8 +196,7 @@ def _weights(p: _Params) -> _Report:
 
 
 def _fs(p: _Params) -> _Report:
-    raw = p.need("generators")
-    generators = tuple(int(x) for x in str(raw).split(",") if x.strip())
+    generators = tuple(p.integers("generators"))
     fs = ipsets.enumerate_fs(generators)
     rows = [
         ["|".join(str(i) for i in sorted(alpha)), value]
@@ -213,7 +220,7 @@ def _hindman(p: _Params) -> _Report:
     lines = _params_lines(params) + [""]
     coloring = None
     if one:
-        coloring = tuple(int(c) for c in str(p.need("coloring")).split(","))
+        coloring = tuple(p.integers("coloring"))
     outcome = ipsets.hindman_search(n_max, colors, depth, coloring=coloring)
     if outcome is None:
         status, detail = "absent", ""
@@ -319,11 +326,9 @@ def _lemma213(p: _Params) -> _Report:
     cylinders = [p.cylinder(name) for name in p.names("vs")]
     gammas = [p.cfg.gammas[name] for name in p.names("gammas")]
     base_power = p.integer("base-power", "1")
-    shifts_text = p.get("shifts")
-    if shifts_text is not None:
-        shifts = [int(x) for x in shifts_text.split(",") if x.strip()]
+    if p.get("shifts") is not None:
         chain = dynamics.lemma213_chain(
-            system, cylinders, gammas, shifts, base_power=base_power
+            system, cylinders, gammas, p.integers("shifts"), base_power=base_power
         )
     else:
         depth = p.integer("depth")

@@ -116,6 +116,7 @@ class SubstitutionSystem:
         self.max_word_length = max_word_length
         self._kept: dict[str, _Expansion] = {}
         self._staircases: dict[str, tuple[list[int], list[int]]] = {}
+        self._gaps: dict[str, tuple[list[int], list[float]]] = {}
 
     def _apply(self, word: str) -> str:
         return word.translate(self._images)
@@ -289,6 +290,44 @@ class SubstitutionSystem:
         cached = self._staircases[seed] = ([cap for cap, _ in entries], bases[::-1])
         return cached
 
+    def _certified(self, lo: int, hi: int) -> bool:
+        """True when every span in [lo, hi] reads, on every seed, the
+        certified prefix of its fixed point rather than the expansion
+        (``_cuts``).  The index of such a span holds every factor of that
+        many letters and no other word, and every factor extends to the
+        right, so the index of any of these spans answers a question of
+        any shorter one as that span's own index does."""
+        for seed in self.seeds:
+            starts, ends = self._uncertified(seed)
+            if starts[bisect.bisect_left(ends, lo)] <= hi:
+                return False
+        return True
+
+    def _uncertified(self, seed: str) -> tuple[list[int], list[float]]:
+        """The runs [starts[i], ends[i]] of spans that do not read a
+        certified prefix of ``seed``'s fixed point, ascending; the last
+        one has no end.  Worked out once per seed from ``_staircase``."""
+        cached = self._gaps.get(seed)
+        if cached is not None:
+            return cached
+        starts, ends, lower = [], [], 1
+        if self._shape(seed, 1)[0] == ("prefix", 0):  # a fixed point
+            caps, bases = self._staircase(seed)
+            for cap, base in zip(caps, bases):
+                # a span s in [lower, cap] is cut at the shorter of base + s - 1
+                # and max(32 s, 4096) letters, and the first is no shorter
+                # exactly when 4097 - base <= s <= (base - 1) // 31
+                first = max(lower, _MIN_EXPANSION + 1 - base)
+                last = min(cap, (base - 1) // (_EXPANSION_MARGIN - 1))
+                if first <= last:
+                    starts.append(first)
+                    ends.append(last)
+                lower = cap + 1
+        starts.append(lower)
+        ends.append(float("inf"))
+        cached = self._gaps[seed] = (starts, ends)
+        return cached
+
     def expansions(self, factor_length: int) -> tuple[str, ...]:
         """One long expansion per seed, deterministically trimmed so the
         result depends only on the requested factor length."""
@@ -406,7 +445,11 @@ class _Occurrences:
         """Where the cells of each of ``count`` n are carried, as a lazy
         chain of maps, given each column's offsets relative to that n's
         leftmost cell: bit p is set when the span fits at p and every
-        word starts at p + offset.  One mask per n, ``fits`` if no column."""
+        word starts at p + offset.  One mask per n, ``fits`` if no column.
+        An n whose cells need fewer letters than the index's span gets
+        the answer of its own span's index when both spans are certified
+        (``SubstitutionSystem._certified``); the chain search reads a
+        block of candidate shifts so."""
         found = itertools.repeat(self.fits, count)
         for offs, w in columns:
             shifted = map(operator.rshift, itertools.repeat(self.starts(w)), offs)
@@ -434,9 +477,15 @@ class CylinderSet:
     word: str
 
 
-def require_admissible(sys: SubstitutionSystem, cyl: CylinderSet) -> None:
-    if not sys.is_admissible(cyl.word):
-        raise ValueError(f"cylinder word {cyl.word!r} is not admissible")
+def require_admissible(
+    sys: SubstitutionSystem, cyl: CylinderSet, index: _Occurrences | None = None
+) -> None:
+    """Raise unless the cylinder word is admissible; ``index``, a certified
+    index (``SubstitutionSystem._certified``) of a span no shorter than
+    the word, is asked in place of the word's own."""
+    w = cyl.word
+    if not (sys.is_admissible(w) if index is None else index.fits & index.starts(w)):
+        raise ValueError(f"cylinder word {w!r} is not admissible")
 
 
 @dataclass(frozen=True)
@@ -536,10 +585,14 @@ def _members(
     sys: SubstitutionSystem,
     window: int,
     columns: Sequence[tuple[IntegralPolynomial, str]],
+    cylinders: Sequence[CylinderSet] = (),
 ) -> tuple[frozenset[int], int]:
     """The n in [-window, window] whose cells some admissible word of the
     query's largest span carries, and that span; ``columns`` gives each
-    cell's offset as a polynomial in n, and its word.
+    cell's offset as a polynomial in n, and its word.  ``cylinders`` are
+    checked admissible first, in order, before the span's bound: against
+    the query's own index when the spans from the shortest word to the
+    query's are certified, else each against its own.
 
     Two routes give the same members, and no Python code runs per n on
     either.  The sweep (``_layout``, ``carrier_masks``) ANDs one shifted
@@ -562,7 +615,14 @@ def _members(
         layout, span = _layout([(p.values(-window, len(ns)), w) for p, w in cells])
     if not span:
         return frozenset(ns), 0
-    index = sys._index(span, "query needs words of length {span}, bound is {bound}")
+    too_long = "query needs words of length {span}, bound is {bound}"
+    shortest = min(len(w) for _, w in cells)
+    certified = span <= sys.max_word_length and sys._certified(shortest, span)
+    index = sys._index(span, too_long) if certified else None
+    for cyl in cylinders:
+        require_admissible(sys, cyl, index)
+    if index is None:
+        index = sys._index(span, too_long)
     answered, near = [], ns
     if affine:
         lines = [(p(0), p(1) - p(0), w) for p, w in cells]
@@ -597,11 +657,8 @@ def _return_set(
     with the provenance of a plain return set."""
     if window < 0:
         raise ValueError("window must be nonnegative")
-    require_admissible(sys, u)
-    require_admissible(sys, v)
-    members, span = _members(
-        sys, window, _poly_columns(u, [v], [IntegralPolynomial((0, k))])
-    )
+    columns = _poly_columns(u, [v], [IntegralPolynomial((0, k))])
+    members, span = _members(sys, window, columns, (u, v))
     return ReturnSet(
         window=window,
         members=members,
@@ -658,11 +715,7 @@ def poly_return_set(
     if window < 0:
         raise ValueError("window must be nonnegative")
     check_polynomial_hypotheses(polys)
-    require_admissible(sys, u)
-    for v in vs:
-        require_admissible(sys, v)
-
-    members, span = _members(sys, window, _poly_columns(u, vs, polys))
+    members, span = _members(sys, window, _poly_columns(u, vs, polys), (u, *vs))
     return ReturnSet(
         window=window,
         members=members,
@@ -833,19 +886,84 @@ class Lemma213Chain:
     base_power: int
 
 
+def _next_level(
+    sys: SubstitutionSystem,
+    current: tuple[tuple[Constraint, ...], ...],
+    words: Sequence[str],
+    offsets: Sequence[IntegralPolynomial],
+    ms: range,
+) -> tuple[int, tuple[tuple[Constraint, ...], ...]] | None:
+    """The first m of ``ms`` at which every pattern of ``current``, with
+    its cylinder word added at offsets[i](m), is realizable, and that
+    level; None when no m is.
+
+    The m are tried in blocks of 8, 16, 32, ... up to 1024.  A run of a
+    block whose spans are all within the bound and certified
+    (``_certified``) is answered by one index, of its largest span, and
+    per cylinder one ``_layout`` and one lazy chain of carrier masks; the
+    first m carried for every cylinder wins.  Any other m asks
+    ``pattern_realizable`` of each cylinder in order, as the search
+    always did, so an m whose span passes the bound raises
+    WindowTooLarge only where it did."""
+    start, size = 0, 8
+    while start < len(ms):
+        block = ms[start : start + size]
+        start, size = start + size, min(2 * size, 1024)
+        values = [p.values(block.start, len(block)) for p in offsets]
+
+        def level(k: int) -> tuple[tuple[Constraint, ...], ...]:
+            return tuple(
+                cells + ((offs[k], w),) if w else cells
+                for cells, w, offs in zip(current, words, values)
+            )
+
+        cols = [(cells, w, offs) for cells, w, offs in zip(current, words, values) if w]
+        if not cols:  # every level is the whole space
+            return block[0], level(0)
+        spans = []  # per cylinder with a word, its pattern's span at each m
+        for cells, w, offs in cols:
+            left, right = min(o for o, _ in cells), max(o + len(v) for o, v in cells)
+            spans.append([max(right, c + len(w)) - min(left, c) for c in offs])
+        widest = [max(s) for s in zip(*spans)]
+        bound = sys.max_word_length
+        for over, run in itertools.groupby(range(len(block)), lambda k: widest[k] > bound):
+            run = list(run)
+            a, b = run[0], run[-1] + 1
+            hi = max(widest[a:b])
+            if over or not sys._certified(min(min(s[a:b]) for s in spans), hi):
+                for k in run:
+                    nxt = level(k)
+                    if all(pattern_realizable(sys, cells) for cells in nxt):
+                        return block[k], nxt
+                continue
+            index = sys._index(hi, "pattern span {span} exceeds bound {bound}")
+            masks = [
+                index.carrier_masks(
+                    _layout([((o,) * (b - a), v) for o, v in cells] + [(offs[a:b], w)])[0],
+                    b - a,
+                )
+                for cells, w, offs in cols
+            ]
+            for k, found in enumerate(zip(*masks), a):
+                if all(found):
+                    return block[k], level(k)
+    return None
+
+
 def _build_chain(
     sys: SubstitutionSystem,
     cylinders: Sequence[CylinderSet],
     gammas: Sequence[GammaPolynomial],
-    candidates: Callable[[int, int], Iterable[int]],
+    candidates: Callable[[int, int], range],
     depth: int,
     base_power: int,
 ) -> Lemma213Chain:
-    """Levels 0..depth.  Level n takes the first shift m offered by
+    """Levels 0..depth.  Level n takes the first shift m of the range
     ``candidates(n, previous shift or 0)`` for which every pattern of
     level n-1, with its cylinder word added at g_i(m) - n * base_power,
-    stays realizable; earlier levels are fixed once built.  Raises
-    WitnessExhausted with the partial chain when no candidate does."""
+    stays realizable (``_next_level``); earlier levels are fixed once
+    built.  Raises WitnessExhausted with the partial chain when no
+    candidate does."""
     if len(cylinders) != len(gammas):
         raise ValueError("need one exponent element per cylinder")
     if depth < 0:
@@ -853,24 +971,24 @@ def _build_chain(
     for cyl in cylinders:
         require_admissible(sys, cyl)
     words = [cyl.word for cyl in cylinders]
+    # every generator is the one shift map, so exponents add
+    exps = [sum(g.exps, IntegralPolynomial.zero()) for g in gammas]
     shifts: list[int] = []
     levels: list[tuple[tuple[Constraint, ...], ...]] = []
     current = tuple(((0, w),) if w else () for w in words)
     for n in range(depth + 1):
-        for m in candidates(n, shifts[-1] if shifts else 0):
-            nxt = tuple(
-                cells + ((_gamma_shift(g, m) - n * base_power, w),) if w else cells
-                for cells, w, g in zip(current, words, gammas)
-            )
-            if all(pattern_realizable(sys, cells) for cells in nxt):
-                break
-        else:
+        step = IntegralPolynomial.constant(n * base_power)
+        found = _next_level(
+            sys, current, words, [p - step for p in exps],
+            candidates(n, shifts[-1] if shifts else 0),
+        )
+        if found is None:
             raise WitnessExhausted(
                 n, Lemma213Chain(tuple(shifts), tuple(levels), base_power)
             )
+        m, current = found
         shifts.append(m)
-        levels.append(nxt)
-        current = nxt
+        levels.append(current)
     return Lemma213Chain(tuple(shifts), tuple(levels), base_power)
 
 
@@ -895,8 +1013,8 @@ def lemma213_chain(
         if abs(m) <= n:
             raise ValueError(f"shift {m} at depth {n} must satisfy |m| > {n}")
     return _build_chain(
-        sys, cylinders, gammas, lambda n, _: (shifts[n],), len(shifts) - 1,
-        base_power,
+        sys, cylinders, gammas, lambda n, _: range(shifts[n], shifts[n] + 1),
+        len(shifts) - 1, base_power,
     )
 
 
@@ -910,7 +1028,10 @@ def find_chain_shifts(
     base_power: int = 1,
 ) -> Lemma213Chain:
     """Greedy shift search: at each level take the least strictly larger
-    candidate in [1, search_window] that keeps every level nonempty."""
+    candidate in [1, search_window] that keeps every level nonempty.
+    The candidates are tried in doubling blocks, each answered by one
+    index where its spans are certified (``_next_level``), with the
+    shifts, levels and exceptions of trying them one at a time."""
     return _build_chain(
         sys, cylinders, gammas,
         lambda n, prev: range(max(prev + 1, n + 1), search_window + 1),

@@ -180,7 +180,11 @@ class WindowSet:
     def from_predicate(
         cls, predicate: Callable[[int], bool], lo: int, hi: int
     ) -> "WindowSet":
-        return cls(lo, hi, frozenset(n for n in range(lo, hi) if predicate(n)))
+        """The n in [lo, hi) that satisfy the predicate: listed directly
+        for a catalogue predicate, found by calling it on every n else."""
+        listed = getattr(predicate, "members", None)
+        members = listed(lo, hi) if listed else filter(predicate, range(lo, hi))
+        return cls(lo, hi, frozenset(members))
 
     @classmethod
     def from_csv_text(
@@ -203,17 +207,39 @@ class WindowSet:
         return cls(lo, hi, frozenset(values))
 
 
+def _listing(
+    test: Callable[[int], bool], members: Callable[[int, int], Iterable[int]]
+) -> Callable[[int], bool]:
+    """A catalogue predicate that also lists its members in [lo, hi)."""
+    test.members = members  # type: ignore[attr-defined]
+    return test
+
+
+def _multiples(k: int) -> Callable[[int], bool]:
+    return _listing(
+        lambda n: n % k == 0, lambda lo, hi: range(lo + -lo % abs(k), hi, abs(k))
+    )
+
+
+def _squares(lo: int, hi: int) -> Iterable[int]:
+    first = math.isqrt(lo - 1) + 1 if lo > 0 else 0  # the least r with r*r >= lo
+    last = math.isqrt(hi - 1) if hi > 0 else -1  # the largest r with r*r < hi
+    return (r * r for r in range(first, last + 1))
+
+
 def builtin_predicate(name: str) -> Callable[[int], bool]:
-    """Catalog lookup: ``evens``, ``squares``, or ``multiples:k``."""
+    """Catalog lookup: ``evens``, ``squares``, or ``multiples:k``.  Each
+    entry is a predicate with a ``members(lo, hi)`` attribute that lists
+    the n in [lo, hi) it holds for."""
     if name == "evens":
-        return lambda n: n % 2 == 0
+        return _multiples(2)
     if name == "squares":
-        return lambda n: n >= 0 and math.isqrt(n) ** 2 == n
+        return _listing(lambda n: n >= 0 and math.isqrt(n) ** 2 == n, _squares)
     if name.startswith("multiples:"):
         k = int(name.split(":", 1)[1])
         if k == 0:
             raise ValueError("multiples:0 is not a valid predicate")
-        return lambda n: n % k == 0
+        return _multiples(k)
     raise ValueError(f"unknown predicate {name!r}")
 
 

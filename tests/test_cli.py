@@ -488,6 +488,11 @@ window = 200
              "parameter N: not an integer: '4.5'"),
             ("base-power = two\nshifts = 1", ["lemma213"],
              "parameter base-power: not an integer: 'two'"),
+            # comma lists name their key too
+            ("generators = 1,3,x", ["fs"], "parameter generators: not an integer: 'x'"),
+            ("shifts = 2,y", ["lemma213"], "parameter shifts: not an integer: 'y'"),
+            ("n-max = 2\ncolors = 2\ndepth = 1\ncoloring = 0,a", ["hindman"],
+             "parameter coloring: not an integer: 'a'"),
         ],
     )
     def test_non_integer_value_names_its_key(self, tmp_path, capsys, run, argv, message):
@@ -499,6 +504,14 @@ window = 200
         )
         assert run_cli(argv + ["--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_comma_lists_skip_blank_items(self, tmp_path):
+        def files(coloring, out):
+            argv = ["hindman", "--N", "4", "--r", "2", "--depth", "2"]
+            assert run_cli(argv + ["--coloring", coloring, "--out", str(out)]) == 0
+            return [(out / name).read_text() for name in ("hindman.txt", "hindman.csv")]
+
+        assert files("0,1,,1, 0,", tmp_path / "a") == files("0,1,1,0", tmp_path / "b")
 
     def test_truncation_overflow_is_3(self, tmp_path):
         gens = ",".join(str(i) for i in range(1, 26))
@@ -704,6 +717,7 @@ GOLDEN_CASES = {
     "hypothesis-violation": ["poly-return", "--config", "constant-poly.cfg"],
     "truncation-overflow": ["fs", "--generators", ",".join(map(str, range(1, 26)))],
     "non-integer-window": ["return-set", "--config", "non-integer-window.cfg"],
+    "non-integer-generator": ["fs", "--generators", "1,x"],
 }
 
 

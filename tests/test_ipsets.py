@@ -452,6 +452,28 @@ class TestWindowSetIngestion:
         with pytest.raises(ValueError):
             builtin_predicate("nonsense")
 
+    def test_catalogue_lists_the_members_of_the_scan(self):
+        def scan(predicate, lo, hi):
+            return WindowSet(lo, hi, frozenset(n for n in range(lo, hi) if predicate(n)))
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except ValueError as exc:  # an empty window
+                return type(exc), str(exc)
+
+        rng = random.Random(7)
+        names = ["evens", "squares"] + [
+            f"multiples:{k}" for k in (1, 2, 3, -3, 7, -1, -250, 250)
+        ]
+        for _ in range(2000):
+            predicate = builtin_predicate(rng.choice(names))
+            r = rng.choice([0, 1, 2, 5, 40, 10**6])
+            lo = rng.randint(-300, 300) + r * r
+            hi = lo + rng.choice([-2, 0, 1, 1, rng.randint(2, 600)])
+            got = outcome(WindowSet.from_predicate, predicate, lo, hi)
+            assert got == outcome(scan, predicate, lo, hi), (lo, hi)
+
     def test_csv_round_trip(self):
         text = "3\n5\n\n8\n"
         ws = WindowSet.from_csv_text(text)

@@ -19,17 +19,20 @@ from ipdyn.dynamics import (
     SubstitutionSystem,
     WindowTooLarge,
     WitnessExhausted,
+    _Occurrences,
     _anchored,
     _gamma_shift,
     _layout,
     _pattern_contained_in_cylinder,
     chacon,
+    check_polynomial_hypotheses,
     fibonacci,
     find_chain_shifts,
     lemma213_chain,
     pattern_realizable,
     poly_return_set,
     recurrence_search,
+    require_admissible,
     required_span,
     return_set,
 )
@@ -199,29 +202,45 @@ def scan_recurrence(sys_, gammas, length, n_values):
     return None
 
 
-def partial_chain(sys_, cylinders, gammas, shifts):
+def partial_chain(sys_, cylinders, gammas, shifts, base_power=1):
     """The chain of the shifts found so far: none when a search fails at
     depth 0, and lemma213_chain refuses to build a chain of no levels."""
     if not shifts:
-        return Lemma213Chain((), (), 1)
-    return lemma213_chain(sys_, cylinders, gammas, shifts)
+        return Lemma213Chain((), (), base_power)
+    return lemma213_chain(sys_, cylinders, gammas, shifts, base_power=base_power)
 
 
-def rebuild_chain_shifts(sys_, cylinders, gammas, depth, search_window):
-    """The greedy search rebuilding the whole chain for every candidate."""
+def chain_levels(cylinders, gammas, shifts, base_power):
+    """Every level of the chain of these shifts, rebuilt from the cylinders."""
+    levels, current = [], [((0, c.word),) if c.word else () for c in cylinders]
+    for n, m in enumerate(shifts):
+        current = [
+            cells + ((_gamma_shift(g, m) - n * base_power, c.word),) if c.word else cells
+            for cells, c, g in zip(current, cylinders, gammas)
+        ]
+        levels.append(tuple(current))
+    return tuple(levels)
+
+
+def rebuild_chain_shifts(sys_, cylinders, gammas, depth, search_window, base_power=1):
+    """The greedy search one candidate at a time: each candidate's level
+    rebuilt from the shifts, and every pattern of it, in order, asked of
+    pattern_realizable until one is not realizable."""
+    for cyl in cylinders:
+        require_admissible(sys_, cyl)
     shifts = []
     for n in range(depth + 1):
         prev = shifts[-1] if shifts else 0
         for m in range(max(prev + 1, n + 1), search_window + 1):
-            try:
-                lemma213_chain(sys_, cylinders, gammas, shifts + [m])
-            except WitnessExhausted:
-                continue
-            shifts.append(m)
-            break
+            level = chain_levels(cylinders, gammas, shifts + [m], base_power)[-1]
+            if all(pattern_realizable(sys_, cells) for cells in level):
+                shifts.append(m)
+                break
         else:
-            raise WitnessExhausted(n, partial_chain(sys_, cylinders, gammas, shifts))
-    return lemma213_chain(sys_, cylinders, gammas, shifts)
+            levels = chain_levels(cylinders, gammas, shifts, base_power)
+            raise WitnessExhausted(n, Lemma213Chain(tuple(shifts), levels, base_power))
+    levels = chain_levels(cylinders, gammas, shifts, base_power)
+    return Lemma213Chain(tuple(shifts), levels, base_power)
 
 
 # -- differential tests -------------------------------------------------------------
@@ -360,6 +379,42 @@ def test_anchor_route_matches_the_per_n_sweep():
                     member = swept[window + sign * t] != 0
                     assert (found >> (t - first) & 1) == member, (name, lines, sign * t)
     assert outcomes == {"anchors", "sweep"}
+
+
+def in_order(query, sys_, cylinders, *args, polys=()):
+    """``query`` after the checks it must raise from first, in order:
+    the polynomial hypotheses, then each cylinder word's admissibility,
+    asked of its own index."""
+    check_polynomial_hypotheses(polys)
+    for cyl in cylinders:
+        require_admissible(sys_, cyl)
+    return query(sys_, *args)
+
+
+def test_return_sets_check_words_before_the_bound():
+    poly_choices = [["n", "2n"], ["n^2", "n^2 + n"], ["n", "n + 1"], ["-n", "3"]]
+    for name, make in SYSTEMS.items():
+        sys_ = make()
+        rng = random.Random(f"{name}/admissible-first")
+        for _ in range(30):
+            words = []
+            for _ in range(3):
+                w = random_word(rng, sys_, 6)
+                i = rng.randrange(len(w))  # one changed letter: often inadmissible
+                spoilt = w[:i] + rng.choice(sys_.alphabet + ("x",)) + w[i + 1 :]
+                words.append(rng.choice([w] * 4 + [spoilt] * 2 + ["", "0" * 70]))
+            u, *vs = map(CylinderSet, words)
+            window = rng.choice([0, 3, 30, 200])
+            got = outcome(return_set, sys_, u, vs[0], window)
+            want = outcome(in_order, return_set, sys_, (u, vs[0]), u, vs[0], window)
+            assert got == want, (name, words, window)
+            polys = [parse_polynomial(t) for t in rng.choice(poly_choices)]
+            got = outcome(poly_return_set, sys_, u, vs, polys, window)
+            want = outcome(
+                in_order, poly_return_set, sys_, (u, *vs), u, vs, polys, window,
+                polys=polys,
+            )
+            assert got == want, (name, words, polys, window)
 
 
 def test_admissibility_matches_factor_set():
@@ -581,11 +636,24 @@ def test_recurrence_matches_position_scan():
         (["01"], ["T1^{n^2}"], 4, 40, None),
         (["1001", "0100"], ["T1^{n}", "T1^{2n}"], 5, 60, 5),
         (["0"], ["T1^{n}"], 3, 0, 0),  # no candidate at all
+        pytest.param(["", "1001"], ["T1^{n}", "T1^{2n}"], 3, 60, None, id="empty-word"),
+        pytest.param(["", ""], ["T1^{n}", "T1^{n^2}"], 2, 9, None, id="empty-words"),
+        pytest.param(
+            ["0100", "10"], ["T1^{-n}", "T1^{n^2 - 3n}"], 3, 60, None,
+            id="negative-slopes",
+        ),
+        pytest.param(
+            ["010", "1", "1001"], ["T1^{3n}", "T1^{n} * T2^{n}", "T1^{-2n}"], 3, 90,
+            None, id="three-cylinders",
+        ),
     ],
 )
 def test_chain_search_matches_rebuild(words, gamma_texts, depth, window, runs_out_at):
-    sys_ = chacon()
-    cylinders = [CylinderSet(w) for w in words]
+    """Every system, base powers 1 and 2: the same shifts and levels, the
+    same failure depth and partial chain, or the same exception, as the
+    search one candidate at a time.  The words are Chacon words, spelled
+    in each system's first two letters, or else its least word of that
+    length; runs_out_at is Chacon's."""
     gammas = [parse_gamma_polynomial(t) for t in gamma_texts]
 
     def run(search):
@@ -593,20 +661,69 @@ def test_chain_search_matches_rebuild(words, gamma_texts, depth, window, runs_ou
             return search()
         except WitnessExhausted as exc:
             return exc.depth, exc.partial
+        except ValueError as exc:  # WindowTooLarge, an inadmissible word
+            return type(exc), str(exc)
 
-    got = run(
-        lambda: find_chain_shifts(sys_, cylinders, gammas, depth, search_window=window)
+    for name, make in SYSTEMS.items():
+        sys_ = make()
+        letters = str.maketrans("01", "".join(sys_.alphabet[:2]))
+        cylinders = [
+            CylinderSet(w if sys_.is_admissible(w) else min(sys_.factors(len(w))))
+            for w in (w.translate(letters) for w in words)
+        ]
+        for base_power in (1, 2):
+            got = run(lambda: find_chain_shifts(
+                sys_, cylinders, gammas, depth, search_window=window,
+                base_power=base_power,
+            ))
+            want = run(lambda: rebuild_chain_shifts(
+                sys_, cylinders, gammas, depth, window, base_power
+            ))
+            assert got == want, (name, base_power)
+            if isinstance(got, Lemma213Chain):
+                assert len(got.levels) == depth + 1
+                assert got == lemma213_chain(
+                    sys_, cylinders, gammas, got.shifts, base_power=base_power
+                )
+            elif isinstance(got[1], Lemma213Chain):
+                depth_failed, partial = got
+                assert len(partial.shifts) == len(partial.levels) == depth_failed
+                assert partial == partial_chain(
+                    sys_, cylinders, gammas, partial.shifts, base_power
+                )
+            if name == "chacon" and base_power == 1:
+                if runs_out_at is None:
+                    assert isinstance(got, Lemma213Chain), got
+                else:
+                    assert got[0] == runs_out_at
+
+
+def blocks_tried(first, found):
+    """How many blocks of 8, 16, 32, ... candidates from ``first`` are
+    tried until the one holding ``found``."""
+    tried, start, size = 0, first, 8
+    while start <= found:
+        tried, start, size = tried + 1, start + size, 2 * size
+    return tried
+
+
+def test_chain_search_builds_one_index_per_block(monkeypatch):
+    # the lemma213 chain of the benchmark: 227 indexes, one per pattern
+    # asked, when each candidate was tried alone
+    sys_ = chacon()
+    cylinders = [CylinderSet("1001")] * 2
+    gammas = [parse_gamma_polynomial("T1^{n}"), parse_gamma_polynomial("T1^{2n}")]
+    built = []
+    init = _Occurrences.__init__
+    monkeypatch.setattr(
+        _Occurrences, "__init__", lambda self, *args: built.append(init(self, *args))
     )
-    assert got == run(
-        lambda: rebuild_chain_shifts(sys_, cylinders, gammas, depth, window)
-    )
-    if runs_out_at is None:
-        assert isinstance(got, Lemma213Chain) and len(got.levels) == depth + 1
-    else:
-        depth_failed, partial = got
-        assert depth_failed == runs_out_at
-        assert len(partial.shifts) == len(partial.levels) == runs_out_at
-        assert partial == partial_chain(sys_, cylinders, gammas, partial.shifts)
+    chain = find_chain_shifts(sys_, cylinders, gammas, 4, search_window=200)
+    assert chain.shifts == (9, 37, 51, 92, 193)
+    firsts = [1] + [m + 1 for m in chain.shifts[:-1]]
+    blocks = sum(map(blocks_tried, firsts, chain.shifts))
+    # one index per cylinder word's admissibility, then one per block
+    assert len(built) == len(cylinders) + blocks == 16
 
 
 def test_recurrence_window_reaches_the_origin_when_every_shift_is_negative():
@@ -711,6 +828,48 @@ def test_certified_queries_match_the_oracles():
             assert outcome(pattern_realizable, sys_, pattern) == outcome(
                 scan_realizable, sys_, pattern
             ), (name, pattern)
+
+
+def certified_by_cuts(sys_, span):
+    """Whether every seed's cut for ``span`` is its certified prefix, not
+    the expansion: strictly shorter than the expansion's cut."""
+    target = target_length(span)
+    cuts = zip(sys_._cuts(target, span), sys_._cuts(target))
+    return all(short < full for (_, short), (_, full) in cuts)
+
+
+def test_certified_spans_match_the_cuts():
+    rng = random.Random("certified-spans")
+    for name, make in {**SYSTEMS, **CERTIFIED_SYSTEMS}.items():
+        sys_ = make()
+        top = min(sys_.max_word_length, 300)
+        per_span = [None] + [certified_by_cuts(sys_, s) for s in range(1, top + 1)]
+        for s in range(1, top + 1):
+            assert sys_._certified(s, s) == per_span[s], (name, s)
+        for _ in range(200):
+            lo = rng.randint(1, top)
+            hi = rng.randint(lo, min(top, lo + rng.choice([3, 30, 300])))
+            assert sys_._certified(lo, hi) == all(per_span[lo : hi + 1]), (name, lo, hi)
+    # made-up staircases put the ends of the certified runs anywhere,
+    # on spans whose two cuts are equal too
+    for _ in range(20):
+        sys_ = chacon()
+        caps = sorted(rng.sample(range(2, 400), rng.randint(1, 6)))
+        # a run of uncertified spans starts at 4097 - base and ends at
+        # (base - 1) // 31, the spans whose cuts are equal
+        bases = sorted(
+            rng.choice([rng.randint(1, 13000), 4097 - rng.randint(1, 128),
+                        31 * rng.randint(128, 400) + 1])
+            for _ in caps
+        )
+        sys_._staircases["0"] = (caps, bases)
+        for s in range(1, 401):
+            assert sys_._certified(s, s) == certified_by_cuts(sys_, s), (caps, bases, s)
+    # the famous fixed points certify every span up to the bound
+    assert chacon()._certified(1, 5000) and fibonacci()._certified(1, 5000)
+    # uncertified seeds: not a fixed point, or a fixed depth
+    for name in ("non-prefix", "periodic", "chacon-depth-3"):
+        assert not SYSTEMS[name]()._certified(1, 1), name
 
 
 def indexed_length(sys_, span):
