@@ -165,15 +165,13 @@ def _pet_trace(p: _Params) -> _Report:
     for idx, step in enumerate(steps):
         shifts = ",".join(str(m) for m in step.shifts)
         reducer = str(step.reducer) if step.reducer is not None else "-"
-        lines.append(f"step {idx}:")
-        lines.append(f"  system = {step.system}")
-        lines.append(f"  weight vector = {step.vector}")
+        system, vector = str(step.system), str(step.vector)
+        lines += [f"step {idx}:", f"  system = {system}", f"  weight vector = {vector}"]
         if step.reducer is None:
             lines.append("  base case reached")
         else:
-            lines.append(f"  f = {reducer}")
-            lines.append(f"  shifts = ({shifts})")
-        rows.append([idx, reducer, shifts, str(step.vector), str(step.system)])
+            lines += [f"  f = {reducer}", f"  shifts = ({shifts})"]
+        rows.append([idx, reducer, shifts, vector, system])
     return _Report(
         lines, ["step", "f", "shifts", "weight_vector", "system"], rows,
         f"{len(steps)} chain steps",
@@ -186,9 +184,9 @@ def _weights(p: _Params) -> _Report:
     rows = []
     lines = []
     for g in system.members:
-        w = g.weight()
-        rows.append([str(g), w.level, w.degree])
-        lines.append(f"{g}  ->  weight {w}")
+        w, text = g.weight(), str(g)
+        rows.append([text, w.level, w.degree])
+        lines.append(f"{text}  ->  weight {w}")
     lines += ["", f"weight vector = {vector}"]
     return _Report(
         lines, ["element", "level", "degree"], rows, f"{len(system)} members"
@@ -198,10 +196,10 @@ def _weights(p: _Params) -> _Report:
 def _fs(p: _Params) -> _Report:
     generators = tuple(p.integers("generators"))
     fs = ipsets.enumerate_fs(generators)
-    rows = [
-        ["|".join(str(i) for i in sorted(alpha)), value]
-        for alpha, value in fs.items()
-    ]
+    labels = [""]  # "1|3" for {1, 3}: by doubling, in the sums' bitmask order
+    for i in range(1, fs.size + 1):
+        labels += [f"{label}|{i}" if label else str(i) for label in labels]
+    rows = [[label, value] for label, value in zip(labels[1:], fs.sums())]
     lines = _params_lines({"generators": list(generators)})
     lines += ["", f"distinct values = {list(fs.values())}"]
     return _Report(lines, ["alpha", "value"], rows, f"{len(rows)} index sets")

@@ -1047,22 +1047,35 @@ class ContainmentCheck:
     holds: bool
 
 
+def _inclusion(cells: Sequence[Constraint], word: str) -> tuple[list[Column], int, int]:
+    """The question of ``_pattern_contained_in_cylinder`` for a nonempty
+    word: the pattern's columns, the offset of the word from the
+    leftmost cell, and the span of both."""
+    # the cylinder's cell goes in last, and it is not empty, so it comes out last
+    (*columns, ((target,), _)), span = _layout(
+        [((off,), w) for off, w in (*cells, (0, word))]
+    )
+    return columns, target, span
+
+
+def _contained(index: _Occurrences, columns: list[Column], target: int, word: str) -> bool:
+    (carriers,) = index.carrier_masks(columns, 1)
+    # a pattern with no admissible realization is vacuously contained
+    return carriers & ~(index.starts(word) >> target) == 0
+
+
+_INCLUSION_TOO_LONG = "inclusion span {span} exceeds bound {bound}"
+
+
 def _pattern_contained_in_cylinder(
     sys: SubstitutionSystem, cells: Sequence[Constraint], cyl: CylinderSet
 ) -> bool:
     """Inclusion: every admissible word of the span that carries the
     pattern must also spell the cylinder word at position 0."""
-    word = cyl.word
-    if word == "":
+    if cyl.word == "":
         return True
-    # the cylinder's cell goes in last, and it is not empty, so it comes out last
-    (*columns, ((target,), _)), span = _layout(
-        [((off,), w) for off, w in (*cells, (0, word))]
-    )
-    index = sys._index(span, "inclusion span {span} exceeds bound {bound}")
-    (carriers,) = index.carrier_masks(columns, 1)
-    # a pattern with no admissible realization is vacuously contained
-    return carriers & ~(index.starts(word) >> target) == 0
+    columns, target, span = _inclusion(cells, cyl.word)
+    return _contained(sys._index(span, _INCLUSION_TOO_LONG), columns, target, cyl.word)
 
 
 def verify_chain(
@@ -1072,19 +1085,37 @@ def verify_chain(
     chain: Lemma213Chain,
 ) -> tuple[bool, tuple[ContainmentCheck, ...]]:
     """Re-verify every displayed containment of the chain independently:
-    shifting level n by the step-j map must land inside the cylinder."""
+    shifting level n by the step-j map must land inside the cylinder
+    (``_pattern_contained_in_cylinder``).  A level whose inclusion spans
+    are all within the bound and certified is read from one index, of
+    its largest span; any other level asks each span's own, in order."""
     checks: list[ContainmentCheck] = []
-    ok = True
     for n, level in enumerate(chain.levels):
-        for i, cells in enumerate(level):
-            for j in range(n + 1):
-                s = _gamma_shift(gammas[i], chain.shifts[j]) - j * chain.base_power
-                holds = _pattern_contained_in_cylinder(
-                    sys, [(off - s, w) for off, w in cells], cylinders[i]
-                )
-                checks.append(ContainmentCheck(n, i, j, holds))
-                ok = ok and holds
-    return ok, tuple(checks)
+        asked = []  # (cylinder index, step, word, its _inclusion or None), in order
+        failure = None
+        try:
+            for i, cells in enumerate(level):
+                for j in range(n + 1):
+                    s = _gamma_shift(gammas[i], chain.shifts[j]) - j * chain.base_power
+                    shifted = [(off - s, w) for off, w in cells]
+                    word = cylinders[i].word
+                    asked.append((i, j, word, _inclusion(shifted, word) if word else None))
+        except IndexError as exc:  # raised below, after the checks before it
+            failure = exc
+        spans = [question[2] for *_, question in asked if question]
+        index = None
+        if not failure and spans and max(spans) <= sys.max_word_length and sys._certified(
+            min(spans), max(spans)
+        ):
+            index = sys._index(max(spans), _INCLUSION_TOO_LONG)
+        for i, j, word, question in asked:
+            holds = not question or _contained(
+                index or sys._index(question[2], _INCLUSION_TOO_LONG), *question[:2], word
+            )
+            checks.append(ContainmentCheck(n, i, j, holds))
+        if failure:
+            raise failure
+    return all(c.holds for c in checks), tuple(checks)
 
 
 # -- recurrence search ---------------------------------------------------------

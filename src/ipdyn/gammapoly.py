@@ -17,13 +17,19 @@ group.  All bookkeeping deliberately stays formal.
 from __future__ import annotations
 
 import enum
+import itertools
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .intpoly import IntegralPolynomial, PolynomialParseError, parse_polynomial
+from .intpoly import IntegralPolynomial, PolynomialParseError, binomial, parse_polynomial
+
+# An element as the binomial coordinates of each exponent: its sort_key.
+# The reductions and class keys below compute on these tuples alone.
+_Key = tuple[tuple[int, ...], ...]
 
 
 class DimensionMismatch(ValueError):
@@ -111,14 +117,7 @@ class GammaPolynomial:
         return all(p.degree <= 1 for p in self.exps)
 
     def weight(self) -> Weight:
-        level = 0
-        for j in range(len(self.exps) - 1, -1, -1):
-            if not self.exps[j].is_zero:
-                level = j + 1
-                break
-        if level == 0:
-            return Weight(0, 0)
-        return Weight(level, self.exps[level - 1].degree)
+        return Weight(*_weight(self.sort_key()))
 
     def leading_coefficient(self) -> Fraction:
         """Leading monomial coefficient of the weight-level exponent."""
@@ -162,16 +161,23 @@ class GammaPolynomial:
 def equivalent(g: GammaPolynomial, h: GammaPolynomial) -> bool:
     """Same weight and, at that weight, equal leading coefficients."""
     g._check_dims(h)
-    wg, wh = g.weight(), h.weight()
-    if wg != wh:
-        return False
-    if wg.level == 0:
-        return True
-    return g.leading_coefficient() == h.leading_coefficient()
+    return _class_key(g.sort_key()) == _class_key(h.sort_key())
 
 
-def _class_key(g: GammaPolynomial) -> tuple[Weight, Fraction]:
-    return (g.weight(), g.leading_coefficient())
+def _weight(key: _Key) -> tuple[int, int]:
+    """(level, degree) of an element; (0, 0) for the identity."""
+    level = len(key)
+    while level and not key[level - 1]:
+        level -= 1
+    return (level, len(key[level - 1]) - 1) if level else (0, 0)
+
+
+def _class_key(key: _Key) -> tuple[int, int, int]:
+    """(level, degree, leading binomial coordinate), equal for exactly the
+    equivalent elements: at one degree k the leading coefficient is the
+    leading coordinate over k!."""
+    level, degree = _weight(key)
+    return level, degree, key[level - 1][-1] if level else 0
 
 
 @dataclass(frozen=True)
@@ -249,9 +255,14 @@ def weight_vector(system: PolySystem) -> WeightVector:
     """Count equivalence classes (not members) per weight."""
     if system.is_empty:
         raise EmptySystem("weight vector of an empty system")
-    classes = {_class_key(g) for g in system.members}
-    per_weight = Counter(w for w, _ in classes)
-    return WeightVector(tuple((per_weight[w], w) for w in sorted(per_weight)))
+    return _vector({_class_key(g.sort_key()) for g in system.members})
+
+
+def _vector(classes: set[tuple[int, int, int]]) -> WeightVector:
+    per_weight = Counter((level, degree) for level, degree, _ in classes)
+    return WeightVector(
+        tuple((per_weight[w], Weight(*w)) for w in sorted(per_weight))
+    )
 
 
 def compare(a: WeightVector, b: WeightVector) -> Ordering:
@@ -278,15 +289,41 @@ def step1_reduce(f: GammaPolynomial, m: int) -> GammaPolynomial:
     return GammaPolynomial(tuple(p.shift_diff(m) for p in f.exps))
 
 
-def _reduce_member(
-    g: GammaPolynomial, f: GammaPolynomial, m: int
-) -> GammaPolynomial:
-    # g(m)^{-1} g(n + m) f(n)^{-1}, exponent-wise.
-    exps = tuple(
-        p.translate(m) - IntegralPolynomial.constant(p(m)) - q
-        for p, q in zip(g.exps, f.exps)
+def _reduced(p: tuple[int, ...], q: tuple[int, ...], row: list[int]) -> tuple[int, ...]:
+    # The coordinates of p(n + m) - p(m) - q(n), given row[t] = C(m, t):
+    # coordinate i >= 1 of p(n + m) is sum_t p[i + t] C(m, t), and its
+    # coordinate 0, p(m), cancels, as does q's.
+    moved = (sum(map(operator.mul, p[i:], row)) for i in range(1, len(p)))
+    out = [0] + [a - b for a, b in itertools.zip_longest(moved, q[1:], fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _reduce(keys: Sequence[_Key], f: _Key, shifts: Sequence[int]) -> tuple[dict, list]:
+    """g(m)^{-1} g(n + m) f(n)^{-1} for every member g and shift m, on
+    coordinates: the non-identity results, each with the (member, shift)
+    indices that first produced it, and the collisions, pairs of those."""
+    width = max(len(p) for key in keys for p in key)
+    rows = [[binomial(m, t) for t in range(width)] for m in shifts]
+    produced: dict[_Key, tuple[int, int]] = {}
+    collisions = []
+    for t, g in enumerate(keys):
+        for j, row in enumerate(rows):
+            h = tuple(_reduced(p, q, row) for p, q in zip(g, f))
+            if not any(h):
+                continue
+            if h in produced:
+                collisions.append((produced[h], (t, j)))
+            else:
+                produced[h] = (t, j)
+    return produced, collisions
+
+
+def _system(keys) -> PolySystem:
+    return PolySystem(
+        tuple(GammaPolynomial(tuple(map(IntegralPolynomial, key))) for key in keys)
     )
-    return GammaPolynomial(exps)
 
 
 def step2_reduce(
@@ -315,33 +352,13 @@ def step2_reduce(
     if any(m == 0 for m in shifts):
         raise ValueError("shifts must be nonzero")
 
-    produced: dict[GammaPolynomial, tuple[int, int]] = {}
-    collisions: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    for t, g in enumerate(system.members):
-        for j, m in enumerate(shifts):
-            h = _reduce_member(g, f, m)
-            if h.is_identity:
-                continue
-            if h in produced:
-                collisions.append((produced[h], (t, j)))
-            else:
-                produced[h] = (t, j)
-    collapsed = PolySystem(tuple(produced))
+    produced, collisions = _reduce(
+        [g.sort_key() for g in system.members], f.sort_key(), shifts
+    )
+    collapsed = _system(produced)
     if collisions:
         raise ShiftCollision(shifts, collisions, collapsed)
     return collapsed
-
-
-# Each step reduces with one shift: 1, then 2, 3, ... on collision retries.
-_MAX_SHIFT = 64
-
-
-def _is_base_case(system: PolySystem) -> bool:
-    if system.is_empty:
-        return True
-    if not all(g.is_homomorphism() for g in system.members):
-        return False
-    return len({_class_key(g) for g in system.members}) == len(system)
 
 
 def minimal_weight_member(system: PolySystem) -> GammaPolynomial:
@@ -357,8 +374,7 @@ def pet_chain(system: PolySystem, *, max_steps: int = 10_000) -> list[PolySystem
     Returns the full chain, starting with the input.  Every consecutive
     pair strictly decreases under the weight-vector order.  Raises
     NonTermination past ``max_steps`` (a bug indicator, since the order
-    is well-founded) and re-raises ShiftCollision if no single shift in
-    1.._MAX_SHIFT avoids collisions.
+    is well-founded).
     """
     steps = traced_pet_chain(system, max_steps=max_steps)
     return [step.system for step in steps]
@@ -378,35 +394,32 @@ def traced_pet_chain(
     system: PolySystem, *, max_steps: int = 10_000
 ) -> list[ChainStep]:
     """Like :func:`pet_chain` but records, per step, the chosen reducer
-    and the shifts that produced the next system."""
+    and the shifts that produced the next system.
+
+    Every step reduces with the one shift 1, and never collides: two
+    members reduced at one shift coincide only when their exponents
+    differ by constants, which vanish at 0.  The steps compute on
+    coordinates (``_Key``); each step's system is built once, for its
+    ``ChainStep``."""
     steps: list[ChainStep] = []
-    current = system
-    step = 0
-    while True:
-        base = _is_base_case(current)
-        vector = (
-            WeightVector.empty() if current.is_empty else weight_vector(current)
-        )
-        if base:
-            steps.append(ChainStep(current, vector, None, ()))
+    keys = [g.sort_key() for g in system.members]
+    for step in itertools.count():
+        classes = [_class_key(key) for key in keys]
+        distinct = set(classes)
+        vector = _vector(distinct)
+        if len(distinct) == len(keys) and all(
+            len(p) <= 2 for key in keys for p in key
+        ):  # pairwise-inequivalent homomorphisms, or empty
+            steps.append(ChainStep(system, vector, None, ()))
             return steps
         if step >= max_steps:
             raise NonTermination(f"chain exceeded {max_steps} steps")
-        f = minimal_weight_member(current)
-        last_collision: ShiftCollision | None = None
-        for m in range(1, _MAX_SHIFT + 1):
-            shifts = (m,)
-            try:
-                nxt = step2_reduce(current, f, shifts)
-                break
-            except ShiftCollision as exc:
-                last_collision = exc
-        else:
-            assert last_collision is not None
-            raise last_collision
-        steps.append(ChainStep(current, vector, f, shifts))
-        current = nxt
-        step += 1
+        # the member of least (weight, coordinates), as minimal_weight_member
+        t = min(range(len(keys)), key=lambda t: (classes[t][:2], keys[t]))
+        produced, _ = _reduce(keys, keys[t], (1,))
+        steps.append(ChainStep(system, vector, system.members[t], (1,)))
+        keys = sorted(produced)
+        system = _system(keys)
 
 
 # -- parsing ---------------------------------------------------------------
@@ -453,10 +466,13 @@ def parse_system(text: str, generators: int | None = None) -> PolySystem:
     chunks = [c for c in (chunk.strip() for chunk in text.split(";")) if c]
     if not chunks:
         raise PolynomialParseError(f"empty system expression {text!r}")
+    members = [parse_gamma_polynomial(c, generators) for c in chunks]
     if generators is None:
-        generators = max(
-            parse_gamma_polynomial(c).generators for c in chunks
-        )
-    return PolySystem(
-        tuple(parse_gamma_polynomial(c, generators) for c in chunks)
-    )
+        d = max(g.generators for g in members)
+        zero = (IntegralPolynomial.zero(),)
+        members = [
+            GammaPolynomial(g.exps + zero * (d - g.generators))
+            if g.generators < d else g
+            for g in members
+        ]
+    return PolySystem(tuple(members))

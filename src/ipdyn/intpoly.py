@@ -7,9 +7,11 @@ stored as integer coordinate vectors in that basis: membership testing
 is structural, evaluation is exact with arbitrary-precision integers,
 and nothing ever touches floating point.
 
-The monomial view (ordinary coefficients as `fractions.Fraction`) is
-used for parsing and leading-coefficient comparisons; printing reads the
-same coefficients as integer numerators over deg!.
+Parsing collects integer numerators over one common denominator and
+converts them to the basis with integers alone; `fractions.Fraction`
+appears only in the monomial view that `to_monomials` and
+`leading_coefficient` return.  Printing reads the same coefficients as
+integer numerators over deg!.
 """
 
 from __future__ import annotations
@@ -45,6 +47,34 @@ def binomial(n: int, k: int) -> int:
     for i in range(k):
         num *= n - i
     return num // math.factorial(k)
+
+
+@lru_cache(maxsize=None)
+def _stirling_row(k: int) -> tuple[int, ...]:
+    # Binomial coordinates of n^k: j! S(k, j) for j = 0..k, with S the
+    # Stirling numbers of the second kind (the inverse of the row below).
+    row = [1]
+    for i in range(1, k + 1):
+        row = [0] + [j * (a + b) for j, a, b in zip(range(1, i + 1), row[1:] + [0], row)]
+    return tuple(row)
+
+
+def _coordinates(numerators: list[int], denominator: int) -> tuple[int, ...]:
+    """The binomial coordinates of the polynomial with monomial
+    coefficients numerators[k] / denominator (denominator > 0): j-th is
+    sum_k numerators[k] j! S(k, j) over the denominator.  Raises
+    NotIntegralPolynomial at the first that is not an integer."""
+    terms = [(k, a) for k, a in enumerate(numerators) if a]
+    coords = []
+    for j in range(terms[-1][0] + 1 if terms else 0):
+        total = sum(a * _stirling_row(k)[j] for k, a in terms if k >= j)
+        coord, rest = divmod(total, denominator)
+        if rest:
+            raise NotIntegralPolynomial(
+                f"coefficient of C(n,{j}) is {Fraction(total, denominator)}, not an integer"
+            )
+        coords.append(coord)
+    return tuple(coords)
 
 
 @lru_cache(maxsize=None)
@@ -99,23 +129,10 @@ class IntegralPolynomial:
         valued, naming the first non-integral binomial coordinate.
         """
         mono = [Fraction(c) for c in coefficients]
-        while mono and mono[-1] == 0:
-            mono.pop()
-        values = [
-            sum((c * x**j for j, c in enumerate(mono)), Fraction(0))
-            for x in range(len(mono))
-        ]
-        coords: list[int] = []
-        level = values
-        while level:
-            c = level[0]
-            if c.denominator != 1:
-                raise NotIntegralPolynomial(
-                    f"coefficient of C(n,{len(coords)}) is {c}, not an integer"
-                )
-            coords.append(int(c))
-            level = [b - a for a, b in zip(level, level[1:])]
-        return cls(tuple(coords))
+        denominator = math.lcm(*(c.denominator for c in mono))
+        return cls(_coordinates(
+            [c.numerator * (denominator // c.denominator) for c in mono], denominator
+        ))
 
     # -- basic queries ---------------------------------------------------
 
@@ -295,7 +312,7 @@ def parse_polynomial(text: str) -> IntegralPolynomial:
     tokens = _tokenize(text)
     if not tokens:
         raise PolynomialParseError(f"empty polynomial expression {text!r}")
-    terms: list[tuple[Fraction, int]] = []
+    terms: list[tuple[int, int, int]] = []  # (numerator, denominator, power)
     i = 0
 
     def peek() -> tuple[str, str]:
@@ -321,13 +338,14 @@ def parse_polynomial(text: str) -> IntegralPolynomial:
     elif peek() == ("op", "+"):
         i += 1
     while True:
-        coeff: Fraction | None = None
+        coeff: int | None = None
+        den = 1
         kind, val = peek()
         if kind == "num":
-            coeff = Fraction(int(val))
+            coeff = int(val)
             i += 1
             if peek() == ("op", "/"):
-                coeff /= divisor()
+                den = divisor()
             if peek() == ("op", "*"):
                 i += 1
                 if peek()[0] != "var":
@@ -336,7 +354,8 @@ def parse_polynomial(text: str) -> IntegralPolynomial:
                     )
         power = 0
         kind, val = peek()
-        if kind == "var":
+        variable = kind == "var"
+        if variable:
             power = 1
             i += 1
             if peek() == ("op", "^"):
@@ -350,14 +369,12 @@ def parse_polynomial(text: str) -> IntegralPolynomial:
                 i += 1
             if peek() == ("op", "/"):
                 # trailing divisor, e.g. n/2 or 3n^2/4
-                coeff = (coeff if coeff is not None else Fraction(1)) / divisor()
-        if coeff is None and power == 0:
+                den *= divisor()
+        if coeff is None and not variable:
             raise PolynomialParseError(
                 f"expected a term in {text!r}, got {peek()[1]!r}"
             )
-        if coeff is None:
-            coeff = Fraction(1)
-        terms.append((sign * coeff, power))
+        terms.append((sign * (1 if coeff is None else coeff), den, power))
         kind, val = peek()
         if kind == "end":
             break
@@ -369,8 +386,9 @@ def parse_polynomial(text: str) -> IntegralPolynomial:
             raise PolynomialParseError(
                 f"expected '+' or '-' in {text!r}, got {val!r}"
             )
-    max_pow = max(p for _, p in terms)
-    mono = [Fraction(0)] * (max_pow + 1)
-    for c, p in terms:
-        mono[p] += c
-    return IntegralPolynomial.from_monomials(mono)
+    # integer numerators over one common denominator
+    denominator = math.lcm(*(d for _, d, _ in terms))
+    mono = [0] * (max(p for _, _, p in terms) + 1)
+    for c, d, p in terms:
+        mono[p] += c * (denominator // d)
+    return IntegralPolynomial(_coordinates(mono, denominator))

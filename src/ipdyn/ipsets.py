@@ -79,12 +79,17 @@ class FSTruncation:
         return self._sums[mask - 1]
 
     def items(self) -> Iterator[tuple[frozenset[int], int]]:
-        """All (index set, sum) pairs, in ascending bitmask order."""
-        for mask, value in enumerate(self._sums, start=1):
-            alpha = frozenset(
-                i + 1 for i in range(self.size) if mask >> i & 1
-            )
-            yield alpha, value
+        """All (index set, sum) pairs, in ascending bitmask order.  The
+        sets are built by doubling, one generator's worth at a time."""
+        alphas = [frozenset()]
+        for i in range(self.size):
+            added = [alpha | {i + 1} for alpha in alphas]
+            yield from zip(added, self._sums[len(alphas) - 1 : 2 * len(alphas) - 1])
+            alphas += added
+
+    def sums(self) -> list[int]:
+        """All 2^k - 1 sums with repetition, in ascending bitmask order."""
+        return list(self._sums)
 
     def values(self) -> tuple[int, ...]:
         """The distinct sums, ascending."""
@@ -312,11 +317,11 @@ def _candidate_generators(
 
 
 def _subset_sums(gens: tuple[int, ...]) -> list[int]:
-    """Sums over the nonempty index sets, in ascending bitmask order."""
-    sums = [0] * (1 << len(gens))
-    for mask in range(1, len(sums)):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + gens[low.bit_length() - 1]
+    """Sums over the nonempty index sets, in ascending bitmask order: the
+    sets with generator i are those without it, shifted by bit i."""
+    sums = [0]
+    for g in gens:
+        sums += [s + g for s in sums]
     return sums[1:]
 
 

@@ -186,6 +186,22 @@ window = 5
         assert len(lines) == 8
         assert "1|2,3" in lines
 
+    def test_fs_labels_match_the_sorted_index_sets(self, tmp_path):
+        for gens in ([7], [1, 3, 9], [2, 2, 5, 1], list(range(1, 12))):
+            out = tmp_path / str(len(gens))
+            text = ",".join(map(str, gens))
+            assert run_cli(["fs", "--generators", text, "--out", str(out)]) == 0
+            rows = (out / "fs.csv").read_text().splitlines()[1:]
+            picked = [
+                [i for i in range(len(gens)) if mask >> i & 1]
+                for mask in range(1, 1 << len(gens))
+            ]
+            want = [
+                f"{'|'.join(str(i + 1) for i in alpha)},{sum(gens[i] for i in alpha)}"
+                for alpha in picked
+            ]
+            assert rows == want
+
     def test_hindman_verified(self, tmp_path):
         out = tmp_path / "out"
         code = run_cli(

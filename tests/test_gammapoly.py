@@ -1,9 +1,11 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from ipdyn.gammapoly import (
+    ChainStep,
     DimensionMismatch,
     EmptySystem,
     GammaPolynomial,
@@ -335,3 +337,151 @@ class TestParsing:
     def test_system_duplicates_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             parse_system("T1^{n}; T1^{n}")
+
+
+# -- the object-level reductions, as oracles ----------------------------------------
+
+
+def class_key_oracle(g):
+    """An element's equivalence class: its weight and the Fraction leading
+    coefficient of its weight-level exponent."""
+    return g.weight(), g.leading_coefficient()
+
+
+def weight_vector_oracle(system):
+    classes = {class_key_oracle(g) for g in system.members}
+    per_weight = Counter(w for w, _ in classes)
+    return WeightVector(tuple((per_weight[w], w) for w in sorted(per_weight)))
+
+
+def reduce_member_oracle(g, f, m):
+    # g(m)^{-1} g(n + m) f(n)^{-1}, exponent-wise, on IntegralPolynomials
+    return GammaPolynomial(tuple(
+        p.translate(m) - IntegralPolynomial.constant(p(m)) - q
+        for p, q in zip(g.exps, f.exps)
+    ))
+
+
+def step2_oracle(system, f, shifts):
+    produced, collisions = {}, []
+    for t, g in enumerate(system.members):
+        for j, m in enumerate(shifts):
+            h = reduce_member_oracle(g, f, m)
+            if h.is_identity:
+                continue
+            if h in produced:
+                collisions.append((produced[h], (t, j)))
+            else:
+                produced[h] = (t, j)
+    collapsed = PolySystem(tuple(produced))
+    if collisions:
+        raise ShiftCollision(tuple(shifts), collisions, collapsed)
+    return collapsed
+
+
+def chain_oracle(system, max_steps=10_000):
+    """traced_pet_chain on objects: reduce against the minimal-weight
+    member with the first shift in 1..64 that does not collide."""
+    steps, current = [], system
+    for step in itertools.count():
+        base = current.is_empty or (
+            all(g.is_homomorphism() for g in current)
+            and len({class_key_oracle(g) for g in current}) == len(current)
+        )
+        vector = WeightVector.empty() if current.is_empty else weight_vector_oracle(current)
+        if base:
+            steps.append(ChainStep(current, vector, None, ()))
+            return steps
+        if step >= max_steps:
+            raise NonTermination(f"chain exceeded {max_steps} steps")
+        f = minimal_weight_member(current)
+        for m in range(1, 65):
+            try:
+                nxt = step2_oracle(current, f, (m,))
+                break
+            except ShiftCollision as exc:
+                last = exc
+        else:
+            raise last
+        steps.append(ChainStep(current, vector, f, (m,)))
+        current = nxt
+
+
+def reduction(fn, *args, **kwargs):
+    """A result, or the type, message and contents of the exception."""
+    try:
+        return fn(*args, **kwargs)
+    except ShiftCollision as exc:
+        return ShiftCollision, str(exc), exc.shifts, exc.pairs, exc.system
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestCoordinateReductions:
+    def test_chains_match_the_object_level_chain(self):
+        lengths = Counter()
+        for seed in range(400):
+            rng = random.Random(seed)
+            s = random_system(
+                rng, d=rng.randint(1, 3), max_degree=rng.randint(1, 4),
+                max_members=rng.randint(1, 5),
+            )
+            got, want = traced_pet_chain(s), chain_oracle(s)
+            assert got == want, seed
+            lengths[min(len(got), 4)] += 1
+            max_steps = rng.randint(0, len(got))
+            assert reduction(traced_pet_chain, s, max_steps=max_steps) == reduction(
+                chain_oracle, s, max_steps
+            ), seed
+        assert set(lengths) == {1, 2, 3, 4}
+
+    def test_reductions_match_the_object_level_reduction(self):
+        rng = random.Random(1017)
+        collided = 0
+        for _ in range(600):
+            s = random_system(rng, d=rng.randint(1, 3), max_members=5)
+            f = minimal_weight_member(s)
+            shifts = rng.sample([m for m in range(-9, 10) if m], rng.randint(1, 4))
+            got = reduction(step2_reduce, s, f, shifts)
+            assert got == reduction(step2_oracle, s, f, shifts), (s, f, shifts)
+            collided += got[0] is ShiftCollision if isinstance(got, tuple) else 0
+        assert collided > 20
+
+    def test_one_shift_never_collides(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            s = random_system(rng, d=2, max_members=5)
+            step2_reduce(s, minimal_weight_member(s), [rng.randint(1, 9)])
+
+    def test_classes_match_the_fraction_classes(self):
+        rng = random.Random(29)
+        pool = [random_gamma(rng, 2, 3, 4) for _ in range(80)]
+        pool += [gamma("T1^{2n^2}", 2), gamma("T1^{2n^2 + 5n} * T2^{0}", 2)]
+        for g, h in itertools.product(pool, repeat=2):
+            assert equivalent(g, h) == (class_key_oracle(g) == class_key_oracle(h))
+        for _ in range(200):
+            s = random_system(rng, d=3, max_members=6)
+            assert weight_vector(s) == weight_vector_oracle(s)
+
+    def test_system_elements_are_parsed_once(self, monkeypatch):
+        import ipdyn.gammapoly as gp
+
+        calls = []
+        parse = gp.parse_polynomial
+        monkeypatch.setattr(gp, "parse_polynomial", lambda t: calls.append(t) or parse(t))
+        s = parse_system("T1^{n^2}; T1^{2n^2}; T1^{n^3} * T2^{n}; T2^{n^2 + n}")
+        assert len(calls) == 5
+        assert [g.generators for g in s] == [2] * 4
+        assert s == parse_system("T1^{n^2}; T1^{2n^2}; T1^{n^3} * T2^{n}; T2^{n^2 + n}", 2)
+
+    def test_system_errors_come_in_element_order(self):
+        for text, error in [
+            ("T1^{n + 1}; T2^{n^}", "nonzero constant term"),
+            ("T1^{n^}; T2^{n + 1}", "exponent after"),
+            ("T2^{n}; e", "identity"),
+            ("T1^{n/2}; T3^{x}", "C\\(n,1\\) is 1/2"),
+        ]:
+            with pytest.raises(ValueError, match=error):
+                parse_system(text)
+        with pytest.raises(DimensionMismatch, match="T3 exceeds declared count 2"):
+            parse_system("T1^{n}; T3^{n}; T1^{x}", 2)

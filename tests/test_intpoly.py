@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,41 @@ def fraction_str(p):
     return "".join(parts)
 
 
+def monomials_oracle(coefficients):
+    """from_monomials by Fraction forward differences: the j-th binomial
+    coordinate is (Delta^j p)(0), read off the values p(0), ..., p(deg)."""
+    mono = [Fraction(c) for c in coefficients]
+    while mono and mono[-1] == 0:
+        mono.pop()
+    level = [sum((c * x**j for j, c in enumerate(mono)), Fraction(0)) for x in range(len(mono))]
+    coords = []
+    while level:
+        c = level[0]
+        if c.denominator != 1:
+            raise NotIntegralPolynomial(
+                f"coefficient of C(n,{len(coords)}) is {c}, not an integer"
+            )
+        coords.append(int(c))
+        level = [b - a for a, b in zip(level, level[1:])]
+    return coords
+
+
+def conversion(fn, *args):
+    """The coordinates a conversion gives, or its exception's type and message."""
+    try:
+        result = fn(*args)
+    except (NotIntegralPolynomial, PolynomialParseError) as exc:
+        return type(exc), str(exc)
+    return tuple(result.coeffs) if isinstance(result, IntegralPolynomial) else tuple(result)
+
+
+def random_rational(rng):
+    if rng.random() < 0.3:
+        return 0
+    den = rng.choice([1, 1, 2, 3, 4, 6, 12, 24, 120, 7, 10**12])
+    return Fraction(rng.randint(-40, 40), den)
+
+
 class TestBasisConversion:
     def test_square_to_binomial(self):
         # n^2 = C(n,1) + 2 C(n,2)
@@ -82,6 +118,22 @@ class TestBasisConversion:
     def test_half_n_rejected(self):
         with pytest.raises(NotIntegralPolynomial):
             IntegralPolynomial.from_monomials([0, Fraction(1, 2)])
+
+    def test_matches_fraction_forward_differences(self):
+        # integer-valued ones built from coordinates, and arbitrary rationals,
+        # some with trailing zeros: equal coordinates or an equal error
+        rng = random.Random(20261019)
+        cases = [[], [0], [0, 0], [Fraction(1, 2)], [0, Fraction(1, 3), 0, 0]]
+        for _ in range(600):
+            coords = tuple(rng.randint(-50, 50) for _ in range(rng.randint(0, 7)))
+            cases.append(list(IntegralPolynomial(coords).to_monomials()) + [0] * rng.randint(0, 2))
+            cases.append([random_rational(rng) for _ in range(rng.randint(0, 7))])
+        errors = 0
+        for mono in cases:
+            got = conversion(IntegralPolynomial.from_monomials, mono)
+            assert got == conversion(monomials_oracle, mono), mono
+            errors += got[:1] == (NotIntegralPolynomial,)
+        assert 100 < errors < len(cases) - 600
 
     def test_round_trip_random(self):
         rng = random.Random(20260810)
@@ -237,6 +289,47 @@ class TestParse:
         for text in ("n/0", "1/0n", "3n^2/0", "n + 1/0"):
             with pytest.raises(PolynomialParseError, match="division by zero"):
                 poly(text)
+
+    def test_zeroth_power_is_one(self):
+        assert poly("n^0") == poly("1") == poly("3n^0 - 2")
+        assert poly("n^0 + n") == poly("n + 1")
+        assert poly("-n^0") == poly("-1")
+        assert poly("n^0/2 + 1/2") == poly("1")
+        assert poly("n^2 - n^0") == poly("n^2 - 1")
+        with pytest.raises(NotIntegralPolynomial, match=r"C\(n,0\) is 1/2"):
+            poly("n^0/2")
+
+    def test_high_power_parses_quickly(self):
+        # forward differences over 601 Fraction values took about 3 s
+        start = time.perf_counter()
+        p = poly("n^600")
+        assert time.perf_counter() - start < 1.0
+        assert p.degree == 600 and p(2) == 2**600 and p(-3) == 3**600
+
+    def test_matches_fraction_parsing(self):
+        # random sums of terms like 3/4n^2, n/6, 5*n, -2/3: the coordinates,
+        # or the error, of converting their summed Fraction coefficients
+        rng = random.Random(1019)
+        for _ in range(1500):
+            mono, parts = [Fraction(0)] * 8, []
+            for _ in range(rng.randint(1, 5)):
+                power = rng.choice([0, 0, 1, 1, 2, 3, 7])
+                num, den = rng.randint(0, 30), rng.choice([1, 1, 2, 3, 6, 9])
+                var = "" if power == 0 and rng.random() < 0.7 else (
+                    "n" if power == 1 else f"n^{power}"
+                )
+                forms = [f"{num}/{den}{var}", f"{num}{var}/{den}"] if var else [f"{num}/{den}"]
+                if var and den % 3 == 0:  # both divisors, as 5/3n^2/2
+                    forms.append(f"{num}/3{var}/{den // 3}")
+                if den == 1:
+                    forms += [f"{num}{var}", f"{num}*{var}" if var else str(num)]
+                    if num == 1 and var:
+                        forms.append(var)
+                sign = rng.choice([1, -1])
+                parts.append(("- " if sign < 0 else "+ ") + rng.choice(forms))
+                mono[power] += sign * Fraction(num, den)
+            text = " ".join(parts)
+            assert conversion(parse_polynomial, text) == conversion(monomials_oracle, mono), text
 
     def test_error_names_token(self):
         with pytest.raises(PolynomialParseError, match="'x'"):

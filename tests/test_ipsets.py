@@ -28,7 +28,24 @@ from ipdyn.ipsets import (
     verify_all_colorings,
     window_density,
 )
-from ipdyn.ipsets import _candidate_generators, _partitions
+from ipdyn.ipsets import _candidate_generators, _partitions, _subset_sums
+
+
+def subset_sums_oracle(gens):
+    """The sum over each nonempty bitmask, ascending, each from the mask
+    without its lowest bit."""
+    sums = [0] * (1 << len(gens))
+    for mask in range(1, len(sums)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + gens[low.bit_length() - 1]
+    return sums[1:]
+
+
+def index_sets_oracle(k):
+    """The nonempty subsets of 1..k in ascending bitmask order."""
+    return [
+        frozenset(i + 1 for i in range(k) if mask >> i & 1) for mask in range(1, 1 << k)
+    ]
 
 
 def enumerate_colorings(n_max, colors, depth):
@@ -69,6 +86,28 @@ class TestFSTruncation:
                 if not beta:
                     continue
                 assert fs.value(alpha | beta) == fs.value(alpha) + fs.value(beta)
+
+    def test_doubling_tables_match_the_bitmask_loop(self):
+        rng = random.Random(1019)
+        cases = [(), (0,), (5,), (1, 1), (1, 3, 9, 27, 81, 243, 729, 2187, 6561)]
+        cases += [
+            tuple(rng.randint(-50, 50) for _ in range(rng.randint(1, 12))) for _ in range(60)
+        ]
+        for gens in cases:
+            assert _subset_sums(gens) == subset_sums_oracle(gens), gens
+            if gens:
+                fs = enumerate_fs(gens)
+                assert fs.sums() == subset_sums_oracle(gens)
+                assert list(fs.items()) == list(
+                    zip(index_sets_oracle(len(gens)), subset_sums_oracle(gens))
+                )
+
+    def test_items_stop_at_the_first_witness(self):
+        # a witness among the first sums reads no later level's sets
+        fs = enumerate_fs(list(range(1, 21)))
+        start = time.perf_counter()
+        assert ip_witness(lambda n: n == 3, fs) == (frozenset({1, 2}), 3)
+        assert time.perf_counter() - start < 0.05
 
     def test_size_bound(self):
         with pytest.raises(TruncationTooLarge):

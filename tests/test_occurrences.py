@@ -9,11 +9,13 @@ import itertools
 import operator
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from growth import expansions, expansions_reaching, factors, grow, target_length
 
 from ipdyn.dynamics import (
+    ContainmentCheck,
     CylinderSet,
     Lemma213Chain,
     SubstitutionSystem,
@@ -35,6 +37,7 @@ from ipdyn.dynamics import (
     require_admissible,
     required_span,
     return_set,
+    verify_chain,
 )
 from ipdyn.gammapoly import parse_gamma_polynomial
 from ipdyn.intpoly import parse_polynomial
@@ -724,6 +727,83 @@ def test_chain_search_builds_one_index_per_block(monkeypatch):
     blocks = sum(map(blocks_tried, firsts, chain.shifts))
     # one index per cylinder word's admissibility, then one per block
     assert len(built) == len(cylinders) + blocks == 16
+
+
+def verify_each(sys_, cylinders, gammas, chain):
+    """verify_chain one containment at a time, each read from the index of
+    its own span, in order."""
+    checks = []
+    for n, level in enumerate(chain.levels):
+        for i, cells in enumerate(level):
+            for j in range(n + 1):
+                s = _gamma_shift(gammas[i], chain.shifts[j]) - j * chain.base_power
+                holds = _pattern_contained_in_cylinder(
+                    sys_, [(off - s, w) for off, w in cells], cylinders[i]
+                )
+                checks.append(ContainmentCheck(n, i, j, holds))
+    return all(c.holds for c in checks), tuple(checks)
+
+
+def test_verify_chain_matches_each_check_alone():
+    """Every system, the chains of the shifts found and of shifts that do
+    not fit their levels, and too few exponent elements: the same checks,
+    or the same exception after the same earlier ones."""
+    chains = [
+        (["1001", "1001"], ["T1^{n}", "T1^{2n}"], [9, 37, 51, 92, 193]),
+        (["01"], ["T1^{n^2}"], [2, 3, 5, 6, 8]),
+        (["", "1001"], ["T1^{n}", "T1^{2n}"], [1, 9, 17]),
+        (["0100", "10"], ["T1^{-n}", "T1^{n^2 - 3n}"], [1, 2, 4, 7]),
+        # past a small bound at the first check, before the second cylinder
+        (["1001", "1001"], ["T1^{n^2}", "T1^{2n}"], [9, 12, 14]),
+        # moved by 5, level 1 spans 61 and 66 letters: the first is the one
+        # past the bound that is reported; 61 to 74 are certified on Fibonacci
+        (["1001"], ["T1^{n}"], [1, 58]),
+    ]
+    seen = Counter()
+    for name, make in SYSTEMS.items():
+        sys_ = make()
+        letters = str.maketrans("01", "".join(sys_.alphabet[:2]))
+        for words, gamma_texts, shifts in chains:
+            cylinders = [
+                CylinderSet(w if sys_.is_admissible(w) else min(sys_.factors(len(w))))
+                for w in (w.translate(letters) for w in words)
+            ]
+            gammas = [parse_gamma_polynomial(t) for t in gamma_texts]
+            for base_power, moved in itertools.product((1, 2), (0, 1, 5)):
+                levels = chain_levels(cylinders, gammas, shifts, base_power)
+                chain = Lemma213Chain(tuple(m + moved for m in shifts), levels, base_power)
+                for given in (gammas, gammas[:1]):
+                    got, want = (
+                        outcome_or_index_error(check, sys_, cylinders, given, chain)
+                        for check in (verify_chain, verify_each)
+                    )
+                    assert got == want, (name, words, base_power, moved, len(given))
+                    seen[got[0] if isinstance(got[0], type) else got[0] is True] += 1
+    assert set(seen) == {True, False, WindowTooLarge, IndexError}, seen
+
+
+def outcome_or_index_error(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+def test_verify_chain_builds_one_index_per_level(monkeypatch):
+    # the lemma213 chain of the benchmark: 30 indexes, one per check, when
+    # each containment was checked alone
+    sys_ = chacon()
+    cylinders = [CylinderSet("1001")] * 2
+    gammas = [parse_gamma_polynomial("T1^{n}"), parse_gamma_polynomial("T1^{2n}")]
+    chain = find_chain_shifts(sys_, cylinders, gammas, 4, search_window=200)
+    built = []
+    init = _Occurrences.__init__
+    monkeypatch.setattr(
+        _Occurrences, "__init__", lambda self, *args: built.append(init(self, *args))
+    )
+    ok, checks = verify_chain(sys_, cylinders, gammas, chain)
+    assert ok and len(checks) == 30
+    assert len(built) == len(chain.levels) == 5
 
 
 def test_recurrence_window_reaches_the_origin_when_every_shift_is_negative():
