@@ -5,15 +5,15 @@ generator lists and the run parameters.
 The whole format is read here: a ``_SECTIONS`` row per named section
 kind but ``[set]``, a ``_RUN_REFERENCES`` row per ``[run]`` reference,
 and the ``[system]`` keys, of which only those a section sets reach
-``dynamics.SubstitutionSystem``, whose signature holds the defaults."""
+``substitution.SubstitutionSystem``, whose signature holds the defaults."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from . import dynamics, gammapoly, intpoly
-from .dynamics import BadRules
+from . import gammapoly, intpoly, substitution
+from .substitution import BadRules
 
 
 class ParseError(ValueError):
@@ -32,7 +32,7 @@ class CylinderSpec:
 
 @dataclass
 class ExperimentConfig:
-    systems: dict[str, dynamics.SubstitutionSystem]
+    systems: dict[str, substitution.SubstitutionSystem]
     sets: dict[str, CylinderSpec]
     polys: dict[str, intpoly.IntegralPolynomial]
     gammas: dict[str, gammapoly.GammaPolynomial]
@@ -79,18 +79,21 @@ def _split_header(header: str) -> tuple[str, str]:
     return kind, name
 
 
+def _integer(text: str, key: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(
+            f"section [{where}], key {key!r}: not an integer: {text!r}"
+        )
+
+
 def _generators(body: Mapping[str, str], where: str) -> tuple[int, ...]:
-    out = []
-    for chunk in body["generators"].split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            out.append(int(chunk))
-        except ValueError:
-            raise ValidationError(
-                f"section [{where}], key 'generators': not an integer: {chunk!r}"
-            )
+    out = [
+        _integer(chunk, "generators", where)
+        for chunk in map(str.strip, body["generators"].split(","))
+        if chunk
+    ]
     if not out:
         raise ValidationError(f"section [{where}], key 'generators': empty list")
     return tuple(out)
@@ -116,10 +119,12 @@ def parse_rules(text: str) -> dict[str, str]:
     return rules
 
 
-def build_system(spec: Mapping[str, str]) -> dynamics.SubstitutionSystem:
-    """Build a substitution system from a ``[system]`` section's keys.
-    Only the keys the section sets are passed on, so an unset key takes
-    ``SubstitutionSystem``'s default."""
+def build_system(
+    spec: Mapping[str, str], where: str = "system"
+) -> substitution.SubstitutionSystem:
+    """Build a substitution system from the keys of the ``[where]``
+    section.  Only the keys the section sets are passed on, so an unset
+    key takes ``SubstitutionSystem``'s default."""
     kind = spec.get("kind", "substitution")
     if kind != "substitution":
         raise BadRules(f"unknown system kind {kind!r}")
@@ -132,10 +137,12 @@ def build_system(spec: Mapping[str, str]) -> dynamics.SubstitutionSystem:
             s.strip() for s in spec["seeds"].split(",") if s.strip()
         )
     if spec.get("depth", "auto") != "auto":
-        options["depth"] = int(spec["depth"])
+        options["depth"] = _integer(spec["depth"], "depth", where)
     if "max-word-length" in spec:
-        options["max_word_length"] = int(spec["max-word-length"])
-    return dynamics.SubstitutionSystem(rules, **options)
+        options["max_word_length"] = _integer(
+            spec["max-word-length"], "max-word-length", where
+        )
+    return substitution.SubstitutionSystem(rules, **options)
 
 
 def _polynomial(expr: str) -> intpoly.IntegralPolynomial:
@@ -150,7 +157,7 @@ def _polynomial(expr: str) -> intpoly.IntegralPolynomial:
 # as "section [kind name]: ..."; a ValidationError already names its
 # section and is raised as it is.
 _SECTIONS = {
-    "system": ("systems", None, lambda body, _: build_system(body)),
+    "system": ("systems", None, build_system),
     "poly": ("polys", "expr", lambda body, _: _polynomial(body["expr"])),
     "gamma": (
         "gammas", "expr",

@@ -1,6 +1,6 @@
-"""Finite-window symbolic dynamics: substitution subshift languages,
-cylinder sets, return-time sets, descending open-set chains and
-recurrence searches.
+"""Finite-window symbolic dynamics: cylinder sets, return-time sets,
+descending open-set chains and recurrence searches on substitution
+subshifts.
 
 Points are never materialized: a query about open sets is answered from
 the occurrence positions of its words inside long expansions of the
@@ -8,29 +8,35 @@ substitution, held as Python-int bitmasks.  All answers are exact at
 window scale and every feasibility bound is checked up front and
 reported, never silently truncated.
 
-The config syntax of systems (``[system]`` sections, rule strings)
-lives in ``config``.
+The language engine (systems, expansions, occurrence indexes) lives in
+``substitution`` and its names are re-exported here; the config syntax
+of systems (``[system]`` sections, rule strings) lives in ``config``.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import operator
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .gammapoly import GammaPolynomial
 from .intpoly import IntegralPolynomial, essentially_distinct
-
-
-class BadRules(ValueError):
-    """A substitution rule set is malformed."""
-
-
-class WindowTooLarge(ValueError):
-    """A query needs admissible words longer than the configured bound."""
+from .substitution import (  # noqa: F401 -- re-exported
+    _CERTIFIED_WIDTH,
+    _CERTIFY_SEARCH,
+    _EXPANSION_MARGIN,
+    _MIN_EXPANSION,
+    BadRules,
+    Column,
+    SubstitutionSystem,
+    WindowTooLarge,
+    _Expansion,
+    _Occurrences,
+    chacon,
+    fibonacci,
+)
 
 
 class HypothesisViolation(ValueError):
@@ -40,430 +46,6 @@ class HypothesisViolation(ValueError):
 
 class ZeroPower(ValueError):
     """Power-return queries need a nonzero exponent."""
-
-
-# -- substitution systems ---------------------------------------------------
-
-_MIN_EXPANSION = 4096
-_EXPANSION_MARGIN = 32
-# the fixed-point certificate closes the factor sets of up to this many
-# letters exactly, and looks for all of them in this many kept letters
-_CERTIFIED_WIDTH = 12
-_CERTIFY_SEARCH = 256
-
-
-class SubstitutionSystem:
-    """A substitution subshift described by symbol rewriting rules.
-
-    The admissible language is the factor set of long expansions of the
-    seed symbols.  ``depth=None`` grows each seed until the expansion is
-    comfortably longer than any requested factor; a fixed integer depth
-    applies the rules exactly that many times.  Substitutions that stop
-    growing (for instance a single fixed letter) are closed off
-    periodically, so the constant system has language a, aa, aaa, ...
-
-    Each seed keeps one expansion, with its letter masks, and every
-    query reads a prefix of it.  A seed whose image begins with itself
-    has a fixed point that all its expansions are prefixes of, so its
-    kept prefix only ever grows; any other seed keeps the one iterate,
-    or periodic closure, that its last query read.
-
-    Every question about the language (factor sets, admissibility,
-    patterns, return sets) reads one occurrence index of its span.  On a
-    fixed-point seed (automatic depth) that index is the shortest prefix
-    its certificate (``_staircase``) proves holds every factor of the
-    span, when that is shorter than the expansion: the same factors, so
-    the same answers, from fewer letters.  Other seeds, and spans no
-    certificate reaches, read the expansion.  Nothing but the kept
-    expansions outlives a query.
-    """
-
-    def __init__(
-        self,
-        rules: Mapping[str, str],
-        *,
-        seeds: Sequence[str] | None = None,
-        depth: int | None = None,
-        max_word_length: int = 5000,
-    ):
-        if not rules:
-            raise BadRules("at least one rule is required")
-        alphabet = tuple(sorted(rules))
-        for sym, image in rules.items():
-            if len(sym) != 1:
-                raise BadRules(f"symbols must be single characters: {sym!r}")
-            if not image:
-                raise BadRules(f"rule for {sym!r} is erasing")
-            for c in image:
-                if c not in rules:
-                    raise BadRules(
-                        f"rule for {sym!r} uses unknown symbol {c!r}"
-                    )
-        self.rules = dict(rules)
-        self._images = {ord(sym): image for sym, image in self.rules.items()}
-        self.alphabet = alphabet
-        self.seeds = tuple(seeds) if seeds is not None else (alphabet[0],)
-        if not self.seeds:
-            raise BadRules("at least one seed is required")
-        for s in self.seeds:
-            if s not in self.rules:
-                raise BadRules(f"seed {s!r} has no rule")
-        if depth is not None and depth < 0:
-            raise BadRules("depth must be nonnegative")
-        if max_word_length < 1:
-            raise BadRules(f"max word length must be >= 1, got {max_word_length}")
-        self.depth = depth
-        self.max_word_length = max_word_length
-        self._kept: dict[str, _Expansion] = {}
-        self._staircases: dict[str, tuple[list[int], list[int]]] = {}
-        self._gaps: dict[str, tuple[list[int], list[float]]] = {}
-
-    def _apply(self, word: str) -> str:
-        return word.translate(self._images)
-
-    def _target_length(self, factor_length: int) -> int:
-        return max(_EXPANSION_MARGIN * factor_length, _MIN_EXPANSION)
-
-    def _shape(self, seed: str, target: int) -> tuple[tuple[str, int], int]:
-        """Which text is ``seed``'s expansion for ``target``, worked out
-        from letter counts without building it: a key naming the text it
-        is a prefix of, and its length.
-
-        - ("prefix", 0): the fixed point of a seed whose image begins
-          with itself and is longer, cut at ``target``;
-        - ("iterate", k): sigma^k(seed), the first iterate at least
-          ``target`` letters long, cut there (whole at a fixed depth);
-        - ("closure", k): sigma^k(seed) repeated, when sigma^(k-1)(seed)
-          is shorter than ``target`` and sigma does not lengthen it; the
-          repeats are rounded up to whole periods.
-        """
-        image = self.rules[seed]
-        if self.depth is None and image[0] == seed and len(image) > 1:
-            return ("prefix", 0), target
-        counts = {seed: 1}
-        k, length = 0, 1
-        while (k < self.depth) if self.depth is not None else (length < target):
-            grown: dict[str, int] = {}
-            for c, n in counts.items():
-                for d in self.rules[c]:
-                    grown[d] = grown.get(d, 0) + n
-            grown_length = sum(grown.values())
-            if self.depth is None and grown_length <= length:
-                return ("closure", k + 1), -(-target // grown_length) * grown_length
-            counts, k, length = grown, k + 1, grown_length
-        return ("iterate", k), length if self.depth is not None else target
-
-    def _build(self, seed: str, key: tuple[str, int], length: int) -> _Expansion:
-        """An expansion of the text the ``_shape`` key names, at least
-        ``length`` letters long; a kept fixed-point prefix is lengthened,
-        not rebuilt."""
-        kind, k = key
-        kept = self._kept.get(seed)
-        if kind == "prefix":
-            word, previous = self.rules[seed], 1
-            if kept is not None and kept.key == key:
-                word, previous = kept.text, kept.previous
-            # sigma^(j+1)(seed) is sigma^j(seed) followed by sigma of the
-            # letters sigma^j(seed) added to sigma^(j-1)(seed), so each
-            # letter is rewritten once
-            parts, added, total = [word], word[previous:], len(word)
-            while total < length:
-                added = self._apply(added)
-                parts.append(added)
-                total += len(added)
-            return _Expansion(key, "".join(parts), total - len(added))
-        word = seed
-        for _ in range(k):
-            word = self._apply(word)
-        if kind == "closure":
-            word *= length // len(word)
-        return _Expansion(key, word)
-
-    def _keep(self, seed: str, key: tuple[str, int], length: int) -> _Expansion:
-        """``seed``'s kept expansion, built or lengthened to hold at least
-        ``length`` letters of the text ``key`` names."""
-        kept = self._kept.get(seed)
-        if kept is None or kept.key != key or len(kept.text) < length:
-            kept = self._kept[seed] = self._build(seed, key, length)
-        return kept
-
-    def _cuts(self, target: int, span: int = 0) -> list[tuple[_Expansion, int]]:
-        """Each seed's kept expansion, and the length of the prefix of it
-        that is the seed's expansion for ``target``; given a ``span``, a
-        fixed-point seed is cut instead at its certified prefix for that
-        span when that is shorter."""
-        cuts = []
-        for seed in self.seeds:
-            key, length = self._shape(seed, target)
-            if span and key[0] == "prefix":
-                caps, bases = self._staircase(seed)
-                i = bisect.bisect_left(caps, span)
-                if i < len(caps):
-                    length = min(length, bases[i] + span - 1)
-            cuts.append((self._keep(seed, key, length), length))
-        return cuts
-
-    def _staircase(self, seed: str) -> tuple[list[int], list[int]]:
-        """Certified prefixes of the fixed point u of a seed whose image
-        begins with it and is longer: for every i and every S up to
-        ``caps[i]``, the first ``bases[i] + S - 1`` letters of u hold every
-        factor of u of S letters.  ``caps`` ascend, and ``bases[i]`` is the
-        least base certified for ``caps[i]`` letters or more.  Built once
-        per seed, exactly, from the factor sets of at most
-        _CERTIFIED_WIDTH letters and from letter counts.
-
-        Let F_l be the factors of u of l letters, all of which have
-        occurred by position p_l of u.  Since u = sigma^k(u), u is cut into
-        the blocks sigma^k(u_i), and a window of S letters that starts in
-        block i ends by block i + l - 1 when S is at most cap(k, l) = 1 +
-        min over w in F_(l-1) of |sigma^k(w)|: it lies in sigma^k(w) for
-        the w in F_l at i, and then at the same offset in the copy of
-        sigma^k(w) that w's first occurrence, at most p_l, maps to.  That
-        copy starts in block p_l or before, so the window ends within
-        base(k, l) + S - 1 letters, base(k, l) = |sigma^k(u[:p_l + 1])|.
-        """
-        cached = self._staircases.get(seed)
-        if cached is not None:
-            return cached
-        key, width = ("prefix", 0), _CERTIFIED_WIDTH
-        text = self._keep(seed, key, _CERTIFY_SEARCH).text[:_CERTIFY_SEARCH]
-        # F_width is the least set that holds u[:width] and is closed under
-        # w -> the windows of sigma(w) that start in sigma(w[0]): the window
-        # of u = sigma(u) at q > 0 is one of those for the window of u at
-        # the index i < q of the block sigma(u_i) that holds q.  For the
-        # window at i, they are windows of the text when sigma(u[:i+width])
-        # is, so only windows first seen later need sigma applied.
-        words = {text[i : i + width] for i in range(len(text) - width + 1)}
-        ends = itertools.accumulate(map(len, map(self.rules.__getitem__, text)))
-        seen = bisect.bisect_right(list(ends), len(text)) - width + 1
-        todo = [w for w in words if text.find(w) >= seen]
-        while todo:
-            w = todo.pop()
-            image = self._apply(w)
-            for i in range(len(self.rules[w[0]])):
-                if image[i : i + width] not in words:
-                    words.add(image[i : i + width])
-                    todo.append(image[i : i + width])
-
-        def counts(w: str) -> tuple[int, ...]:
-            return tuple(map(w.count, self.alphabet))
-
-        # u is infinite, so F_l is the l-letter prefixes of F_width; per l,
-        # F_(l-1) and the letter counts of u[:p_l + 1]
-        levels, shorter = [], {w[0] for w in words}
-        for l in range(2, width + 1):
-            factors = {w[:l] for w in words}
-            firsts = [text.find(w) for w in factors]
-            if -1 in firsts:  # then every longer l misses a factor too
-                break
-            head = counts(text[: max(firsts) + 1])
-            if levels and levels[-1][1] == head:  # the same bases, lower caps
-                levels.pop()
-            levels.append((shorter, head))
-            shorter = factors
-        # |sigma^k(c)| never falls, and once k >= A (the alphabet size) it
-        # grows within any A steps unless it never grows again; so a cap
-        # unchanged over A steps from k >= 2A is final; and a base as long
-        # as the expansion for the longest allowed span is of no use
-        rows = [counts(self.rules[c]) for c in self.alphabet]
-        steps, limit = len(rows), self._target_length(self.max_word_length)
-        sizes = [1] * steps  # |sigma^k(c)| per letter c
-        entries: list[tuple[int, int]] = []
-        plans = [(tuple({*map(counts, shorter)}), head, []) for shorter, head in levels]
-        k = 0
-        while plans:
-            growing = []
-            for shorter, head, caps in plans:
-                cap = 1 + min([sum(map(operator.mul, w, sizes)) for w in shorter])
-                base = sum(map(operator.mul, head, sizes))
-                if base >= limit or (k >= 2 * steps and cap == caps[k - steps]):
-                    continue
-                caps.append(cap)
-                entries.append((cap, base))
-                growing.append((shorter, head, caps))
-                if cap >= self.max_word_length:  # no larger base is of use
-                    limit = min(limit, base)
-            plans, k = growing, k + 1
-            sizes = [sum(map(operator.mul, row, sizes)) for row in rows]
-        entries.sort()
-        bases = list(itertools.accumulate(reversed([b for _, b in entries]), min))
-        cached = self._staircases[seed] = ([cap for cap, _ in entries], bases[::-1])
-        return cached
-
-    def _certified(self, lo: int, hi: int) -> bool:
-        """True when every span in [lo, hi] reads, on every seed, the
-        certified prefix of its fixed point rather than the expansion
-        (``_cuts``).  The index of such a span holds every factor of that
-        many letters and no other word, and every factor extends to the
-        right, so the index of any of these spans answers a question of
-        any shorter one as that span's own index does."""
-        for seed in self.seeds:
-            starts, ends = self._uncertified(seed)
-            if starts[bisect.bisect_left(ends, lo)] <= hi:
-                return False
-        return True
-
-    def _uncertified(self, seed: str) -> tuple[list[int], list[float]]:
-        """The runs [starts[i], ends[i]] of spans that do not read a
-        certified prefix of ``seed``'s fixed point, ascending; the last
-        one has no end.  Worked out once per seed from ``_staircase``."""
-        cached = self._gaps.get(seed)
-        if cached is not None:
-            return cached
-        starts, ends, lower = [], [], 1
-        if self._shape(seed, 1)[0] == ("prefix", 0):  # a fixed point
-            caps, bases = self._staircase(seed)
-            for cap, base in zip(caps, bases):
-                # a span s in [lower, cap] is cut at the shorter of base + s - 1
-                # and max(32 s, 4096) letters, and the first is no shorter
-                # exactly when 4097 - base <= s <= (base - 1) // 31
-                first = max(lower, _MIN_EXPANSION + 1 - base)
-                last = min(cap, (base - 1) // (_EXPANSION_MARGIN - 1))
-                if first <= last:
-                    starts.append(first)
-                    ends.append(last)
-                lower = cap + 1
-        starts.append(lower)
-        ends.append(float("inf"))
-        cached = self._gaps[seed] = (starts, ends)
-        return cached
-
-    def expansions(self, factor_length: int) -> tuple[str, ...]:
-        """One long expansion per seed, deterministically trimmed so the
-        result depends only on the requested factor length."""
-        target = self._target_length(factor_length)
-        return tuple(kept.text[:length] for kept, length in self._cuts(target))
-
-    def _index(self, span: int, too_long: str) -> _Occurrences:
-        """The occurrence index a ``span``-letter query reads: per seed,
-        the prefix ``self.expansions(span)`` holds, or the certified prefix
-        of the seed's fixed point for ``span`` when that is shorter, cut
-        with their letter masks from the kept expansions; every question
-        about the language reads one.  A shorter certified prefix holds
-        every factor of ``span`` letters, so the same ones as the
-        expansion, and each at its first occurrence.  Raises WindowTooLarge
-        past the bound, with {span} and {bound} filled into ``too_long``,
-        and when no expansion is ``span`` letters long."""
-        if span > self.max_word_length:
-            raise WindowTooLarge(too_long.format(span=span, bound=self.max_word_length))
-        occ = _Occurrences(self._cuts(self._target_length(span), span), span)
-        if not occ.fits:
-            # every expansion is shorter than span: a fixed depth set too small
-            raise WindowTooLarge(
-                f"no expansion reaches length {span}; raise depth or use "
-                "automatic growth"
-            )
-        return occ
-
-    def factors(self, length: int) -> frozenset[str]:
-        """All admissible words of exactly the given length: the windows
-        at the ``fits`` positions of the length's occurrence index, read
-        afresh at every call."""
-        if length < 1:
-            raise ValueError("factor length must be >= 1")
-        occ = self._index(length, "factor length {span} exceeds bound {bound}")
-        fits = bin(occ.fits)[:1:-1]  # bit p at index p
-        return frozenset(
-            occ.text[p : p + length] for p, bit in enumerate(fits) if bit == "1"
-        )
-
-    def language(self, max_length: int) -> frozenset[str]:
-        """All admissible words of length 1..max_length."""
-        lengths = range(1, max_length + 1)
-        return frozenset(itertools.chain.from_iterable(map(self.factors, lengths)))
-
-    def is_admissible(self, word: str) -> bool:
-        if word == "":
-            return True
-        if any(c not in self.rules for c in word):
-            return False
-        index = self._index(len(word), "factor length {span} exceeds bound {bound}")
-        return any(index.carrier_masks([((0,), word)], 1))
-
-    def describe(self) -> str:
-        rules = ";".join(f"{s}->{self.rules[s]}" for s in self.alphabet)
-        return f"substitution[{rules}|seeds={','.join(self.seeds)}]"
-
-    def __repr__(self) -> str:
-        return f"<SubstitutionSystem {self.describe()}>"
-
-
-class _Expansion:
-    """A seed's kept expansion: the text, the ``_shape`` key naming it,
-    each letter's bitmask (bit p set when the letter stands at p) and,
-    for a fixed-point prefix sigma^j(seed), the length of
-    sigma^(j-1)(seed)."""
-
-    def __init__(self, key: tuple[str, int], text: str, previous: int = 0):
-        self.key = key
-        self.text = text
-        self.previous = previous
-        backwards = text[::-1]  # int() reads its most significant digit first
-        zeros = {ord(c): "0" for c in set(text)}
-        self.letters = {
-            chr(c): int(backwards.translate({**zeros, c: "1"}), 2) for c in zeros
-        }
-
-
-class _Occurrences:
-    """Start positions of every letter in the joined expansions of one
-    query span.
-
-    Bit p of ``letters[c]`` is set when letter c stands at position p of
-    the joined ``text``, and bit p of ``fits`` when ``span`` letters from
-    p lie inside one expansion.  The starts of a word are the AND of its
-    shifted letter masks, and a pattern of (offset, word) cells holds at
-    p when every cell's word starts at p + offset: the Shift-And idea of
-    Baeza-Yates and Gonnet, "A new approach to text searching", CACM
-    35(10), 1992.
-    """
-
-    def __init__(self, cuts: Sequence[tuple[_Expansion, int]], span: int):
-        self.text = "".join(kept.text[:length] for kept, length in cuts)
-        self.letters: dict[str, int] = {}
-        self.fits = start = 0
-        for kept, length in cuts:
-            prefix = (1 << length) - 1
-            for c, mask in kept.letters.items():
-                self.letters[c] = self.letters.get(c, 0) | (mask & prefix) << start
-            if length >= span:
-                self.fits |= ((1 << (length - span + 1)) - 1) << start
-            start += length
-        self._starts: dict[str, int] = {}
-
-    def starts(self, word: str) -> int:
-        """Positions at which ``word`` begins, matched once per index."""
-        found = self._starts.get(word)
-        if found is None:
-            found = -1
-            for j, c in enumerate(word):
-                found &= self.letters.get(c, 0) >> j
-            self._starts[word] = found
-        return found
-
-    def carrier_masks(self, columns: Sequence[Column], count: int) -> Iterator[int]:
-        """Where the cells of each of ``count`` n are carried, as a lazy
-        chain of maps, given each column's offsets relative to that n's
-        leftmost cell: bit p is set when the span fits at p and every
-        word starts at p + offset.  One mask per n, ``fits`` if no column.
-        An n whose cells need fewer letters than the index's span gets
-        the answer of its own span's index when both spans are certified
-        (``SubstitutionSystem._certified``); the chain search reads a
-        block of candidate shifts so."""
-        found = itertools.repeat(self.fits, count)
-        for offs, w in columns:
-            shifted = map(operator.rshift, itertools.repeat(self.starts(w)), offs)
-            found = map(operator.and_, found, shifted)
-        return found
-
-
-def chacon(**kwargs) -> SubstitutionSystem:
-    """The default candidate system: 0 -> 0010, 1 -> 1, seeded at 0."""
-    return SubstitutionSystem({"0": "0010", "1": "1"}, seeds=("0",), **kwargs)
-
-
-def fibonacci(**kwargs) -> SubstitutionSystem:
-    return SubstitutionSystem({"0": "01", "1": "0"}, seeds=("0",), **kwargs)
 
 
 # -- cylinders and return sets ----------------------------------------------
@@ -504,9 +86,6 @@ class ReturnSet:
 
 
 Constraint = tuple[int, str]  # (offset, word); empty words are ignored
-
-
-Column = tuple[Sequence[int], str]  # one cell's offset at each n, and its word
 
 
 def _layout(columns: Sequence[Column]) -> tuple[list[Column], int]:

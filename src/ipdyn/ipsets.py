@@ -241,7 +241,11 @@ def builtin_predicate(name: str) -> Callable[[int], bool]:
     if name == "squares":
         return _listing(lambda n: n >= 0 and math.isqrt(n) ** 2 == n, _squares)
     if name.startswith("multiples:"):
-        k = int(name.split(":", 1)[1])
+        text = name.split(":", 1)[1]
+        try:
+            k = int(text)
+        except ValueError:
+            raise ValueError(f"predicate {name!r}: k is not an integer: {text!r}")
         if k == 0:
             raise ValueError("multiples:0 is not a valid predicate")
         return _multiples(k)

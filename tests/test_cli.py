@@ -734,6 +734,9 @@ GOLDEN_CASES = {
     "truncation-overflow": ["fs", "--generators", ",".join(map(str, range(1, 26)))],
     "non-integer-window": ["return-set", "--config", "non-integer-window.cfg"],
     "non-integer-generator": ["fs", "--generators", "1,x"],
+    "non-integer-system-depth": ["return-set", "--config", "non-integer-depth.cfg"],
+    "non-integer-multiples": ["density", "--predicate", "multiples:x", "--lo", "0",
+                              "--hi", "10", "--length", "2"],
 }
 
 

@@ -92,12 +92,12 @@ ERRORS = [
     (
         SYSTEM + "depth = deep\n",
         ValidationError,
-        "section [system S]: invalid literal for int() with base 10: 'deep'",
+        "section [system S], key 'depth': not an integer: 'deep'",
     ),
     (
         SYSTEM + "max-word-length = 1e3\n",
         ValidationError,
-        "section [system S]: invalid literal for int() with base 10: '1e3'",
+        "section [system S], key 'max-word-length': not an integer: '1e3'",
     ),
     # [poly]
     (

@@ -488,8 +488,19 @@ class TestWindowSetIngestion:
         assert not builtin_predicate("squares")(10**400 + 1)
         assert builtin_predicate("squares")(10**400)
         assert builtin_predicate("multiples:7")(21)
+        assert builtin_predicate("multiples:-3")(-6)
         with pytest.raises(ValueError):
             builtin_predicate("nonsense")
+        with pytest.raises(ValueError, match="^multiples:0 is not a valid predicate$"):
+            builtin_predicate("multiples:0")
+
+    @pytest.mark.parametrize("name, text", [
+        ("multiples:x", "x"), ("multiples:", ""), ("multiples:1.5", "1.5"),
+    ])
+    def test_multiples_names_a_non_integer_k(self, name, text):
+        message = f"predicate {name!r}: k is not an integer: {text!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            builtin_predicate(name)
 
     def test_catalogue_lists_the_members_of_the_scan(self):
         def scan(predicate, lo, hi):
