@@ -44,9 +44,6 @@ from .dynamics import (
     lemma213_chain,
     minimality_probe,
     poly_return_set,
-    power_return_set,
-    product_return_set,
-    recurrence_search,
     return_set,
 )
 

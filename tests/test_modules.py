@@ -1,6 +1,8 @@
 """Module-level contracts: the compile budget of every library module,
-and the language-engine names ``dynamics`` re-exports."""
+the language-engine names ``dynamics`` re-exports, and a caller for every
+private helper."""
 
+import ast
 import tracemalloc
 from pathlib import Path
 
@@ -39,11 +41,6 @@ ENGINE = (
     "Column",
     "SubstitutionSystem",
     "WindowTooLarge",
-    "_CERTIFIED_WIDTH",
-    "_CERTIFY_SEARCH",
-    "_EXPANSION_MARGIN",
-    "_Expansion",
-    "_MIN_EXPANSION",
     "_Occurrences",
     "chacon",
     "fibonacci",
@@ -56,3 +53,41 @@ def test_dynamics_re_exports_the_engine():
     assert ipdyn.SubstitutionSystem is substitution.SubstitutionSystem
     built = config.build_system({"rules": "0 -> 01; 1 -> 0"})
     assert type(built) is dynamics.SubstitutionSystem
+
+
+def _loaded(node, skip=None):
+    """Every bare name read under ``node``, outside the subtree ``skip``."""
+    if node is skip:
+        return
+    if isinstance(node, ast.Name):
+        yield node.id
+    for child in ast.iter_child_nodes(node):
+        yield from _loaded(child, skip)
+
+
+def test_every_private_helper_has_a_caller():
+    """A module-level ``_`` function or class is read in its own module,
+    outside its own body, or imported by name into a module that reads
+    it; a helper whose last caller was deleted is deleted with it."""
+    trees = {path.stem: ast.parse(path.read_bytes()) for path in MODULES}
+    imports = {
+        (node.module, alias.name, importer)
+        for importer, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or name.endswith("__"):
+                continue
+            callers = [m for mod, n, m in imports if (mod, n) == (module, name)]
+            if name not in _loaded(tree, node) and not any(
+                name in _loaded(trees[m]) for m in callers
+            ):
+                unused.append(f"{module}.{name}")
+    assert not unused, f"no reader in src/ipdyn: {unused}"

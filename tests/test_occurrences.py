@@ -22,10 +22,12 @@ from ipdyn.dynamics import (
     WindowTooLarge,
     WitnessExhausted,
     _Occurrences,
+    _INCLUSION_TOO_LONG,
     _anchored,
+    _contained,
     _gamma_shift,
+    _inclusion,
     _layout,
-    _pattern_contained_in_cylinder,
     chacon,
     check_polynomial_hypotheses,
     fibonacci,
@@ -33,7 +35,6 @@ from ipdyn.dynamics import (
     lemma213_chain,
     pattern_realizable,
     poly_return_set,
-    recurrence_search,
     require_admissible,
     required_span,
     return_set,
@@ -184,25 +185,14 @@ def scan_contained(sys_, cells, word):
     return True
 
 
-def scan_recurrence(sys_, gammas, length, n_values):
-    for n in n_values:
-        if n == 0:
-            continue
-        shifts = tuple(_gamma_shift(g, n) for g in gammas)
-        lo = min(0, *shifts)
-        span = max(0, *shifts) + length - lo
-        if span > sys_.max_word_length:
-            raise WindowTooLarge(
-                f"shifts at n={n} need words of length {span}, bound is "
-                f"{sys_.max_word_length}"
-            )
-        for text in expansions_reaching(sys_, span):
-            for a in range(len(text) - span + 1):
-                origin = a - lo
-                ref = text[origin : origin + length]
-                if all(text[origin + s : origin + s + length] == ref for s in shifts):
-                    return n, text[a : a + span], shifts
-    return None
+def contained_alone(sys_, cells, cyl):
+    """One containment of ``verify_chain``, read from the index of its own
+    span: every admissible word of the span that carries the pattern also
+    spells the cylinder word at position 0."""
+    if cyl.word == "":
+        return True
+    columns, target, span = _inclusion(cells, cyl.word)
+    return _contained(sys_._index(span, _INCLUSION_TOO_LONG), columns, target, cyl.word)
 
 
 def partial_chain(sys_, cylinders, gammas, shifts, base_power=1):
@@ -611,25 +601,9 @@ def test_patterns_match_position_scan():
             ), (name, pattern)
             word = random_word(rng, sys_) if rng.random() < 0.8 else ""
             assert outcome(
-                _pattern_contained_in_cylinder, sys_, pattern, CylinderSet(word)
+                contained_alone, sys_, pattern, CylinderSet(word)
             ) == outcome(scan_contained, sys_, pattern, word), (name, pattern, word)
     assert kinds == {"conflict", "agreeing overlap", "word"}
-
-
-def test_recurrence_matches_position_scan():
-    gamma_sets = [
-        ["e"], ["T1^{n}"], ["T1^{-n}", "T1^{2n}"], ["T1^{n^2}"],
-    ]
-    for name, make in SYSTEMS.items():
-        sys_ = make()
-        for texts, n_values in itertools.product(gamma_sets, (range(-2, 9), [9])):
-            gammas = [parse_gamma_polynomial(t) for t in texts]
-            for length in (1, 3, 6):
-                got = outcome(recurrence_search, sys_, gammas, length, n_values)
-                if got is not None and not isinstance(got, tuple):
-                    got = got.n, got.word, got.shifts
-                want = outcome(scan_recurrence, sys_, gammas, length, n_values)
-                assert got == want, (name, texts, length)
 
 
 @pytest.mark.parametrize(
@@ -737,7 +711,7 @@ def verify_each(sys_, cylinders, gammas, chain):
         for i, cells in enumerate(level):
             for j in range(n + 1):
                 s = _gamma_shift(gammas[i], chain.shifts[j]) - j * chain.base_power
-                holds = _pattern_contained_in_cylinder(
+                holds = contained_alone(
                     sys_, [(off - s, w) for off, w in cells], cylinders[i]
                 )
                 checks.append(ContainmentCheck(n, i, j, holds))
@@ -804,29 +778,6 @@ def test_verify_chain_builds_one_index_per_level(monkeypatch):
     ok, checks = verify_chain(sys_, cylinders, gammas, chain)
     assert ok and len(checks) == 30
     assert len(built) == len(chain.levels) == 5
-
-
-def test_recurrence_window_reaches_the_origin_when_every_shift_is_negative():
-    sys_ = chacon()
-    for texts in (["T1^{-5n}"], ["T1^{-5n}", "T1^{-2n}"], ["T1^{-n^2}"]):
-        gammas = [parse_gamma_polynomial(t) for t in texts]
-        for length in (1, 2, 4):
-            witness = recurrence_search(sys_, gammas, length, range(1, 9))
-            assert (witness.n, witness.word, witness.shifts) == scan_recurrence(
-                sys_, gammas, length, range(1, 9)
-            )
-            origin = -min(witness.shifts)
-            # the window runs from the least shift to the end of x[0:L]
-            assert len(witness.word) == origin + length, (texts, length)
-            ref = witness.word[origin : origin + length]
-            assert len(ref) == length
-            for s in witness.shifts:
-                assert witness.word[origin + s : origin + s + length] == ref
-            assert sys_.is_admissible(witness.word)
-    witness = recurrence_search(
-        sys_, [parse_gamma_polynomial("T1^{-5n}")], 2, range(1, 5)
-    )
-    assert (witness.n, len(witness.word)) == (1, 7)
 
 
 # -- the certified index cut ---------------------------------------------------------
