@@ -53,9 +53,9 @@ class CylinderSet:
 def require_admissible(
     sys: SubstitutionSystem, cyl: CylinderSet, index: _Occurrences | None = None
 ) -> None:
-    """Raise unless the cylinder word is admissible; ``index``, a certified
-    index (``SubstitutionSystem._certified``) of a span no shorter than
-    the word, is asked in place of the word's own."""
+    """Raise unless the cylinder word is admissible; ``index``, the index
+    of a certified span (``SubstitutionSystem._certified``) no shorter
+    than the word, is asked in place of the word's own."""
     w = cyl.word
     if not (sys.is_admissible(w) if index is None else index.fits & index.starts(w)):
         raise ValueError(f"cylinder word {w!r} is not admissible")
@@ -161,8 +161,8 @@ def _members(
     query's largest span carries, and that span; ``columns`` gives each
     cell's offset as a polynomial in n, and its word.  ``cylinders`` are
     checked admissible first, in order, before the span's bound: against
-    the query's own index when the spans from the shortest word to the
-    query's share it (``_shared_index``), else each against its own.
+    the query's own index when the query's span is certified
+    (``_shared_index``), else each against its own.
 
     Two routes give the same members, and no Python code runs per n on
     either.  The sweep (``_layout``, ``carrier_masks``) ANDs one shifted
@@ -186,7 +186,7 @@ def _members(
     if not span:
         return frozenset(ns), 0
     too_long = "query needs words of length {span}, bound is {bound}"
-    index = sys._shared_index(min(len(w) for _, w in cells), span, too_long)
+    index = sys._shared_index(span, too_long)
     for cyl in cylinders:
         require_admissible(sys, cyl, index)
     if index is None:
@@ -406,10 +406,10 @@ def _next_level(
     level; None when no m is.
 
     The m are tried in blocks of 8, 16, 32, ... up to 1024.  A run of a
-    block within the bound whose spans share an index (``_shared_index``)
-    is answered by that index and per cylinder one ``_layout`` and one
-    lazy chain of carrier masks; the first m carried for every cylinder
-    wins.  Any other m asks ``pattern_realizable`` of each cylinder in
+    block within the bound whose widest span is certified
+    (``_shared_index``) is answered by that span's index and per
+    cylinder one ``_layout`` and one lazy chain of carrier masks; the
+    first m carried for every cylinder wins.  Any other m asks ``pattern_realizable`` of each cylinder in
     order, as the search always did, so an m whose span passes the bound
     raises WindowTooLarge only where it did."""
     start, size = 0, 8
@@ -437,8 +437,7 @@ def _next_level(
             run = list(run)
             a, b = run[0], run[-1] + 1
             index = sys._shared_index(
-                min(min(s[a:b]) for s in spans), max(widest[a:b]),
-                "pattern span {span} exceeds bound {bound}",
+                max(widest[a:b]), "pattern span {span} exceeds bound {bound}"
             )
             if index is None:
                 for k in run:
@@ -541,7 +540,7 @@ def find_chain_shifts(
     """Greedy shift search: at each level take the least strictly larger
     candidate in [1, search_window] that keeps every level nonempty.
     The candidates are tried in doubling blocks, each answered by one
-    index where its spans are certified (``_next_level``), with the
+    index where its widest span is certified (``_next_level``), with the
     shifts, levels and exceptions of trying them one at a time."""
     return _build_chain(
         sys, cylinders, gammas,
@@ -587,9 +586,9 @@ def verify_chain(
 ) -> tuple[bool, tuple[ContainmentCheck, ...]]:
     """Re-verify every displayed containment of the chain independently:
     shifting level n by the step-j map must land inside the cylinder
-    (``_inclusion``, ``_contained``).  A level whose inclusion spans
-    share an index (``_shared_index``) is read from it; any other level
-    asks each span's own, in order."""
+    (``_inclusion``, ``_contained``).  A level whose widest inclusion
+    span is certified (``_shared_index``) is read from that span's index;
+    any other level asks each span's own, in order."""
     checks: list[ContainmentCheck] = []
     for n, level in enumerate(chain.levels):
         asked = []  # (cylinder index, step, word, its _inclusion or None), in order
@@ -603,10 +602,10 @@ def verify_chain(
                     asked.append((i, j, word, _inclusion(shifted, word) if word else None))
         except IndexError as exc:  # raised below, after the checks before it
             failure = exc
-        spans = [question[2] for *_, question in asked if question]
+        span = max((question[2] for *_, question in asked if question), default=0)
         index = None
-        if not failure and spans:
-            index = sys._shared_index(min(spans), max(spans), _INCLUSION_TOO_LONG)
+        if not failure and span:
+            index = sys._shared_index(span, _INCLUSION_TOO_LONG)
         for i, j, word, question in asked:
             holds = not question or _contained(
                 index or sys._index(question[2], _INCLUSION_TOO_LONG), *question[:2], word

@@ -53,12 +53,12 @@ class SubstitutionSystem:
 
     Every question about the language (factor sets, admissibility,
     patterns, return sets) reads one occurrence index of its span.  On a
-    fixed-point seed (automatic depth) that index is the shortest prefix
-    its certificate (``_staircase``) proves holds every factor of the
-    span, when that is shorter than the expansion: the same factors, so
-    the same answers, from fewer letters.  Other seeds, and spans no
-    certificate reaches, read the expansion.  Nothing but the kept
-    expansions outlives a query.
+    fixed-point seed (automatic depth) whose certificate (``_staircase``)
+    reaches the span, that index is the shortest prefix the certificate
+    proves holds every factor of the span, shorter or longer than the
+    expansion.  Other seeds, and spans no certificate reaches, read the
+    expansion, which may miss factors.  Nothing but the kept expansions
+    outlives a query.
     """
 
     def __init__(
@@ -99,7 +99,6 @@ class SubstitutionSystem:
         self.max_word_length = max_word_length
         self._kept: dict[str, _Expansion] = {}
         self._staircases: dict[str, tuple[list[int], list[int]]] = {}
-        self._gaps: dict[str, tuple[list[int], list[float]]] = {}
 
     def _apply(self, word: str) -> str:
         return word.translate(self._images)
@@ -172,9 +171,9 @@ class SubstitutionSystem:
 
     def _cuts(self, target: int, span: int = 0) -> list[tuple[_Expansion, int]]:
         """Each seed's kept expansion, and the length of the prefix of it
-        that is the seed's expansion for ``target``; given a ``span``, a
-        fixed-point seed is cut instead at its certified prefix for that
-        span when that is shorter."""
+        that is the seed's expansion for ``target``; given a ``span`` its
+        certificate reaches, a fixed-point seed is cut instead at its
+        certified prefix for that span."""
         cuts = []
         for seed in self.seeds:
             key, length = self._shape(seed, target)
@@ -182,7 +181,7 @@ class SubstitutionSystem:
                 caps, bases = self._staircase(seed)
                 i = bisect.bisect_left(caps, span)
                 if i < len(caps):
-                    length = min(length, bases[i] + span - 1)
+                    length = bases[i] + span - 1
             cuts.append((self._keep(seed, key, length), length))
         return cuts
 
@@ -246,8 +245,8 @@ class SubstitutionSystem:
             shorter = factors
         # |sigma^k(c)| never falls, and once k >= A (the alphabet size) it
         # grows within any A steps unless it never grows again; so a cap
-        # unchanged over A steps from k >= 2A is final; and a base as long
-        # as the expansion for the longest allowed span is of no use
+        # unchanged over A steps from k >= 2A is final; and no certified
+        # text is longer than the expansion for the longest allowed span
         rows = [counts(self.rules[c]) for c in self.alphabet]
         steps, limit = len(rows), self._target_length(self.max_word_length)
         sizes = [1] * steps  # |sigma^k(c)| per letter c
@@ -273,52 +272,27 @@ class SubstitutionSystem:
         cached = self._staircases[seed] = ([cap for cap, _ in entries], bases[::-1])
         return cached
 
-    def _certified(self, lo: int, hi: int) -> bool:
-        """True when every span in [lo, hi] reads, on every seed, the
-        certified prefix of its fixed point rather than the expansion
-        (``_cuts``).  The index of such a span holds every factor of that
-        many letters and no other word, and every factor extends to the
-        right, so the index of any of these spans answers a question of
-        any shorter one as that span's own index does."""
-        for seed in self.seeds:
-            starts, ends = self._uncertified(seed)
-            if starts[bisect.bisect_left(ends, lo)] <= hi:
-                return False
-        return True
+    def _certified(self, span: int) -> bool:
+        """True when ``span`` is within the system's reach: every seed is
+        a fixed point whose certificate reaches ``span``, so every span up
+        to it reads certified prefixes (``_cuts``).  The index of such a
+        span holds every factor of that many letters and no other word,
+        and every factor extends to the right, so it answers a question
+        of any shorter span as that span's own index does."""
+        return all(
+            self._shape(seed, 1)[0] == ("prefix", 0)
+            and span <= max(self._staircase(seed)[0], default=0)
+            for seed in self.seeds
+        )
 
-    def _shared_index(self, lo: int, hi: int, too_long: str) -> _Occurrences | None:
-        """The one index that answers every question of a span in [lo, hi]:
-        that of ``hi``, when ``hi`` is within the bound and the spans are
-        certified (``_certified``); else None, and each question reads the
-        index of its own span."""
-        if hi <= self.max_word_length and self._certified(lo, hi):
-            return self._index(hi, too_long)
+    def _shared_index(self, span: int, too_long: str) -> _Occurrences | None:
+        """The one index that answers every question of a span up to
+        ``span``: that of ``span``, when it is within the bound and
+        certified (``_certified``); else None, and each question reads
+        the index of its own span."""
+        if span <= self.max_word_length and self._certified(span):
+            return self._index(span, too_long)
         return None
-
-    def _uncertified(self, seed: str) -> tuple[list[int], list[float]]:
-        """The runs [starts[i], ends[i]] of spans that do not read a
-        certified prefix of ``seed``'s fixed point, ascending; the last
-        one has no end.  Worked out once per seed from ``_staircase``."""
-        cached = self._gaps.get(seed)
-        if cached is not None:
-            return cached
-        starts, ends, lower = [], [], 1
-        if self._shape(seed, 1)[0] == ("prefix", 0):  # a fixed point
-            caps, bases = self._staircase(seed)
-            for cap, base in zip(caps, bases):
-                # a span s in [lower, cap] is cut at the shorter of base + s - 1
-                # and max(32 s, 4096) letters, and the first is no shorter
-                # exactly when 4097 - base <= s <= (base - 1) // 31
-                first = max(lower, _MIN_EXPANSION + 1 - base)
-                last = min(cap, (base - 1) // (_EXPANSION_MARGIN - 1))
-                if first <= last:
-                    starts.append(first)
-                    ends.append(last)
-                lower = cap + 1
-        starts.append(lower)
-        ends.append(float("inf"))
-        cached = self._gaps[seed] = (starts, ends)
-        return cached
 
     def expansions(self, factor_length: int) -> tuple[str, ...]:
         """One long expansion per seed, deterministically trimmed so the
@@ -328,14 +302,14 @@ class SubstitutionSystem:
 
     def _index(self, span: int, too_long: str) -> _Occurrences:
         """The occurrence index a ``span``-letter query reads: per seed,
-        the prefix ``self.expansions(span)`` holds, or the certified prefix
-        of the seed's fixed point for ``span`` when that is shorter, cut
-        with their letter masks from the kept expansions; every question
-        about the language reads one.  A shorter certified prefix holds
-        every factor of ``span`` letters, so the same ones as the
-        expansion, and each at its first occurrence.  Raises WindowTooLarge
-        past the bound, with {span} and {bound} filled into ``too_long``,
-        and when no expansion is ``span`` letters long."""
+        the certified prefix of the seed's fixed point for ``span`` when
+        its certificate reaches ``span``, else the prefix
+        ``self.expansions(span)`` holds, cut with their letter masks from
+        the kept expansions; every question about the language reads one.
+        A certified prefix holds every factor of ``span`` letters, each at
+        its first occurrence.  Raises WindowTooLarge past the bound, with
+        {span} and {bound} filled into ``too_long``, and when no expansion
+        is ``span`` letters long."""
         if span > self.max_word_length:
             raise WindowTooLarge(too_long.format(span=span, bound=self.max_word_length))
         occ = _Occurrences(self._cuts(self._target_length(span), span), span)
@@ -442,9 +416,9 @@ class _Occurrences:
         leftmost cell: bit p is set when the span fits at p and every
         word starts at p + offset.  One mask per n, ``fits`` if no column.
         An n whose cells need fewer letters than the index's span gets
-        the answer of its own span's index when both spans are certified
-        (``SubstitutionSystem._certified``); the chain search reads a
-        block of candidate shifts so."""
+        the answer of its own span's index when the index's span is
+        certified (``SubstitutionSystem._certified``); the chain search
+        reads a block of candidate shifts so."""
         found = itertools.repeat(self.fits, count)
         for offs, w in columns:
             shifted = map(operator.rshift, itertools.repeat(self.starts(w)), offs)

@@ -6,6 +6,13 @@ the rules from the seed until the text reaches the target length, close
 a substitution that stops growing off periodically, and keep nothing
 between calls.  The test oracles read their expansions and factor sets
 from here, never from the library.
+
+The library agrees with these expansions only past the reach of its
+certificate: a fixed-point seed (automatic depth) is cut at its
+certified prefix for every span the certificate reaches, which holds
+every factor of the span, and so at least those of the expansion here.
+Seeds that are not fixed points, fixed depths and spans past the reach
+read the expansion.
 """
 
 import functools

@@ -704,6 +704,9 @@ GOLDEN_CASES = {
                     "--length", "4"],
     "return-set-window": ["return-set", "--config", "shared.cfg", "--window", "7"],
     "return-set-whole-space": ["return-set", "--config", "whole-space.cfg"],
+    # a 57-letter word that first occurs at position 7670 of the fixed
+    # point, past the 4096 letters of the 32x expansion for its span
+    "return-set-late-word": ["return-set", "--config", "late-word.cfg"],
     "lemma213-shifts": ["lemma213", "--config", "lemma-shifts.cfg"],
     "lemma213-window": ["lemma213", "--config", "lemma.cfg", "--depth", "1",
                         "--window", "60"],

@@ -5,6 +5,7 @@ the factor set or every position of the expansions.  The library must
 agree with it on members, witnesses, and exception types and messages.
 """
 
+import bisect
 import itertools
 import operator
 import random
@@ -783,12 +784,12 @@ def test_verify_chain_builds_one_index_per_level(monkeypatch):
 # -- the certified index cut ---------------------------------------------------------
 
 
-def random_prolongable(rng):
-    """Rules on 2 or 3 letters with images of at most 4 letters, where
-    the image of the seed a begins with a and is longer."""
+def random_prolongable(rng, longest=4):
+    """Rules on 2 or 3 letters with images of at most ``longest`` letters,
+    where the image of the seed a begins with a and is longer."""
     letters = "abc"[: rng.randint(2, 3)]
-    rules = {c: "".join(rng.choices(letters, k=rng.randint(1, 4))) for c in letters}
-    rules["a"] = "a" + "".join(rng.choices(letters, k=rng.randint(1, 3)))
+    rules = {c: "".join(rng.choices(letters, k=rng.randint(1, longest))) for c in letters}
+    rules["a"] = "a" + "".join(rng.choices(letters, k=rng.randint(1, longest - 1)))
     return rules
 
 
@@ -798,6 +799,9 @@ CERTIFIED_SYSTEMS = {
     "thue-morse-two-seeds": lambda: SubstitutionSystem(
         {"a": "ab", "b": "ba"}, seeds=("a", "b")
     ),
+    # its certified cut is longer than the 32x expansion at every span
+    # from 57 to its reach, 611, and that expansion misses factors at each
+    "aba-bc-b": lambda: SubstitutionSystem({"a": "aba", "b": "bc", "c": "b"}),
     **{
         f"random-{i}": lambda rules=random_prolongable(random.Random(i)): (
             SubstitutionSystem(rules)
@@ -813,7 +817,7 @@ def windows(text, span):
 
 
 def test_certified_cut_holds_the_factors_of_the_expansion():
-    certified = set()
+    shorter, more = set(), set()
     for name, make in CERTIFIED_SYSTEMS.items():
         sys_ = make()
         rules = tuple(sorted(sys_.rules.items()))
@@ -823,13 +827,22 @@ def test_certified_cut_holds_the_factors_of_the_expansion():
             assert "".join(texts) == sys_._index(span, "").text
             for seed, text in zip(sys_.seeds, texts):
                 expansion = grow(rules, None, seed, target)
-                if len(text) < len(expansion):
-                    certified.add((name, span))
-                assert windows(text, span) == windows(expansion, span), (
-                    name, seed, span,
-                )
+                if span > max(sys_._staircase(seed)[0], default=0):
+                    # past the certificate's reach the cut is the expansion
+                    assert text == expansion, (name, seed, span)
+                    continue
+                guessed, got = windows(expansion, span), windows(text, span)
+                grown = grow(rules, None, seed, 4 * len(text))
+                assert got >= guessed, (name, seed, span)
+                assert got == windows(grown, span), (name, seed, span)
+                if len(text) < target:
+                    shorter.add((name, span))
+                if got != guessed:
+                    more.add((name, span))
     # the cut is shorter for most systems and spans, not only the famous ones
-    assert len(certified) > len(CERTIFIED_SYSTEMS) * len(CUT_SPANS) // 2
+    assert len(shorter) > len(CERTIFIED_SYSTEMS) * len(CUT_SPANS) // 2
+    # and where it is longer, it holds factors the expansion misses
+    assert ("aba-bc-b", 60) in more
 
 
 def test_certified_queries_match_the_oracles():
@@ -861,46 +874,75 @@ def test_certified_queries_match_the_oracles():
             ), (name, pattern)
 
 
-def certified_by_cuts(sys_, span):
-    """Whether every seed's cut for ``span`` is its certified prefix, not
-    the expansion: strictly shorter than the expansion's cut."""
-    target = target_length(span)
-    cuts = zip(sys_._cuts(target, span), sys_._cuts(target))
-    return all(short < full for (_, short), (_, full) in cuts)
+def fixed_point(sys_, seed):
+    image = sys_.rules[seed]
+    return sys_.depth is None and image[0] == seed and len(image) > 1
 
 
 def test_certified_spans_match_the_cuts():
-    rng = random.Random("certified-spans")
     for name, make in {**SYSTEMS, **CERTIFIED_SYSTEMS}.items():
         sys_ = make()
-        top = min(sys_.max_word_length, 300)
-        per_span = [None] + [certified_by_cuts(sys_, s) for s in range(1, top + 1)]
-        for s in range(1, top + 1):
-            assert sys_._certified(s, s) == per_span[s], (name, s)
-        for _ in range(200):
-            lo = rng.randint(1, top)
-            hi = rng.randint(lo, min(top, lo + rng.choice([3, 30, 300])))
-            assert sys_._certified(lo, hi) == all(per_span[lo : hi + 1]), (name, lo, hi)
-    # made-up staircases put the ends of the certified runs anywhere,
-    # on spans whose two cuts are equal too
-    for _ in range(20):
-        sys_ = chacon()
-        caps = sorted(rng.sample(range(2, 400), rng.randint(1, 6)))
-        # a run of uncertified spans starts at 4097 - base and ends at
-        # (base - 1) // 31, the spans whose cuts are equal
-        bases = sorted(
-            rng.choice([rng.randint(1, 13000), 4097 - rng.randint(1, 128),
-                        31 * rng.randint(128, 400) + 1])
-            for _ in caps
-        )
-        sys_._staircases["0"] = (caps, bases)
-        for s in range(1, 401):
-            assert sys_._certified(s, s) == certified_by_cuts(sys_, s), (caps, bases, s)
+        stairs = [
+            sys_._staircase(seed) if fixed_point(sys_, seed) else ([], [])
+            for seed in sys_.seeds
+        ]
+        # the system's reach: the least last cap over its seeds, 0 when a
+        # seed has none
+        reach = min(caps[-1] if caps else 0 for caps, _ in stairs)
+        for span in sorted({*range(1, 301), reach, reach + 1} - {0}):
+            certified = span <= reach
+            assert sys_._certified(span) == certified, (name, span)
+            shared = sys_._shared_index(span, "")
+            assert (shared is not None) == (
+                certified and span <= sys_.max_word_length
+            ), (name, span)
+            if shared is not None:
+                assert shared.text == sys_._index(span, "").text, (name, span)
+            # a seed is cut at its certified prefix for every span its own
+            # certificate reaches, and at the expansion past it
+            target = target_length(span)
+            cuts = zip(stairs, sys_._cuts(target, span), sys_._cuts(target))
+            for (caps, bases), (_, cut), (_, full) in cuts:
+                i = bisect.bisect_left(caps, span)
+                assert cut == (bases[i] + span - 1 if i < len(caps) else full), (name, span)
     # the famous fixed points certify every span up to the bound
-    assert chacon()._certified(1, 5000) and fibonacci()._certified(1, 5000)
+    assert chacon()._certified(5000) and fibonacci()._certified(5000)
     # uncertified seeds: not a fixed point, or a fixed depth
     for name in ("non-prefix", "periodic", "chacon-depth-3"):
-        assert not SYSTEMS[name]()._certified(1, 1), name
+        assert not SYSTEMS[name]()._certified(1), name
+
+
+def test_certified_factors_match_a_long_growth():
+    # factors(span) on random prolongable rules against the windows of a
+    # growth four times as long as the text the library read, and never
+    # shorter than the 32x expansion.  The spans: the first of each run
+    # where the certified cut is longer than that expansion, and three
+    # more up to the certificate's reach, small ones likelier; a span
+    # whose growth times its length passes 2^26 letters is left out, only
+    # so that listing the growth's windows stays cheap
+    checked = firsts = 0
+    for i in range(40):
+        rules = random_prolongable(random.Random(f"long-growth-{i}"), longest=6)
+        sys_ = SubstitutionSystem(rules)
+        caps, bases = sys_._staircase("a")
+        top = min(caps[-1] if caps else 0, sys_.max_word_length)
+        longer = [False] + [
+            bases[bisect.bisect_left(caps, s)] + s - 1 > target_length(s)
+            for s in range(1, top + 1)
+        ]
+        runs = {s for s in range(1, top + 1) if longer[s] and not longer[s - 1]}
+        rng = random.Random(f"long-growth-spans-{i}")
+        spans = runs | {int(top ** rng.random()) for _ in range(3) if top}
+        for span in sorted(spans):
+            cut = len(sys_._index(span, "").text)
+            length = 4 * max(cut, target_length(span))
+            if length * span > 1 << 26:
+                continue
+            text = grow(tuple(sorted(rules.items())), None, "a", length)
+            assert sys_.factors(span) == windows(text, span), (rules, span)
+            checked += 1
+            firsts += span in runs
+    assert checked > 100 and firsts >= 10, (checked, firsts)
 
 
 def indexed_length(sys_, span):
