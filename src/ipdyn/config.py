@@ -9,10 +9,10 @@ and the ``[system]`` keys, of which only those a section sets reach
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from . import gammapoly, intpoly, substitution
+from ._record import Record
 from .substitution import BadRules
 
 
@@ -24,21 +24,32 @@ class ValidationError(ValueError):
     """Config is well-formed but inconsistent; names section and key."""
 
 
-@dataclass(frozen=True)
-class CylinderSpec:
+class CylinderSpec(Record):
     system: str
     word: str
 
 
-@dataclass
 class ExperimentConfig:
-    systems: dict[str, substitution.SubstitutionSystem]
-    sets: dict[str, CylinderSpec]
-    polys: dict[str, intpoly.IntegralPolynomial]
-    gammas: dict[str, gammapoly.GammaPolynomial]
-    gamma_systems: dict[str, gammapoly.PolySystem]
-    truncations: dict[str, tuple[int, ...]]
-    run: dict[str, str] = field(default_factory=dict)
+    """The named sections of a config, by kind, and its ``[run]`` keys;
+    the one mutable record, filled in section by section."""
+
+    def __init__(
+        self,
+        systems: dict[str, substitution.SubstitutionSystem],
+        sets: dict[str, CylinderSpec],
+        polys: dict[str, intpoly.IntegralPolynomial],
+        gammas: dict[str, gammapoly.GammaPolynomial],
+        gamma_systems: dict[str, gammapoly.PolySystem],
+        truncations: dict[str, tuple[int, ...]],
+        run: dict[str, str] | None = None,
+    ) -> None:
+        self.systems = systems
+        self.sets = sets
+        self.polys = polys
+        self.gammas = gammas
+        self.gamma_systems = gamma_systems
+        self.truncations = truncations
+        self.run = {} if run is None else run
 
 
 def _raw_sections(text: str) -> list[tuple[str, dict[str, str]]]:

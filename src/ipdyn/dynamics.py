@@ -18,9 +18,9 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ._record import Record
 from .gammapoly import GammaPolynomial
 from .intpoly import IntegralPolynomial, essentially_distinct
 from .substitution import (  # noqa: F401 -- re-exported
@@ -42,8 +42,7 @@ class HypothesisViolation(ValueError):
 # -- cylinders and return sets ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class CylinderSet:
+class CylinderSet(Record):
     """All points whose coordinates 0..len(word)-1 spell the word; the
     empty word is the whole space."""
 
@@ -61,8 +60,7 @@ def require_admissible(
         raise ValueError(f"cylinder word {w!r} is not admissible")
 
 
-@dataclass(frozen=True)
-class ReturnSet:
+class ReturnSet(Record):
     """Members of [-window, window] satisfying a co-occurrence query,
     together with the provenance needed to reproduce it and the span of
     the longest admissible word the query needed (0 when none was)."""
@@ -307,8 +305,7 @@ def required_span(
 # -- minimality probe ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
+class MinimalityReport(Record):
     """Whether every admissible long word contains every admissible short
     word, and the least radius at which that holds."""
 
@@ -383,8 +380,7 @@ def _gamma_shift(g: GammaPolynomial, m: int) -> int:
     return sum(p(m) for p in g.exps)
 
 
-@dataclass(frozen=True)
-class Lemma213Chain:
+class Lemma213Chain(Record):
     """Descending open-set levels: ``levels[n][i]`` holds the (offset,
     word) cells of the pattern that refines cylinder i after consuming
     shifts[0..n]."""
@@ -549,8 +545,7 @@ def find_chain_shifts(
     )
 
 
-@dataclass(frozen=True)
-class ContainmentCheck:
+class ContainmentCheck(Record):
     level: int
     cylinder_index: int
     shift_index: int

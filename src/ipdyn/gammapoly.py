@@ -21,10 +21,10 @@ import itertools
 import operator
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import Record, ordering
 from .intpoly import IntegralPolynomial, PolynomialParseError, binomial, parse_polynomial
 
 # An element as the binomial coordinates of each exponent: its sort_key.
@@ -60,8 +60,7 @@ class NonTermination(RuntimeError):
     """A reduction chain exceeded its configured step bound."""
 
 
-@dataclass(frozen=True, order=True)
-class Weight:
+class Weight(Record):
     """The pair (level, degree): largest generator index carrying a
     nonzero exponent, and that exponent's degree.  Ordered
     lexicographically; the identity has weight (0, 0)."""
@@ -69,12 +68,16 @@ class Weight:
     level: int
     degree: int
 
+    __lt__ = ordering(operator.lt)
+    __le__ = ordering(operator.le)
+    __gt__ = ordering(operator.gt)
+    __ge__ = ordering(operator.ge)
+
     def __str__(self) -> str:
         return f"({self.level},{self.degree})"
 
 
-@dataclass(frozen=True)
-class GammaPolynomial:
+class GammaPolynomial(Record):
     """A formal product of generators with polynomial exponents.
 
     ``exps[j]`` is the exponent of generator ``T_{j+1}``; every exponent
@@ -180,8 +183,7 @@ def _class_key(key: _Key) -> tuple[int, int, int]:
     return level, degree, key[level - 1][-1] if level else 0
 
 
-@dataclass(frozen=True)
-class PolySystem:
+class PolySystem(Record):
     """A finite set of pairwise-distinct non-identity elements over a
     common generator count, held in a canonical order."""
 
@@ -228,8 +230,7 @@ class Ordering(enum.Enum):
     EQUAL = "equal"
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Record):
     """Multiplicities of equivalence classes per weight, ascending."""
 
     entries: tuple[tuple[int, Weight], ...]
@@ -380,8 +381,7 @@ def pet_chain(system: PolySystem, *, max_steps: int = 10_000) -> list[PolySystem
     return [step.system for step in steps]
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(Record):
     """One recorded reduction step (used by trace reporting)."""
 
     system: PolySystem

@@ -19,10 +19,11 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
+
+from ._record import Record
 
 Rational = Union[int, Fraction]
 
@@ -91,8 +92,7 @@ def _falling_factorial(k: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class IntegralPolynomial:
+class IntegralPolynomial(Record):
     """An integer-valued polynomial, stored in the binomial basis.
 
     ``coeffs[j]`` is the coordinate of C(n, j); trailing zeros are
@@ -102,8 +102,10 @@ class IntegralPolynomial:
 
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        cs = tuple(self.coeffs)
+    # its own constructor, without the generic binding: polynomial
+    # arithmetic and ``values`` build one per step
+    def __init__(self, coeffs: Iterable[int]) -> None:
+        cs = tuple(coeffs)
         for c in cs:
             if not isinstance(c, int):
                 raise TypeError(f"binomial coordinates must be int, got {c!r}")
@@ -263,8 +265,7 @@ def essentially_distinct(p: IntegralPolynomial, q: IntegralPolynomial) -> bool:
     return (p - q).degree >= 1
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     """Report produced by :func:`classify`."""
 
     degree: int

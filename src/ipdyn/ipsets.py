@@ -17,9 +17,10 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, Union
+
+from ._record import Record
 
 
 # Largest generator count a finite-sums truncation enumerates (2^k - 1 sums).
@@ -158,8 +159,7 @@ def restrict_to_ring(
     return FSTruncation(tuple(fs.value(b) for b in ring.blocks))
 
 
-@dataclass(frozen=True)
-class WindowSet:
+class WindowSet(Record):
     """A subset of the half-open integer window [lo, hi)."""
 
     lo: int
@@ -276,8 +276,7 @@ def ip_witness(
 # -- partition searches ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonochromaticFS:
+class MonochromaticFS(Record):
     """Generators whose distinct-index sums all land in one cell."""
 
     generators: tuple[int, ...]
@@ -285,8 +284,7 @@ class MonochromaticFS:
     sums: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class HindmanVerified:
+class HindmanVerified(Record):
     n_max: int
     colors: int
     depth: int
@@ -297,8 +295,7 @@ class HindmanVerified:
         return self.colors**self.n_max
 
 
-@dataclass(frozen=True)
-class HindmanFailure:
+class HindmanFailure(Record):
     """The lexicographically least coloring with no monochromatic
     finite-sums witness at the requested depth."""
 
@@ -522,8 +519,7 @@ def window_density(ws: WindowSet, length: int) -> tuple[Fraction, Fraction]:
     return Fraction(max(counts), length), Fraction(min(counts), length)
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(Record):
     """Exact gap/run statistics with indicator flags.
 
     Indicators are window-scale evidence, not proofs: they record the

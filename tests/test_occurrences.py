@@ -960,3 +960,59 @@ def test_certified_cut_sizes():
         sys_ = SubstitutionSystem(rules)
         for span in (13, 40, 128, 129, 300):
             assert indexed_length(sys_, span) == max(32 * span, 4096), (rules, span)
+
+
+# The open defect of the language: a span past its certificate's reach
+# reads the 32x expansion, and that misses factors.  The words below are
+# factors of their fixed points; the strict xfails hold until every span
+# is certified, and fail as soon as one of them is answered right.
+SLOW = {"0": "0000000001", "1": "1"}
+ABA = {"a": "aba", "b": "bc", "c": "b"}
+ABA_WINDOW = (30_937, 612)  # (start, length) in the fixed point of a
+
+
+def aba_window():
+    start, length = ABA_WINDOW
+    return grow(tuple(sorted(ABA.items())), None, "a", start + length)[start:]
+
+
+def test_the_words_past_the_reach_are_factors():
+    # sigma^4(0) ends in 1111, and slow's certificate reaches span 2 only
+    assert grow(tuple(sorted(SLOW.items())), 4, "0", 0).endswith("1111")
+    slow = SubstitutionSystem(SLOW)
+    assert slow._certified(2) and not slow._certified(3)
+    # a -> aba reaches 611 letters, and the window is one letter longer
+    aba = SubstitutionSystem(ABA)
+    assert aba._certified(611) and not aba._certified(612)
+    assert len(aba_window()) == 612
+    assert aba.is_admissible(aba_window()[1:]) and aba.is_admissible(aba_window()[:-1])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="1111 first occurs at position 7377, past the 4096 letters a "
+    "4-letter question reads",
+)
+def test_slow_recurrence_admits_1111():
+    assert SubstitutionSystem(SLOW).is_admissible("1111")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the W=200 return set of u = v = 1 holds 123 of its 401 members",
+)
+def test_slow_recurrence_return_set_holds_every_n():
+    got = return_set(SubstitutionSystem(SLOW), CylinderSet("1"), CylinderSet("1"), 200)
+    assert got.members == frozenset(range(-200, 201))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="612 letters is one past the reach of a -> aba; b -> bc; c -> b, "
+    "and its 32x expansion misses the window",
+)
+def test_a_window_one_letter_past_the_reach_is_admissible():
+    assert SubstitutionSystem(ABA).is_admissible(aba_window())
