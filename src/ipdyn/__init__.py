@@ -5,7 +5,6 @@ from .intpoly import (
     IntegralPolynomial,
     NotIntegralPolynomial,
     PolynomialParseError,
-    classify,
     essentially_distinct,
     parse_polynomial,
 )
@@ -27,12 +26,10 @@ from .gammapoly import (
 )
 from .ipsets import (
     FSTruncation,
-    IPRingTruncation,
     WindowSet,
     enumerate_fs,
     hindman_search,
     ip_witness,
-    restrict_to_ring,
     structure_classify,
     window_density,
 )

@@ -2,10 +2,12 @@
 lines, with cross-references between named systems, sets, polynomials,
 generator lists and the run parameters.
 
-The whole format is read here: a ``_SECTIONS`` row per named section
-kind but ``[set]``, a ``_RUN_REFERENCES`` row per ``[run]`` reference,
-and the ``[system]`` keys, of which only those a section sets reach
-``substitution.SubstitutionSystem``, whose signature holds the defaults."""
+The whole format is read here: a ``_KEYS`` row of the keys each named
+section kind may set (any other key is an error), a ``_SECTIONS`` row
+per named section kind but ``[set]``, a ``_RUN_REFERENCES`` row per
+``[run]`` reference, and the ``[system]`` keys, of which only those a
+section sets reach ``substitution.SubstitutionSystem``, whose signature
+holds the defaults.  A section header may appear once."""
 
 from __future__ import annotations
 
@@ -54,6 +56,7 @@ class ExperimentConfig:
 
 def _raw_sections(text: str) -> list[tuple[str, dict[str, str]]]:
     sections: list[tuple[str, dict[str, str]]] = []
+    seen: set[tuple[str, str]] = set()  # (kind, name) of each header
     current: dict[str, str] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -65,6 +68,10 @@ def _raw_sections(text: str) -> list[tuple[str, dict[str, str]]]:
             header = line[1:-1].strip()
             if not header:
                 raise ParseError(f"line {lineno}: empty section header")
+            section = _split_header(header)
+            if section in seen:
+                raise ParseError(f"line {lineno}: duplicate section [{header}]")
+            seen.add(section)
             current = {}
             sections.append((header, current))
             continue
@@ -181,6 +188,17 @@ _SECTIONS = {
     "fs": ("truncations", "generators", _generators),
 }
 
+# section kind -> the keys its body may set; [run]'s keys depend on
+# the subcommand and are not listed
+_KEYS = {
+    "system": ("kind", "rules", "seeds", "depth", "max-word-length"),
+    "set": ("system", "word"),
+    "poly": ("expr",),
+    "gamma": ("expr",),
+    "gamma-system": ("members",),
+    "fs": ("generators",),
+}
+
 # [run] key -> (ExperimentConfig field it names, whether it holds a
 # comma-separated list of names)
 _RUN_REFERENCES = {
@@ -204,15 +222,18 @@ def parse_config(text: str) -> ExperimentConfig:
         if kind == "run":
             cfg.run = dict(body)
             continue
-        if kind != "set" and kind not in _SECTIONS:
+        if kind not in _KEYS:
             raise ValidationError(f"unknown section kind [{header}]")
         if not name:
             raise ValidationError(f"section [{kind}] needs a name")
+        where = f"{kind} {name}"
+        for key in body:
+            if key not in _KEYS[kind]:
+                raise ValidationError(f"section [{where}]: unknown key {key!r}")
         if kind == "set":  # resolved once every system is known
             pending_sets.append((name, body))
             continue
         field_name, key, parse = _SECTIONS[kind]
-        where = f"{kind} {name}"
         if key is not None and key not in body:
             raise ValidationError(f"section [{where}]: missing {key!r}")
         try:

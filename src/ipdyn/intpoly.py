@@ -226,10 +226,6 @@ class IntegralPolynomial(Record):
         """
         return self.translate(m) - IntegralPolynomial.constant(self(m)) - self
 
-    def zero_normalized(self) -> "IntegralPolynomial":
-        """p - p(0): same polynomial shifted to vanish at 0."""
-        return self - IntegralPolynomial.constant(self(0))
-
     # -- rendering -------------------------------------------------------
 
     def __str__(self) -> str:
@@ -263,25 +259,6 @@ class IntegralPolynomial(Record):
 def essentially_distinct(p: IntegralPolynomial, q: IntegralPolynomial) -> bool:
     """True when p - q is nonconstant (differs by more than an additive shift)."""
     return (p - q).degree >= 1
-
-
-class Classification(Record):
-    """Report produced by :func:`classify`."""
-
-    degree: int
-    is_constant: bool
-    essentially_distinct: bool
-    zero_normalized: IntegralPolynomial
-
-
-def classify(p: IntegralPolynomial, q: IntegralPolynomial) -> Classification:
-    """Degree data for p plus the pairwise distinctness flag against q."""
-    return Classification(
-        degree=p.degree,
-        is_constant=p.is_constant,
-        essentially_distinct=essentially_distinct(p, q),
-        zero_normalized=p.zero_normalized(),
-    )
 
 
 _TOKEN_RE = re.compile(

@@ -96,67 +96,12 @@ class FSTruncation:
         """The distinct sums, ascending."""
         return tuple(sorted(set(self._sums)))
 
-    def value_multiset(self) -> tuple[int, ...]:
-        """All 2^k - 1 sums with repetition, ascending."""
-        return tuple(sorted(self._sums))
-
     def __repr__(self) -> str:
         return f"FSTruncation(generators={self.generators!r})"
 
 
 def enumerate_fs(generators: Sequence[int]) -> FSTruncation:
     return FSTruncation(generators)
-
-
-class IPRingTruncation:
-    """A strictly ordered tuple of finite index blocks and their unions."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks: Sequence[Iterable[int]]):
-        parsed = tuple(frozenset(int(i) for i in b) for b in blocks)
-        if not parsed:
-            raise ValueError("at least one block is required")
-        for b in parsed:
-            if not b:
-                raise ValueError("blocks must be nonempty")
-            if any(i < 1 for i in b):
-                raise IndexOutOfRange("block indices must be >= 1")
-        for a, b in zip(parsed, parsed[1:]):
-            if max(a) >= min(b):
-                raise ValueError(
-                    f"blocks must be strictly ordered: {sorted(a)} !< {sorted(b)}"
-                )
-        self.blocks = parsed
-
-    @property
-    def size(self) -> int:
-        return len(self.blocks)
-
-    def unions(self) -> Iterator[frozenset[int]]:
-        """All unions over nonempty block subsets, ascending bitmask order."""
-        for mask in range(1, 1 << self.size):
-            out: frozenset[int] = frozenset()
-            for i in range(self.size):
-                if mask >> i & 1:
-                    out |= self.blocks[i]
-            yield out
-
-    def __repr__(self) -> str:
-        return f"IPRingTruncation({[sorted(b) for b in self.blocks]!r})"
-
-
-def restrict_to_ring(
-    fs: FSTruncation, ring: IPRingTruncation
-) -> FSTruncation:
-    """The truncation generated by the block sums; its values are exactly
-    the sums indexed by the ring's unions."""
-    for b in ring.blocks:
-        if max(b) > fs.size:
-            raise IndexOutOfRange(
-                f"block {sorted(b)} exceeds generator count {fs.size}"
-            )
-    return FSTruncation(tuple(fs.value(b) for b in ring.blocks))
 
 
 class WindowSet(Record):
@@ -285,14 +230,12 @@ class MonochromaticFS(Record):
 
 
 class HindmanVerified(Record):
+    """Every coloring of 1..n_max in ``colors`` colors has a
+    monochromatic finite-sums witness of ``depth`` generators."""
+
     n_max: int
     colors: int
     depth: int
-
-    @property
-    def colorings_checked(self) -> int:
-        """The colors**n_max colorings of 1..n_max the search covers."""
-        return self.colors**self.n_max
 
 
 class HindmanFailure(Record):
@@ -412,8 +355,7 @@ def verify_all_colorings(
     ``forbidden[c]`` is set when colouring p with c would complete a
     monochromatic witness; a branch is cut as soon as some integer is
     forbidden in every colour (forward checking).  ``budget`` bounds the
-    integers coloured, and ``colorings_checked`` counts the colors**n_max
-    colorings the search covers, not the nodes it visits.
+    integers coloured.
     """
     _check_search_size(n_max, colors, depth)
     families: dict[int, list[_Family]] = {}

@@ -393,6 +393,12 @@ window = 500
             in capsys.readouterr().err
         )
 
+    def test_out_naming_a_file_is_1(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_cli(["fs", "--generators", "1", "--out", str(taken)]) == 1
+        assert "error: cannot create output directory" in capsys.readouterr().err
+
     def test_missing_config_is_1(self, tmp_path):
         assert (
             run_cli(
@@ -712,6 +718,12 @@ GOLDEN_CASES = {
                         "--window", "60"],
     "mixing-report-window": ["mixing-report", "--config", "shared.cfg",
                              "--window", "15"],
+    # a truncation whose sums all lie past the window: an inconclusive row
+    "mixing-report-inconclusive": ["mixing-report", "--config",
+                                   "mixing-inconclusive.cfg"],
+    # one coloring with a witness: the witness line
+    "hindman-witness": ["hindman", "--N", "7", "--r", "1", "--depth", "2",
+                        "--coloring", "0,0,0,0,0,0,0"],
     # error paths
     "missing-system": ["return-set", "--config", "no-system.cfg"],
     "missing-vs": ["poly-return", "--config", "no-vs.cfg"],
@@ -731,6 +743,8 @@ GOLDEN_CASES = {
                                "--hi", "10", "--length", "2"],
     "unreadable-config": ["return-set", "--config", "nope.cfg"],
     "config-syntax-error": ["return-set", "--config", "broken.cfg"],
+    "unknown-system-key": ["return-set", "--config", "unknown-system-key.cfg"],
+    "duplicate-section": ["return-set", "--config", "duplicate-section.cfg"],
     "foreign-set": ["return-set", "--config", "foreign-set.cfg"],
     "negative-window": ["return-set", "--config", "shared.cfg", "--window", "-1"],
     "window-over-bound": ["poly-return", "--config", "quadratic-wide.cfg"],

@@ -1,13 +1,53 @@
 import pytest
 
 from ipdyn import config
-from ipdyn.config import ValidationError, parse_config
+from ipdyn.config import ParseError, ValidationError, parse_config
 from ipdyn.dynamics import BadRules, SubstitutionSystem
 
 SYSTEM = "[system S]\nrules = 0 -> 0010; 1 -> 1\n"
 
 # (config text, exception class, exact message): one entry per error path
 ERRORS = [
+    # syntax
+    ("[ ]\n", ParseError, "line 1: empty section header"),
+    ("[run]\n= 1\n", ParseError, "line 2: empty key"),
+    ("[run]\nwindow = 1\nwindow = 2\n", ParseError, "line 3: duplicate key 'window'"),
+    # repeated sections, also when spaced differently
+    ("[run]\nwindow = 1\n[run]\nwindow = 5\n", ParseError, "line 3: duplicate section [run]"),
+    (
+        SYSTEM + "[system  S]\nrules = 0 -> 01; 1 -> 0\n",
+        ParseError,
+        "line 3: duplicate section [system  S]",
+    ),
+    # unknown keys, checked before the section is parsed; the first in
+    # file order is named
+    (
+        SYSTEM + "max_word_length = 10\nseed = 1\n",
+        ValidationError,
+        "section [system S]: unknown key 'max_word_length'",
+    ),
+    (
+        "[system S]\nseed = 1\nrules = 0 -> 1\n",
+        ValidationError,
+        "section [system S]: unknown key 'seed'",
+    ),
+    (
+        SYSTEM + "[set U]\nsystem = S\nword = 0\nwrod = 11\n",
+        ValidationError,
+        "section [set U]: unknown key 'wrod'",
+    ),
+    ("[poly p]\nexp = n\n", ValidationError, "section [poly p]: unknown key 'exp'"),
+    (
+        "[gamma g]\nexpr = T1^{n}\nmembers = T1^{n}\n",
+        ValidationError,
+        "section [gamma g]: unknown key 'members'",
+    ),
+    (
+        "[gamma-system G]\nexpr = T1^{n}\n",
+        ValidationError,
+        "section [gamma-system G]: unknown key 'expr'",
+    ),
+    ("[fs F]\ngenerator = 1\n", ValidationError, "section [fs F]: unknown key 'generator'"),
     # unnamed sections
     ("[system]\nrules = 0 -> 1\n", ValidationError, "section [system] needs a name"),
     ("[set]\nsystem = S\n", ValidationError, "section [set] needs a name"),
@@ -187,6 +227,11 @@ def test_config_errors(text, error, message):
         parse_config(text)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_one_name_in_two_kinds_is_no_repeat():
+    cfg = parse_config("[poly p]\nexpr = n\n[fs p]\ngenerators = 1\n")
+    assert cfg.truncations == {"p": (1,)} and str(cfg.polys["p"]) == "n"
 
 
 class TestSystemSections:

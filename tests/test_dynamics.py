@@ -124,10 +124,14 @@ class TestLanguage:
         for bound in (0, -5):
             with pytest.raises(BadRules, match="max word length must be >= 1"):
                 SubstitutionSystem({"a": "ab", "b": "a"}, max_word_length=bound)
+        with pytest.raises(BadRules, match="at least one rule is required"):
+            SubstitutionSystem({})
 
     def test_window_bound(self, chacon):
         with pytest.raises(WindowTooLarge):
             chacon.factors(chacon.max_word_length + 1)
+        with pytest.raises(ValueError, match="factor length must be >= 1"):
+            chacon.factors(0)
 
 
 def scan_minimality_probe(sys_, word_length, scan_limit):
@@ -156,6 +160,10 @@ class TestMinimalityProbe:
         report = minimality_probe(chacon, 2, 30)
         assert report.passed and report.radius is not None
         assert report.radius <= 30
+
+    def test_lengths_checked(self, chacon):
+        with pytest.raises(ValueError, match="need 1 <= word_length <= scan_limit"):
+            minimality_probe(chacon, 0, 5)
 
     def test_single_symbol(self):
         const = SubstitutionSystem({"a": "a"})
@@ -274,6 +282,12 @@ class TestPolyReturnSet:
                 [N, parse_polynomial("n + 2")],
                 10,
             )
+
+    def test_pairs_checked(self, chacon):
+        with pytest.raises(ValueError, match="need one polynomial per cylinder"):
+            poly_return_set(chacon, cyl("0"), [cyl("0"), cyl("0")], [N], 10)
+        with pytest.raises(ValueError, match="need at least one cylinder/polynomial pair"):
+            poly_return_set(chacon, cyl("0"), [], [], 10)
 
     def test_window_too_large(self, chacon):
         with pytest.raises(WindowTooLarge):
@@ -438,6 +452,11 @@ class TestLemma213:
             lemma213_chain(chacon, [cyl("0")], [g], [])
         with pytest.raises(ValueError, match="at least one level"):
             find_chain_shifts(chacon, [cyl("0")], [g], -1, search_window=10)
+
+    def test_one_gamma_per_cylinder(self, chacon):
+        g = parse_gamma_polynomial("T1^{n}")
+        with pytest.raises(ValueError, match="need one exponent element per cylinder"):
+            find_chain_shifts(chacon, [cyl("0"), cyl("00")], [g], 1, search_window=10)
 
     def test_shift_magnitude_checked(self, chacon):
         g = parse_gamma_polynomial("T1^{n}")

@@ -161,6 +161,8 @@ class TestWeightVector:
     def test_empty_system_raises(self):
         with pytest.raises(EmptySystem):
             weight_vector(PolySystem(()))
+        with pytest.raises(EmptySystem, match="no members to choose from"):
+            minimal_weight_member(PolySystem(()))
 
     def test_compare_multiplicities(self):
         one = WeightVector(((1, Weight(1, 1)),))
@@ -216,6 +218,10 @@ class TestStep1:
         for m in (-2, 1, 3):
             assert step1_reduce(f, m).is_identity
 
+    def test_identity_rejected(self):
+        with pytest.raises(ValueError, match="requires a non-identity element"):
+            step1_reduce(GammaPolynomial((IntegralPolynomial.zero(),)), 1)
+
     def test_two_generator_case(self):
         f = gamma("T1^{n^2} * T2^{n}")
         assert step1_reduce(f, 2) == gamma("T1^{4n}", 2)
@@ -269,6 +275,8 @@ class TestStep2:
             step2_reduce(s, gamma("T1^{n}"), [1, 1])
         with pytest.raises(ValueError, match="nonzero"):
             step2_reduce(s, gamma("T1^{n}"), [0])
+        with pytest.raises(ValueError, match="at least one shift is required"):
+            step2_reduce(s, gamma("T1^{n}"), [])
 
     def test_descent_random(self):
         rng = random.Random(81)

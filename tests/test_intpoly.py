@@ -12,7 +12,6 @@ from ipdyn.intpoly import (
     NotIntegralPolynomial,
     PolynomialParseError,
     binomial,
-    classify,
     essentially_distinct,
     parse_polynomial,
 )
@@ -165,6 +164,10 @@ class TestEval:
         assert binomial(-2, 3) == -4
         assert binomial(4, 2) == 6
 
+    def test_binomial_negative_k(self):
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            binomial(3, -1)
+
 
 class TestValues:
     @given(
@@ -259,15 +262,19 @@ class TestClassify:
         assert not essentially_distinct(poly("n^2"), poly("n^2 + 5"))
 
     def test_zero_normalized(self):
-        c = classify(poly("n^2 + 7"), poly("n"))
-        assert c.zero_normalized == poly("n^2")
-        assert c.degree == 2
-        assert not c.is_constant
+        # p - p(0) vanishes at 0 and keeps the degree of p
+        p = poly("n^2 + 7")
+        normalized = p - IntegralPolynomial.constant(p(0))
+        assert normalized == poly("n^2")
+        assert normalized(0) == 0
+        assert p.degree == 2
+        assert not p.is_constant
 
     def test_constant_flags(self):
-        c = classify(poly("5"), poly("5"))
-        assert c.is_constant and c.degree == 0
-        assert not c.essentially_distinct
+        p = poly("5")
+        assert p.is_constant and p.degree == 0
+        assert not essentially_distinct(p, p)
+        assert IntegralPolynomial.zero().is_constant
         assert IntegralPolynomial.zero().degree == -1
 
 
@@ -338,6 +345,12 @@ class TestParse:
             poly("n^")
         with pytest.raises(PolynomialParseError):
             poly("")
+        with pytest.raises(PolynomialParseError, match="expected integer after '/'"):
+            poly("n/")
+        with pytest.raises(PolynomialParseError, match="expected 'n' after '\\*'"):
+            poly("3*2")
+        with pytest.raises(PolynomialParseError, match="expected '\\+' or '-' in 'n n', got 'n'"):
+            poly("n n")
 
     @given(
         st.lists(st.integers(-60, 60), min_size=0, max_size=6).map(tuple)

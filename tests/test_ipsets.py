@@ -14,7 +14,6 @@ from ipdyn.ipsets import (
     HindmanFailure,
     HindmanVerified,
     IndexOutOfRange,
-    IPRingTruncation,
     StructureReport,
     TruncationTooLarge,
     WindowSet,
@@ -23,7 +22,6 @@ from ipdyn.ipsets import (
     hindman_search,
     ip_witness,
     monochromatic_fs,
-    restrict_to_ring,
     structure_classify,
     verify_all_colorings,
     window_density,
@@ -68,7 +66,7 @@ class TestFSTruncation:
 
     def test_repeats_allowed(self):
         fs = enumerate_fs([1, 1])
-        assert fs.value_multiset() == (1, 1, 2)
+        assert sorted(fs.sums()) == [1, 1, 2]
         assert fs.values() == (1, 2)
 
     def test_additivity_over_disjoint_sets(self):
@@ -112,45 +110,56 @@ class TestFSTruncation:
     def test_size_bound(self):
         with pytest.raises(TruncationTooLarge):
             enumerate_fs(list(range(1, 25)))
+        with pytest.raises(ValueError, match="at least one generator is required"):
+            enumerate_fs([])
 
     def test_value_validates_indices(self):
         fs = enumerate_fs([1, 2])
         with pytest.raises(IndexOutOfRange):
             fs.value({3})
+        with pytest.raises(ValueError, match="index set must be nonempty"):
+            fs.value([])
+
+
+def restrict(fs, blocks):
+    """The truncation generated by the block sums of fs."""
+    return enumerate_fs([fs.value(b) for b in blocks])
+
+
+def unions(blocks):
+    """Every union of a nonempty set of blocks."""
+    for k in range(1, len(blocks) + 1):
+        for chosen in itertools.combinations(blocks, k):
+            yield frozenset().union(*chosen)
 
 
 class TestRingRestriction:
+    # an index-block ring restricts a truncation to the sums over unions
+    # of its blocks: the truncation generated by the block sums
     def test_block_sums(self):
         fs = enumerate_fs([1, 2, 4])
-        ring = IPRingTruncation([{1}, {2, 3}])
-        restricted = restrict_to_ring(fs, ring)
+        restricted = restrict(fs, [{1}, {2, 3}])
         assert restricted.generators == (1, 6)
         assert restricted.values() == (1, 6, 7)
 
     def test_singleton_blocks_are_identity(self):
         fs = enumerate_fs([3, -1, 7])
-        ring = IPRingTruncation([{1}, {2}, {3}])
-        assert restrict_to_ring(fs, ring).value_multiset() == fs.value_multiset()
+        assert restrict(fs, [{1}, {2}, {3}]).sums() == fs.sums()
 
     def test_merged_block(self):
         fs = enumerate_fs([3, 3])
-        assert restrict_to_ring(fs, IPRingTruncation([{1, 2}])).values() == (6,)
+        assert restrict(fs, [{1, 2}]).values() == (6,)
 
     def test_matches_direct_union_enumeration(self):
         fs = enumerate_fs([2, 3, 5, 7])
-        ring = IPRingTruncation([{1, 2}, {4}])
-        restricted = restrict_to_ring(fs, ring)
-        direct = sorted({fs.value(alpha) for alpha in ring.unions()})
-        assert list(restricted.values()) == direct
-
-    def test_block_ordering_enforced(self):
-        with pytest.raises(ValueError, match="ordered"):
-            IPRingTruncation([{2}, {1, 3}])
+        blocks = [{1, 2}, {4}]
+        direct = sorted({fs.value(alpha) for alpha in unions(blocks)})
+        assert list(restrict(fs, blocks).values()) == direct
 
     def test_out_of_range_block(self):
         fs = enumerate_fs([1, 2])
-        with pytest.raises(IndexOutOfRange):
-            restrict_to_ring(fs, IPRingTruncation([{1}, {5}]))
+        with pytest.raises(IndexOutOfRange, match="index 5 outside 1..2"):
+            restrict(fs, [{1}, {5}])
 
 
 class TestIpWitness:
@@ -177,8 +186,7 @@ class TestIpWitness:
 class TestHindman:
     def test_every_two_coloring_of_five(self):
         outcome = verify_all_colorings(5, 2, 2)
-        assert isinstance(outcome, HindmanVerified)
-        assert outcome.colorings_checked == 32
+        assert outcome == HindmanVerified(5, 2, 2)
 
     def test_failing_coloring_on_four(self):
         outcome = verify_all_colorings(4, 2, 2)
@@ -223,8 +231,7 @@ class TestHindman:
     def test_every_three_coloring_of_fourteen(self):
         # S(3) = 13; the 3**14 colorings outnumber the default node budget
         outcome = verify_all_colorings(14, 3, 2)
-        assert isinstance(outcome, HindmanVerified)
-        assert outcome.colorings_checked == 3**14
+        assert outcome == HindmanVerified(14, 3, 2)
 
     @pytest.mark.parametrize("parts", range(5))
     def test_partitions_are_the_candidate_tuples_of_one_sum(self, parts):
@@ -237,6 +244,12 @@ class TestHindman:
         assert isinstance(hindman_search(5, 2, 2), HindmanVerified)
         w = hindman_search(7, 1, 2, coloring=[0] * 7)
         assert w is not None and w.generators == (1, 2)
+
+    def test_coloring_checked(self):
+        with pytest.raises(ValueError, match="coloring must have length 5"):
+            hindman_search(5, 2, 2, coloring=[0, 1, 1, 0])
+        with pytest.raises(ValueError, match=r"colors must lie in 0\.\.1"):
+            hindman_search(4, 2, 2, coloring=[0, 1, 2, 0])
 
     @pytest.mark.parametrize(
         "n_max, colors, depth", [(0, 2, 2), (5, 0, 2), (5, -1, 2), (5, 2, 0)]
@@ -533,6 +546,11 @@ class TestWindowSetIngestion:
     def test_csv_bad_line(self):
         with pytest.raises(ValueError, match="line 2"):
             WindowSet.from_csv_text("3\nfoo\n")
+
+    def test_empty_csv_needs_a_window(self):
+        with pytest.raises(ValueError, match="empty CSV needs an explicit window"):
+            WindowSet.from_csv_text("")
+        assert WindowSet.from_csv_text("", 0, 3).members == frozenset()
 
     def test_members_must_fit_window(self):
         with pytest.raises(ValueError):

@@ -40,7 +40,7 @@ def test_compile_peak_within_budget(path):
 
 # ``dataclasses`` compiles each decorated class's methods with exec at
 # every start and loads ``inspect`` (with ``dis``, ``tokenize``,
-# ``linecache`` and ``copy``) to do it: for 19 value types, about 20 ms
+# ``linecache`` and ``copy``) to do it: for 18 value types, about 20 ms
 # and 0.8 MB of peak memory per CLI process on CPython 3.11.
 # ``_record.Record`` stands in for it.
 SLOW_TO_IMPORT = {"dataclasses", "inspect"}

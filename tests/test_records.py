@@ -25,7 +25,7 @@ from ipdyn.gammapoly import (
     Weight,
     WeightVector,
 )
-from ipdyn.intpoly import Classification, IntegralPolynomial
+from ipdyn.intpoly import IntegralPolynomial
 from ipdyn.ipsets import (
     HindmanFailure,
     HindmanVerified,
@@ -116,17 +116,6 @@ CASES = [
         "1 generators>, shifts=(1,))",
     ),
     (IntegralPolynomial, {"coeffs": (0, 1, 2)}, "IntegralPolynomial((0, 1, 2))"),
-    (
-        Classification,
-        {
-            "degree": 1,
-            "is_constant": False,
-            "essentially_distinct": True,
-            "zero_normalized": N,
-        },
-        "Classification(degree=1, is_constant=False, essentially_distinct=True, "
-        "zero_normalized=IntegralPolynomial((0, 1)))",
-    ),
     (
         WindowSet,
         {"lo": -2, "hi": 5, "members": frozenset({4})},
