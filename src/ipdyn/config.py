@@ -2,8 +2,8 @@
 lines, with cross-references between named systems, sets, polynomials,
 generator lists and the run parameters.
 
-The whole format is read here: a ``_KEYS`` row of the keys each named
-section kind may set (any other key is an error), a ``_SECTIONS`` row
+The whole format is read here: a ``_KEYS`` row of the keys each section
+kind may set (any other key is an error), a ``_SECTIONS`` row
 per named section kind but ``[set]``, a ``_RUN_REFERENCES`` row per
 ``[run]`` reference, and the ``[system]`` keys, of which only those a
 section sets reach ``substitution.SubstitutionSystem``, whose signature
@@ -188,8 +188,9 @@ _SECTIONS = {
     "fs": ("truncations", "generators", _generators),
 }
 
-# section kind -> the keys its body may set; [run]'s keys depend on
-# the subcommand and are not listed
+# section kind -> the keys its body may set; [run] may set every key
+# that some subcommand of the CLI reads, flag or no flag, so that one
+# [run] serves several subcommands
 _KEYS = {
     "system": ("kind", "rules", "seeds", "depth", "max-word-length"),
     "set": ("system", "word"),
@@ -197,6 +198,12 @@ _KEYS = {
     "gamma": ("expr",),
     "gamma-system": ("members",),
     "fs": ("generators",),
+    "run": (
+        "system", "u", "v", "vs", "polys", "window", "truncations",
+        "gamma-system", "gammas", "shifts", "base-power", "depth",
+        "generators", "n-max", "colors", "coloring", "mode",
+        "lo", "hi", "length", "predicate", "csv",
+    ),
 }
 
 # [run] key -> (ExperimentConfig field it names, whether it holds a
@@ -219,17 +226,17 @@ def parse_config(text: str) -> ExperimentConfig:
     pending_sets: list[tuple[str, dict[str, str]]] = []
     for header, body in _raw_sections(text):
         kind, name = _split_header(header)
-        if kind == "run":
-            cfg.run = dict(body)
-            continue
         if kind not in _KEYS:
             raise ValidationError(f"unknown section kind [{header}]")
-        if not name:
+        if not name and kind != "run":
             raise ValidationError(f"section [{kind}] needs a name")
-        where = f"{kind} {name}"
+        where = "run" if kind == "run" else f"{kind} {name}"
         for key in body:
             if key not in _KEYS[kind]:
                 raise ValidationError(f"section [{where}]: unknown key {key!r}")
+        if kind == "run":
+            cfg.run = dict(body)
+            continue
         if kind == "set":  # resolved once every system is known
             pending_sets.append((name, body))
             continue

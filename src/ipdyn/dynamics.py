@@ -87,9 +87,9 @@ def _layout(columns: Sequence[Column]) -> tuple[list[Column], int]:
     if not cells:
         return [], 0
     # one column is its own leftmost cell, and map(min, offs) would call min(int)
-    bases = cells[0][0] if len(cells) == 1 else list(map(min, *(o for o, _ in cells)))
+    bases = cells[0][0] if len(cells) == 1 else list(map(min, *[o for o, _ in cells]))
     cells = [(list(map(operator.sub, offs, bases)), w) for offs, w in cells]
-    return cells, max(len(w) + max(offs) for offs, w in cells)
+    return cells, max([len(w) + max(offs) for offs, w in cells])
 
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -100,14 +100,27 @@ def _bits(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_BITS)
 
 
+def _ones(mask: int) -> list[int]:
+    """The positions of the set bits of a nonnegative mask, ascending.
+    They are summed from the runs of zeros between set bits, so a sparse
+    mask costs an object per set bit, not one per position."""
+    gaps = bin(mask)[:1:-1].split("1")[:-1]  # the zeros below each set bit
+    steps = map(operator.add, map(len, gaps), itertools.repeat(1))
+    return list(itertools.accumulate(steps, initial=-1))[1:]
+
+
 def _anchored(
-    index: _Occurrences, lines: Sequence[tuple[int, int, str]], window: int
+    index: _Occurrences,
+    lines: Sequence[tuple[int, int, str]],
+    window: int,
+    least: int,
 ) -> tuple[int, int | None]:
     """One side of an affine query, read off its lead word's occurrences.
 
     ``lines`` gives each cell as (offset at n = 0, slope, word), with n
-    counted outward from 0 on this side.  The lead is the cell of least
-    slope, the least offset breaking a tie; from ``first`` >= 1 on, every
+    counted outward from 0 on this side, and the side holds the n from
+    ``least`` (0 or 1) on.  The lead is the cell of least slope, the
+    least offset breaking a tie; from ``first`` >= ``least`` on, every
     other cell's offset from it is >= 0, so it is the leftmost cell.  The
     anchors are the positions where the span fits and the lead word
     starts, and n is a member through anchor p when every other word
@@ -117,9 +130,9 @@ def _anchored(
     is the membership of first + j; the mask is None, and the n left to
     the sweep, when the anchors are no fewer than the n they would
     answer."""
-    (a0, s0, lead), *others = sorted(lines, key=lambda line: (line[1], line[0]))
+    (a0, s0, lead), *others = sorted(lines, key=operator.itemgetter(1, 0))
     rel = [(a - a0, s - s0, w) for a, s, w in others]  # offset e + t*n, t >= 0
-    first = min(max([1] + [-(e // t) for e, t, _ in rel if t]), window + 1)
+    first = min(max([least] + [-(e // t) for e, t, _ in rel if t]), window + 1)
     count = window + 1 - first
     anchors = index.fits & index.starts(lead)
     for e, t, w in rel:
@@ -127,7 +140,7 @@ def _anchored(
             anchors &= index.starts(w) >> e
     if anchors.bit_count() >= count:
         return first, None
-    ps = list(itertools.compress(range(anchors.bit_length()), _bits(anchors)))
+    ps = _ones(anchors)
     found = itertools.repeat((1 << count) - 1, len(ps))
     for e, t, w in rel:
         # at n = first + j the cell starts at p + e + t*first + t*j, and
@@ -167,53 +180,63 @@ def _members(
     mask per cell for every n.  When every offset is affine in n, each
     side of 0 may instead take ``_anchored``, which ORs over the lead
     word's occurrences and answers every n from each; it does so when
-    those are fewer than the side's n.  n = 0, the n before the lead
-    becomes the leftmost cell and any side the anchor route declines take
-    the sweep.  Both read one index, of the span fixed before either
-    runs, and test ``fits`` at the leftmost cell and the same starts of
-    every word, so the answers do not depend on the route."""
+    those are fewer than the side's n.  The positive side holds n = 0,
+    and the negative side starts at -1.  The n before the lead becomes
+    the leftmost cell and any side the anchor route declines take the
+    sweep.  Both read one index, of the span fixed before either runs,
+    and test ``fits`` at the leftmost cell and the same starts of every
+    word, so the answers do not depend on the route."""
     cells = [(p, w) for p, w in columns if w]
     ns = range(-window, window + 1)
-    affine = all(p.degree <= 1 for p, _ in cells)
+    if not cells:
+        return frozenset(ns), 0
+    lines = []  # (offset at n = 0, slope, word): an affine offset's c0 + c1 n
+    for p, w in cells:
+        a, s, *higher = *p.coeffs, 0, 0
+        if any(higher):
+            break
+        lines.append((a, s, w))
+    affine = len(lines) == len(cells)
     if affine:
         # an offset from the leftmost cell is a maximum of affine
         # functions of n, so the span peaks at n = -window or window
-        span = _layout([([p(-window), p(window)], w) for p, w in cells])[1]
+        span = _layout([([a - s * window, a + s * window], w) for a, s, w in lines])[1]
     else:
         layout, span = _layout([(p.values(-window, len(ns)), w) for p, w in cells])
-    if not span:
-        return frozenset(ns), 0
     too_long = "query needs words of length {span}, bound is {bound}"
     index = sys._shared_index(span, too_long)
     for cyl in cylinders:
         require_admissible(sys, cyl, index)
     if index is None:
         index = sys._index(span, too_long)
-    answered, near = [], ns
-    if affine:
-        lines = [(p(0), p(1) - p(0), w) for p, w in cells]
-        bounds = []
-        for sign in (1, -1):
-            side = [(a, sign * s, w) for a, s, w in lines]
-            first, found = _anchored(index, side, window)
-            if found is None:
-                first = window + 1
-            else:
-                outward = range(sign * first, sign * (window + 1), sign)
-                answered.append(itertools.compress(outward, _bits(found)))
-            bounds.append(first)
-        near = range(1 - bounds[1], bounds[0])
-        layout, _ = _layout([(p.values(near.start, len(near)), w) for p, w in cells])
-    swept = itertools.compress(near, index.carrier_masks(layout, len(near)))
-    return frozenset(itertools.chain(swept, *answered)), span
+    if not affine:
+        swept = itertools.compress(ns, index.carrier_masks(layout, len(ns)))
+        return frozenset(swept), span
+    answered, bounds = [], []
+    for sign, least in ((1, 0), (-1, 1)):
+        side = [(a, sign * s, w) for a, s, w in lines]
+        first, found = _anchored(index, side, window, least)
+        if found is None:
+            first = window + 1
+        else:
+            outward = range(sign * first, sign * (window + 1), sign)
+            answered.append(itertools.compress(outward, _bits(found)))
+        bounds.append(first)
+    near = range(1 - bounds[1], bounds[0])
+    if near:
+        lo, hi = near.start, near.stop
+        layout, _ = _layout(
+            [(range(a + s * lo, a + s * hi, s) if s else [a] * len(near), w)
+             for a, s, w in lines]
+        )
+        swept = itertools.compress(near, index.carrier_masks(layout, len(near)))
+        answered.append(swept)
+    return frozenset(itertools.chain(*answered)), span
 
 
-def _poly_columns(
-    u: CylinderSet, vs: Sequence[CylinderSet], polys: Sequence[IntegralPolynomial]
-) -> list[tuple[IntegralPolynomial, str]]:
-    return [(IntegralPolynomial.zero(), u.word)] + [
-        (p, v.word) for p, v in zip(polys, vs)
-    ]
+# the offset of u in every query, and of v in a plain return set
+_ZERO = IntegralPolynomial(())
+_IDENTITY = IntegralPolynomial((0, 1))
 
 
 def return_set(
@@ -229,20 +252,16 @@ def return_set(
     """
     if window < 0:
         raise ValueError("window must be nonnegative")
-    columns = _poly_columns(u, [v], [IntegralPolynomial((0, 1))])
+    columns = [(_ZERO, u.word), (_IDENTITY, v.word)]
     members, span = _members(sys, window, columns, (u, v))
-    return ReturnSet(
-        window=window,
-        members=members,
-        provenance=(
-            ("op", "return-set"),
-            ("system", sys.describe()),
-            ("u", u.word),
-            ("v", v.word),
-            ("window", str(window)),
-        ),
-        span=span,
+    provenance = (
+        ("op", "return-set"),
+        ("system", sys.describe()),
+        ("u", u.word),
+        ("v", v.word),
+        ("window", str(window)),
     )
+    return ReturnSet(window, members, provenance, span)
 
 
 def check_polynomial_hypotheses(polys: Sequence[IntegralPolynomial]) -> None:
@@ -273,20 +292,18 @@ def poly_return_set(
     if window < 0:
         raise ValueError("window must be nonnegative")
     check_polynomial_hypotheses(polys)
-    members, span = _members(sys, window, _poly_columns(u, vs, polys), (u, *vs))
-    return ReturnSet(
-        window=window,
-        members=members,
-        provenance=(
-            ("op", "poly-return-set"),
-            ("system", sys.describe()),
-            ("u", u.word),
-            ("vs", "|".join(v.word for v in vs)),
-            ("polys", "; ".join(str(p) for p in polys)),
-            ("window", str(window)),
-        ),
-        span=span,
+    words = [v.word for v in vs]
+    columns = [(_ZERO, u.word), *zip(polys, words)]
+    members, span = _members(sys, window, columns, (u, *vs))
+    provenance = (
+        ("op", "poly-return-set"),
+        ("system", sys.describe()),
+        ("u", u.word),
+        ("vs", "|".join(words)),
+        ("polys", "; ".join(map(str, polys))),
+        ("window", str(window)),
     )
+    return ReturnSet(window, members, provenance, span)
 
 
 def required_span(
@@ -298,7 +315,7 @@ def required_span(
     """Longest admissible word a polynomial query will need; lets callers
     report feasibility before computing."""
     count = 2 * window + 1
-    columns = _poly_columns(u, vs, polys)
+    columns = [(_ZERO, u.word), *zip(polys, [v.word for v in vs])]
     return _layout([(p.values(-window, count), w) for p, w in columns])[1]
 
 

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Union
 
 from ._record import Record
@@ -39,15 +40,16 @@ class PolynomialParseError(ValueError):
 def binomial(n: int, k: int) -> int:
     """C(n, k) for arbitrary integer n and k >= 0.
 
-    The product of k consecutive integers is divisible by k!, so the
-    division below is exact even for negative n.
+    The running product C(n, i + 1) = C(n, i) (n - i) / (i + 1) divides
+    exactly at every step, even for negative n, since C(n, i) (n - i) =
+    C(n, i + 1) (i + 1) holds for every integer n.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     num = 1
     for i in range(k):
-        num *= n - i
-    return num // math.factorial(k)
+        num = num * (n - i) // (i + 1)
+    return num
 
 
 @lru_cache(maxsize=None)
@@ -148,15 +150,19 @@ class IntegralPolynomial(Record):
 
     @property
     def is_constant(self) -> bool:
-        return self.degree <= 0
+        return len(self.coeffs) <= 1
 
     def __call__(self, n: int) -> int:
-        return sum(c * binomial(n, j) for j, c in enumerate(self.coeffs))
+        total, term = 0, 1  # term is C(n, j), by the running product of ``binomial``
+        for j, c in enumerate(self.coeffs):
+            total += c * term
+            term = term * (n - j) // (j + 1)
+        return total
 
     def _monomial_numerators(self) -> tuple[list[int], int]:
         """Ordinary coefficients (constant first) as integer numerators
         over one denominator, deg!; the leading numerator is nonzero."""
-        denominator = math.factorial(max(self.degree, 0))
+        denominator = math.factorial(max(len(self.coeffs) - 1, 0))
         out = [0] * len(self.coeffs)
         for k, c in enumerate(self.coeffs):
             if c:
@@ -209,13 +215,16 @@ class IntegralPolynomial(Record):
         return level
 
     def translate(self, m: int) -> "IntegralPolynomial":
-        """p(n + m) as a polynomial in n (Vandermonde convolution)."""
-        k = len(self.coeffs)
-        new = [
-            sum(c * binomial(m, j - i) for j, c in enumerate(self.coeffs) if j >= i)
-            for i in range(k)
-        ]
-        return IntegralPolynomial(tuple(new))
+        """p(n + m) as a polynomial in n (Vandermonde convolution): the
+        i-th coordinate is sum_j c_(i+j) C(m, j), with C(m, j) by the
+        running product of ``binomial``."""
+        cs = self.coeffs
+        row = [1]  # C(m, 0), C(m, 1), ..., C(m, len(cs) - 1)
+        for j in range(len(cs) - 1):
+            row.append(row[-1] * (m - j) // (j + 1))
+        return IntegralPolynomial(
+            [sum(map(operator.mul, cs[i:], row)) for i in range(len(cs))]
+        )
 
     def shift_diff(self, m: int) -> "IntegralPolynomial":
         """The cross term q_m(n) = p(n+m) - p(m) - p(n).
@@ -229,6 +238,12 @@ class IntegralPolynomial(Record):
     # -- rendering -------------------------------------------------------
 
     def __str__(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        """The monomial rendering, worked out once: every return set
+        prints its polynomials into its provenance."""
         numerators, denominator = self._monomial_numerators()
         if not numerators:
             return "0"
@@ -257,8 +272,9 @@ class IntegralPolynomial(Record):
 
 
 def essentially_distinct(p: IntegralPolynomial, q: IntegralPolynomial) -> bool:
-    """True when p - q is nonconstant (differs by more than an additive shift)."""
-    return (p - q).degree >= 1
+    """True when p - q is nonconstant (differs by more than an additive
+    shift): some coordinate of C(n, j), j >= 1, differs."""
+    return p.coeffs[1:] != q.coeffs[1:]
 
 
 _TOKEN_RE = re.compile(

@@ -12,6 +12,7 @@ re-exports the names it builds on.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import operator
 from typing import Iterator, Mapping, Sequence
@@ -57,8 +58,9 @@ class SubstitutionSystem:
     reaches the span, that index is the shortest prefix the certificate
     proves holds every factor of the span, shorter or longer than the
     expansion.  Other seeds, and spans no certificate reaches, read the
-    expansion, which may miss factors.  Nothing but the kept expansions
-    outlives a query.
+    expansion, which may miss factors.  Nothing but the kept expansions,
+    the certificates, the system's reach (``_reach``, worked out at the
+    first query that asks for it) and its description outlives a query.
     """
 
     def __init__(
@@ -97,6 +99,8 @@ class SubstitutionSystem:
             raise BadRules(f"max word length must be >= 1, got {max_word_length}")
         self.depth = depth
         self.max_word_length = max_word_length
+        rules_text = ";".join(f"{s}->{self.rules[s]}" for s in alphabet)
+        self._description = f"substitution[{rules_text}|seeds={','.join(self.seeds)}]"
         self._kept: dict[str, _Expansion] = {}
         self._staircases: dict[str, tuple[list[int], list[int]]] = {}
 
@@ -272,18 +276,23 @@ class SubstitutionSystem:
         cached = self._staircases[seed] = ([cap for cap, _ in entries], bases[::-1])
         return cached
 
+    @functools.cached_property
+    def _reach(self) -> int:
+        """The longest span every seed's certificate reaches: the least
+        last cap of their staircases, 0 unless every seed is a fixed
+        point (``_staircase``)."""
+        if not all(self._shape(seed, 1)[0] == ("prefix", 0) for seed in self.seeds):
+            return 0
+        return min([max(self._staircase(seed)[0], default=0) for seed in self.seeds])
+
     def _certified(self, span: int) -> bool:
-        """True when ``span`` is within the system's reach: every seed is
-        a fixed point whose certificate reaches ``span``, so every span up
-        to it reads certified prefixes (``_cuts``).  The index of such a
-        span holds every factor of that many letters and no other word,
-        and every factor extends to the right, so it answers a question
-        of any shorter span as that span's own index does."""
-        return all(
-            self._shape(seed, 1)[0] == ("prefix", 0)
-            and span <= max(self._staircase(seed)[0], default=0)
-            for seed in self.seeds
-        )
+        """True when ``span`` is within the system's reach (``_reach``),
+        so every span up to it reads certified prefixes (``_cuts``).  The
+        index of such a span holds every factor of that many letters and
+        no other word, and every factor extends to the right, so it
+        answers a question of any shorter span as that span's own index
+        does."""
+        return span <= self._reach
 
     def _shared_index(self, span: int, too_long: str) -> _Occurrences | None:
         """The one index that answers every question of a span up to
@@ -329,8 +338,9 @@ class SubstitutionSystem:
             raise ValueError("factor length must be >= 1")
         occ = self._index(length, "factor length {span} exceeds bound {bound}")
         fits = bin(occ.fits)[:1:-1]  # bit p at index p
+        text = occ.text
         return frozenset(
-            occ.text[p : p + length] for p, bit in enumerate(fits) if bit == "1"
+            text[p : p + length] for p, bit in enumerate(fits) if bit == "1"
         )
 
     def language(self, max_length: int) -> frozenset[str]:
@@ -347,8 +357,7 @@ class SubstitutionSystem:
         return any(index.carrier_masks([((0,), word)], 1))
 
     def describe(self) -> str:
-        rules = ";".join(f"{s}->{self.rules[s]}" for s in self.alphabet)
-        return f"substitution[{rules}|seeds={','.join(self.seeds)}]"
+        return self._description
 
     def __repr__(self) -> str:
         return f"<SubstitutionSystem {self.describe()}>"
@@ -379,16 +388,16 @@ class _Occurrences:
     query span.
 
     Bit p of ``letters[c]`` is set when letter c stands at position p of
-    the joined ``text``, and bit p of ``fits`` when ``span`` letters from
-    p lie inside one expansion.  The starts of a word are the AND of its
-    shifted letter masks, and a pattern of (offset, word) cells holds at
-    p when every cell's word starts at p + offset: the Shift-And idea of
-    Baeza-Yates and Gonnet, "A new approach to text searching", CACM
-    35(10), 1992.
+    the joined ``text`` (joined when first read), and bit p of ``fits``
+    when ``span`` letters from p lie inside one expansion.  The starts of
+    a word are the AND of its shifted letter masks, and a pattern of
+    (offset, word) cells holds at p when every cell's word starts at p +
+    offset: the Shift-And idea of Baeza-Yates and Gonnet, "A new
+    approach to text searching", CACM 35(10), 1992.
     """
 
     def __init__(self, cuts: Sequence[tuple[_Expansion, int]], span: int):
-        self.text = "".join(kept.text[:length] for kept, length in cuts)
+        self._cuts = cuts
         self.letters: dict[str, int] = {}
         self.fits = start = 0
         for kept, length in cuts:
@@ -399,6 +408,10 @@ class _Occurrences:
                 self.fits |= ((1 << (length - span + 1)) - 1) << start
             start += length
         self._starts: dict[str, int] = {}
+
+    @functools.cached_property
+    def text(self) -> str:
+        return "".join([kept.text[:length] for kept, length in self._cuts])
 
     def starts(self, word: str) -> int:
         """Positions at which ``word`` begins, matched once per index."""

@@ -1,3 +1,4 @@
+import ast
 import os
 import shutil
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ipdyn import cli, dynamics
+from ipdyn import cli, config, dynamics
 from ipdyn.config import ParseError, ValidationError, parse_config
 
 CHACON_PREAMBLE = """
@@ -676,6 +677,42 @@ window = 150
         assert path.read_text() == "n,member\n"
 
 
+def keys_cli_reads():
+    """Every [run] key the CLI reads: the key each flag overrides, and
+    the first argument of every run-parameter lookup (``p.get``,
+    ``self.need``, ...) and ``run[...]`` subscript in its source."""
+    keys = {key for _, flags, _ in cli._COMMANDS.values() for _, key, _ in flags if key}
+    lookups = {"get", "need", "integer", "integers", "names"}
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in lookups
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("p", "self")
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+        ):
+            keys.add(node.args[0].value)
+        if (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "run"
+            and isinstance(node.slice, ast.Constant)
+        ):
+            keys.add(node.slice.value)
+    return keys
+
+
+def test_run_keys_are_the_keys_some_subcommand_reads():
+    # one [run] serves every subcommand (perfbench's small.cfg feeds fs,
+    # hindman and density), so the config accepts the union of their keys
+    accepted = config._KEYS["run"]
+    assert len(set(accepted)) == len(accepted)
+    assert set(accepted) == keys_cli_reads()
+    assert set(config._RUN_REFERENCES) <= set(accepted)
+
+
 GOLDEN = Path(__file__).parent / "golden" / "cli"
 
 # case -> argv without "--out out".  Each case runs in a fresh copy of
@@ -744,6 +781,8 @@ GOLDEN_CASES = {
     "unreadable-config": ["return-set", "--config", "nope.cfg"],
     "config-syntax-error": ["return-set", "--config", "broken.cfg"],
     "unknown-system-key": ["return-set", "--config", "unknown-system-key.cfg"],
+    # base_power for base-power: no subcommand reads it
+    "unknown-run-key": ["lemma213", "--config", "unknown-run-key.cfg"],
     "duplicate-section": ["return-set", "--config", "duplicate-section.cfg"],
     "foreign-set": ["return-set", "--config", "foreign-set.cfg"],
     "negative-window": ["return-set", "--config", "shared.cfg", "--window", "-1"],

@@ -48,6 +48,11 @@ ERRORS = [
         "section [gamma-system G]: unknown key 'expr'",
     ),
     ("[fs F]\ngenerator = 1\n", ValidationError, "section [fs F]: unknown key 'generator'"),
+    (
+        "[run]\nwindow = 5\nbase_power = 2\n",
+        ValidationError,
+        "section [run]: unknown key 'base_power'",
+    ),
     # unnamed sections
     ("[system]\nrules = 0 -> 1\n", ValidationError, "section [system] needs a name"),
     ("[set]\nsystem = S\n", ValidationError, "section [set] needs a name"),

@@ -185,6 +185,62 @@ class TestValues:
         assert poly("n^2").values(-5, 0) == []
 
 
+def comb(n, k):
+    """C(n, k) by math.comb: directly for n >= 0, and for n < 0 by
+    C(n, k) = (-1)^k C(k - n - 1, k), the upper negation identity."""
+    return math.comb(n, k) if n >= 0 else (-1) ** k * math.comb(k - n - 1, k)
+
+
+def comb_eval(coords, n):
+    return sum(c * comb(n, j) for j, c in enumerate(coords))
+
+
+class TestExactEvaluation:
+    """Binomials, evaluation, translation and values against math.comb,
+    for degrees 0 to 8 and |n| <= 60."""
+
+    NS = range(-60, 61)
+
+    def random_coords(self, rng, degree):
+        coords = [rng.randint(-10**6, 10**6) for _ in range(degree + 1)]
+        coords[-1] = coords[-1] or 1
+        return tuple(coords)
+
+    def test_binomial(self):
+        for k in range(9):
+            for n in self.NS:
+                assert binomial(n, k) == comb(n, k), (n, k)
+
+    def test_call(self):
+        rng = random.Random("exact-call")
+        for degree in range(9):
+            for _ in range(5):
+                coords = self.random_coords(rng, degree)
+                p = IntegralPolynomial(coords)
+                assert [p(n) for n in self.NS] == [comb_eval(coords, n) for n in self.NS]
+
+    def test_translate(self):
+        rng = random.Random("exact-translate")
+        for degree in range(9):
+            coords = self.random_coords(rng, degree)
+            p = IntegralPolynomial(coords)
+            for m in range(-60, 61, 7):
+                moved = p.translate(m)
+                assert moved.degree == degree, (coords, m)
+                for n in range(-60 - min(m, 0), 61 - max(m, 0), 5):
+                    assert moved(n) == comb_eval(coords, n + m), (coords, m, n)
+
+    def test_values(self):
+        rng = random.Random("exact-values")
+        for degree in range(9):
+            coords = self.random_coords(rng, degree)
+            p = IntegralPolynomial(coords)
+            for start in (-60, -13, 0, 7):
+                count = 61 - start
+                want = [comb_eval(coords, n) for n in range(start, start + count)]
+                assert p.values(start, count) == want, (coords, start)
+
+
 class TestArith:
     def test_add(self):
         assert poly("n^2") + poly("n") == poly("n^2 + n")

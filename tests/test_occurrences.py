@@ -9,6 +9,7 @@ import bisect
 import itertools
 import operator
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -29,6 +30,7 @@ from ipdyn.dynamics import (
     _gamma_shift,
     _inclusion,
     _layout,
+    _ones,
     chacon,
     check_polynomial_hypotheses,
     fibonacci,
@@ -314,6 +316,26 @@ def test_affine_queries_cross_between_routes(monkeypatch):
     assert any(taken and first > 1 for first, taken in routes)
 
 
+def test_route_edges_match_factor_scan(monkeypatch):
+    # at W = 0 and W = 1 the positive side's anchors answer n = 0 or
+    # leave it to the sweep, and either route may answer a whole side
+    routes = record_routes(monkeypatch)
+    for name, make in SYSTEMS.items():
+        sys_ = make()
+        for shape, (poly_texts, _, blank) in QUERY_SHAPES.items():
+            rng = random.Random(f"{name}/{shape}/edges")
+            for window in (0, 1):
+                for max_len in (3, 3, 10):
+                    count = 2 if poly_texts is None else 1 + len(poly_texts)
+                    words = [
+                        "" if i in blank else random_word(rng, sys_, max_len)
+                        for i in range(count)
+                    ]
+                    check_query(sys_, poly_texts, words, window)
+    from_zero = {taken for first, taken in routes if first == 0}
+    assert from_zero == {True, False}
+
+
 def test_carrier_masks_match_the_per_n_sweep():
     for name, make in SYSTEMS.items():
         sys_ = make()
@@ -333,6 +355,14 @@ def test_carrier_masks_match_the_per_n_sweep():
             assert len(masks) == count, (name, columns)
             want = carried_masks(index, columns, count)
             assert (masks, span) == want, (name, columns)
+
+
+def test_ones_lists_the_set_bits():
+    rng = random.Random("ones")
+    masks = [0, 1, 2, 3, 1 << 300, rng.getrandbits(2000) & rng.getrandbits(2000)]
+    masks += [rng.getrandbits(rng.randint(1, 3000)) for _ in range(50)]
+    for mask in masks:
+        assert _ones(mask) == [p for p in range(mask.bit_length()) if mask >> p & 1]
 
 
 def test_anchor_route_matches_the_per_n_sweep():
@@ -359,20 +389,54 @@ def test_anchor_route_matches_the_per_n_sweep():
             except WindowTooLarge:
                 continue
             swept = list(index.carrier_masks(layout, len(ns)))
-            for sign in (1, -1):
+            # the positive side holds n = 0, as _members offers it
+            for sign, least in ((1, 0), (-1, 1)):
                 side = [(a, sign * s, w) for a, s, w in cells]
-                first, found = _anchored(index, side, window)
-                assert 1 <= first <= window + 1, (name, lines, window)
+                first, found = _anchored(index, side, window, least)
+                assert least <= first <= window + 1, (name, lines, window)
                 if found is None:
                     if first <= window:
                         outcomes.add("sweep")
                     continue
-                outcomes.add("anchors")
+                outcomes.add("anchors from 0" if first == 0 else "anchors")
                 assert found >> (window + 1 - first) == 0, (name, lines, window)
                 for t in range(first, window + 1):
                     member = swept[window + sign * t] != 0
                     assert (found >> (t - first) & 1) == member, (name, lines, sign * t)
-    assert outcomes == {"anchors", "sweep"}
+    assert outcomes == {"anchors", "anchors from 0", "sweep"}
+
+
+def python_calls(query, *args):
+    """The Python-level calls (profile "call" events, generator resumes
+    included) of one query, after one untimed call of it."""
+    query(*args)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        query(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_warm_query_call_budget():
+    # A query on a warm system runs cold: the benchmark collects garbage
+    # before every op, which leaves the CPU caches holding other data,
+    # and then an op costs about what its code and data take to fetch.
+    # Each call touches a code object and its frame, so the fixed path of
+    # a query, not its per-n work, was half an op at 140-230 calls.  The
+    # budgets are the counts on CPython 3.11 (41 and 54) with headroom;
+    # 3.12 inlines comprehensions and counts fewer.
+    sys_ = chacon()
+    u, v, v2 = CylinderSet("0010001"), CylinderSet("001000"), CylinderSet("100100")
+    polys = [parse_polynomial("n"), parse_polynomial("2n")]
+    assert python_calls(return_set, sys_, u, v, 360) <= 45
+    assert python_calls(poly_return_set, sys_, u, [v, v2], polys, 220) <= 60
 
 
 def in_order(query, sys_, cylinders, *args, polys=()):
