@@ -154,8 +154,6 @@ def build_system(
         options["seeds"] = tuple(
             s.strip() for s in spec["seeds"].split(",") if s.strip()
         )
-    if spec.get("depth", "auto") != "auto":
-        options["depth"] = _integer(spec["depth"], "depth", where)
     if "max-word-length" in spec:
         options["max_word_length"] = _integer(
             spec["max-word-length"], "max-word-length", where
@@ -192,7 +190,7 @@ _SECTIONS = {
 # that some subcommand of the CLI reads, flag or no flag, so that one
 # [run] serves several subcommands
 _KEYS = {
-    "system": ("kind", "rules", "seeds", "depth", "max-word-length"),
+    "system": ("kind", "rules", "seeds", "max-word-length"),
     "set": ("system", "word"),
     "poly": ("expr",),
     "gamma": ("expr",),

@@ -18,7 +18,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._record import Record
 
@@ -137,10 +137,8 @@ class WindowSet(Record):
         return cls(lo, hi, frozenset(members))
 
     @classmethod
-    def from_csv_text(
-        cls, text: str, lo: int | None = None, hi: int | None = None
-    ) -> "WindowSet":
-        """One integer per line; the window defaults to [min, max + 1]."""
+    def from_csv_text(cls, text: str, lo: int, hi: int) -> "WindowSet":
+        """One integer per line, in the window [lo, hi)."""
         values = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
@@ -150,10 +148,6 @@ class WindowSet(Record):
                 values.append(int(line))
             except ValueError:
                 raise ValueError(f"line {lineno}: not an integer: {line!r}")
-        if not values and (lo is None or hi is None):
-            raise ValueError("empty CSV needs an explicit window")
-        lo = min(values) if lo is None else lo
-        hi = max(values) + 1 if hi is None else hi
         return cls(lo, hi, frozenset(values))
 
 
@@ -197,21 +191,15 @@ def builtin_predicate(name: str) -> Callable[[int], bool]:
     raise ValueError(f"unknown predicate {name!r}")
 
 
-Target = Union[WindowSet, Callable[[int], bool]]
-
-
 def ip_witness(
-    target: Target, fs: FSTruncation
+    member: Callable[[int], bool], fs: FSTruncation
 ) -> tuple[frozenset[int], int] | None:
-    """First (index set, sum) of the truncation landing in the target,
-    scanning in ascending bitmask order; None when the whole truncation
-    misses.  Absence over a truncation refutes nothing about the
-    infinite statement; presence is a genuine intersection witness.
+    """First (index set, sum) of the truncation whose sum satisfies the
+    membership predicate, scanning in ascending bitmask order; None when
+    the whole truncation misses.  Absence over a truncation refutes
+    nothing about the infinite statement; presence is a genuine
+    intersection witness.
     """
-    if isinstance(target, WindowSet):
-        member = target.__contains__
-    else:
-        member = target
     for alpha, value in fs.items():
         if member(value):
             return alpha, value

@@ -39,12 +39,12 @@ _CERTIFY_SEARCH = 256
 class SubstitutionSystem:
     """A substitution subshift described by symbol rewriting rules.
 
-    The admissible language is the factor set of long expansions of the
-    seed symbols.  ``depth=None`` grows each seed until the expansion is
-    comfortably longer than any requested factor; a fixed integer depth
-    applies the rules exactly that many times.  Substitutions that stop
-    growing (for instance a single fixed letter) are closed off
-    periodically, so the constant system has language a, aa, aaa, ...
+    The admissible language, the subshift's, is the factor set of long
+    expansions of the seed symbols: each seed is grown, never cut at a
+    fixed number of steps, until its expansion is comfortably longer
+    than any requested factor.  Substitutions that stop growing
+    (for instance a single fixed letter) are closed off periodically, so
+    the constant system has language a, aa, aaa, ...
 
     Each seed keeps one expansion, with its letter masks, and every
     query reads a prefix of it.  A seed whose image begins with itself
@@ -54,12 +54,12 @@ class SubstitutionSystem:
 
     Every question about the language (factor sets, admissibility,
     patterns, return sets) reads one occurrence index of its span.  On a
-    fixed-point seed (automatic depth) whose certificate (``_staircase``)
-    reaches the span, that index is the shortest prefix the certificate
-    proves holds every factor of the span, shorter or longer than the
-    expansion.  Other seeds, and spans no certificate reaches, read the
-    expansion, which may miss factors.  Nothing but the kept expansions,
-    the certificates, the system's reach (``_reach``, worked out at the
+    fixed-point seed whose certificate (``_staircase``) reaches the span,
+    that index is the shortest prefix the certificate proves holds every
+    factor of the span, shorter or longer than the expansion.  Other
+    seeds, and spans no certificate reaches, read the expansion, which
+    may miss factors.  Nothing but the kept expansions, the
+    certificates, the system's reach (``_reach``, worked out at the
     first query that asks for it) and its description outlives a query.
     """
 
@@ -68,7 +68,6 @@ class SubstitutionSystem:
         rules: Mapping[str, str],
         *,
         seeds: Sequence[str] | None = None,
-        depth: int | None = None,
         max_word_length: int = 5000,
     ):
         if not rules:
@@ -93,11 +92,8 @@ class SubstitutionSystem:
         for s in self.seeds:
             if s not in self.rules:
                 raise BadRules(f"seed {s!r} has no rule")
-        if depth is not None and depth < 0:
-            raise BadRules("depth must be nonnegative")
         if max_word_length < 1:
             raise BadRules(f"max word length must be >= 1, got {max_word_length}")
-        self.depth = depth
         self.max_word_length = max_word_length
         rules_text = ";".join(f"{s}->{self.rules[s]}" for s in alphabet)
         self._description = f"substitution[{rules_text}|seeds={','.join(self.seeds)}]"
@@ -118,26 +114,26 @@ class SubstitutionSystem:
         - ("prefix", 0): the fixed point of a seed whose image begins
           with itself and is longer, cut at ``target``;
         - ("iterate", k): sigma^k(seed), the first iterate at least
-          ``target`` letters long, cut there (whole at a fixed depth);
+          ``target`` letters long, cut there;
         - ("closure", k): sigma^k(seed) repeated, when sigma^(k-1)(seed)
           is shorter than ``target`` and sigma does not lengthen it; the
           repeats are rounded up to whole periods.
         """
         image = self.rules[seed]
-        if self.depth is None and image[0] == seed and len(image) > 1:
+        if image[0] == seed and len(image) > 1:
             return ("prefix", 0), target
         counts = {seed: 1}
         k, length = 0, 1
-        while (k < self.depth) if self.depth is not None else (length < target):
+        while length < target:
             grown: dict[str, int] = {}
             for c, n in counts.items():
                 for d in self.rules[c]:
                     grown[d] = grown.get(d, 0) + n
             grown_length = sum(grown.values())
-            if self.depth is None and grown_length <= length:
+            if grown_length <= length:
                 return ("closure", k + 1), -(-target // grown_length) * grown_length
             counts, k, length = grown, k + 1, grown_length
-        return ("iterate", k), length if self.depth is not None else target
+        return ("iterate", k), target
 
     def _build(self, seed: str, key: tuple[str, int], length: int) -> _Expansion:
         """An expansion of the text the ``_shape`` key names, at least
@@ -316,19 +312,15 @@ class SubstitutionSystem:
         ``self.expansions(span)`` holds, cut with their letter masks from
         the kept expansions; every question about the language reads one.
         A certified prefix holds every factor of ``span`` letters, each at
-        its first occurrence.  Raises WindowTooLarge past the bound, with
-        {span} and {bound} filled into ``too_long``, and when no expansion
-        is ``span`` letters long."""
+        its first occurrence.  Every cut is at least ``span`` letters
+        long: an expansion is cut at the target, 32 times ``span`` or
+        more, or rounded up from it, and a certified prefix is ``bases[i]
+        + span - 1`` letters with ``bases[i] >= 1`` (``_staircase``).
+        Raises WindowTooLarge past the bound, with {span} and {bound}
+        filled into ``too_long``."""
         if span > self.max_word_length:
             raise WindowTooLarge(too_long.format(span=span, bound=self.max_word_length))
-        occ = _Occurrences(self._cuts(self._target_length(span), span), span)
-        if not occ.fits:
-            # every expansion is shorter than span: a fixed depth set too small
-            raise WindowTooLarge(
-                f"no expansion reaches length {span}; raise depth or use "
-                "automatic growth"
-            )
-        return occ
+        return _Occurrences(self._cuts(self._target_length(span), span), span)
 
     def factors(self, length: int) -> frozenset[str]:
         """All admissible words of exactly the given length: the windows
@@ -389,11 +381,12 @@ class _Occurrences:
 
     Bit p of ``letters[c]`` is set when letter c stands at position p of
     the joined ``text`` (joined when first read), and bit p of ``fits``
-    when ``span`` letters from p lie inside one expansion.  The starts of
-    a word are the AND of its shifted letter masks, and a pattern of
-    (offset, word) cells holds at p when every cell's word starts at p +
-    offset: the Shift-And idea of Baeza-Yates and Gonnet, "A new
-    approach to text searching", CACM 35(10), 1992.
+    when ``span`` letters from p lie inside one expansion; every cut
+    holds at least ``span`` letters (``SubstitutionSystem._index``).
+    The starts of a word are the AND of its shifted letter masks, and a
+    pattern of (offset, word) cells holds at p when every cell's word
+    starts at p + offset: the Shift-And idea of Baeza-Yates and Gonnet,
+    "A new approach to text searching", CACM 35(10), 1992.
     """
 
     def __init__(self, cuts: Sequence[tuple[_Expansion, int]], span: int):
@@ -404,8 +397,7 @@ class _Occurrences:
             prefix = (1 << length) - 1
             for c, mask in kept.letters.items():
                 self.letters[c] = self.letters.get(c, 0) | (mask & prefix) << start
-            if length >= span:
-                self.fits |= ((1 << (length - span + 1)) - 1) << start
+            self.fits |= ((1 << (length - span + 1)) - 1) << start
             start += length
         self._starts: dict[str, int] = {}
 

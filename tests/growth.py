@@ -8,11 +8,10 @@ between calls.  The test oracles read their expansions and factor sets
 from here, never from the library.
 
 The library agrees with these expansions only past the reach of its
-certificate: a fixed-point seed (automatic depth) is cut at its
-certified prefix for every span the certificate reaches, which holds
-every factor of the span, and so at least those of the expansion here.
-Seeds that are not fixed points, fixed depths and spans past the reach
-read the expansion.
+certificate: a fixed-point seed is cut at its certified prefix for
+every span the certificate reaches, which holds every factor of the
+span, and so at least those of the expansion here.  Seeds that are not
+fixed points and spans past the reach read the expansion.
 """
 
 import functools
@@ -28,7 +27,7 @@ def target_length(factor_length):
 
 
 @functools.cache
-def grow(rules, depth, seed, target):
+def grow(rules, seed, target):
     """The expansion of ``seed`` for ``target``; ``rules`` is a sorted
     tuple of (letter, image) pairs, so that calls can be cached.
 
@@ -45,19 +44,10 @@ def grow(rules, depth, seed, target):
                 reachable.add(d)
                 todo.append(d)
     power = {c: c for c in reachable}  # sigma^k(c), from k = 0
-
-    def step():
-        nonlocal power
-        power = {c: "".join(power[d] for d in images.get(c, c)) for c in power}
-        return "".join(power[c] for c in seed)
-
     word = seed
-    if depth is not None:
-        for _ in range(depth):
-            word = step()
-        return word
     while len(word) < target:
-        nxt = step()
+        power = {c: "".join(power[d] for d in images.get(c, c)) for c in power}
+        nxt = "".join(power[c] for c in seed)
         if len(nxt) <= len(word):
             # non-growing substitution: periodic closure
             reps = -(-target // len(nxt))
@@ -69,19 +59,7 @@ def grow(rules, depth, seed, target):
 def expansions(sys_, factor_length):
     target = target_length(factor_length)
     rules = tuple(sorted(sys_.rules.items()))
-    return tuple(grow(rules, sys_.depth, seed, target) for seed in sys_.seeds)
-
-
-def expansions_reaching(sys_, span):
-    """The expansions a span-letter query reads; every oracle raises the
-    same error when none of them is span letters long."""
-    texts = expansions(sys_, span)
-    if all(len(text) < span for text in texts):
-        raise WindowTooLarge(
-            f"no expansion reaches length {span}; raise depth or use "
-            "automatic growth"
-        )
-    return texts
+    return tuple(grow(rules, seed, target) for seed in sys_.seeds)
 
 
 def factors(sys_, length):
@@ -91,6 +69,6 @@ def factors(sys_, length):
         )
     return frozenset(
         text[i : i + length]
-        for text in expansions_reaching(sys_, length)
+        for text in expansions(sys_, length)
         for i in range(len(text) - length + 1)
     )

@@ -426,37 +426,6 @@ window = 500
             "level,cylinder,shift,contained\n"
         )
 
-    def test_short_fixed_depth_is_3(self, tmp_path, capsys):
-        # sigma^3(0) has 40 letters; the chain's second level needs 41
-        cfg = write_config(
-            tmp_path,
-            """
-[system chacon]
-kind = substitution
-rules = 0 -> 0010; 1 -> 1
-depth = 3
-
-[set A]
-system = chacon
-word = 1001
-
-[gamma g1]
-expr = T1^{n}
-
-[gamma g2]
-expr = T1^{2n}
-
-[run]
-system = chacon
-vs = A, A
-gammas = g1, g2
-depth = 4
-window = 200
-""",
-        )
-        assert run_cli(["lemma213", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-        assert "no expansion reaches length" in capsys.readouterr().err
-
     def test_negative_chain_depth_is_1(self, tmp_path, capsys):
         cfg = str(GOLDEN / "configs" / "lemma.cfg")
         out = str(tmp_path / "o")
@@ -791,7 +760,6 @@ GOLDEN_CASES = {
     "truncation-overflow": ["fs", "--generators", ",".join(map(str, range(1, 26)))],
     "non-integer-window": ["return-set", "--config", "non-integer-window.cfg"],
     "non-integer-generator": ["fs", "--generators", "1,x"],
-    "non-integer-system-depth": ["return-set", "--config", "non-integer-depth.cfg"],
     "non-integer-multiples": ["density", "--predicate", "multiples:x", "--lo", "0",
                               "--hi", "10", "--length", "2"],
 }

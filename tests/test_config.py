@@ -31,6 +31,8 @@ ERRORS = [
         ValidationError,
         "section [system S]: unknown key 'seed'",
     ),
+    # a system's language is always its subshift's: no fixed depth
+    (SYSTEM + "depth = 3\n", ValidationError, "section [system S]: unknown key 'depth'"),
     (
         SYSTEM + "[set U]\nsystem = S\nword = 0\nwrod = 11\n",
         ValidationError,
@@ -125,19 +127,9 @@ ERRORS = [
         "section [system S]: at least one seed is required",
     ),
     (
-        SYSTEM + "depth = -1\n",
-        ValidationError,
-        "section [system S]: depth must be nonnegative",
-    ),
-    (
         SYSTEM + "max-word-length = 0\n",
         ValidationError,
         "section [system S]: max word length must be >= 1, got 0",
-    ),
-    (
-        SYSTEM + "depth = deep\n",
-        ValidationError,
-        "section [system S], key 'depth': not an integer: 'deep'",
     ),
     (
         SYSTEM + "max-word-length = 1e3\n",

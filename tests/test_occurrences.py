@@ -14,7 +14,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from growth import expansions, expansions_reaching, factors, grow, target_length
+from growth import expansions, factors, grow, target_length
 
 from ipdyn.dynamics import (
     ContainmentCheck,
@@ -54,8 +54,8 @@ SYSTEMS = {
     "non-prefix": lambda: SubstitutionSystem({"0": "10", "1": "0"}),
     # non-growing: closed off periodically, one expansion per seed
     "periodic": lambda: SubstitutionSystem({"a": "a", "b": "b"}, seeds=("a", "b")),
-    # sigma^3(0) has 40 letters: longer queries run out of expansion
-    "chacon-depth-3": lambda: chacon(depth=3),
+    # primitive on three letters; its certificate reaches 2377 letters
+    "primitive-abc": lambda: SubstitutionSystem({"a": "abb", "b": "ac", "c": "bca"}),
     # a small bound, so that quadratic queries exceed it
     "bounded-fibonacci": lambda: fibonacci(max_word_length=60),
 }
@@ -166,7 +166,7 @@ def scan_realizable(sys_, cells):
     lo, span = min(positions), max(positions) + 1 - min(positions)
     if span > sys_.max_word_length:
         raise WindowTooLarge(f"pattern span {span} exceeds bound {sys_.max_word_length}")
-    for text in expansions_reaching(sys_, span):
+    for text in expansions(sys_, span):
         for a in range(len(text) - span + 1):
             if all(text[a + pos - lo] == sym for pos, sym in letters):
                 return True
@@ -487,8 +487,8 @@ def test_admissibility_matches_factor_set():
         texts = expansions(sys_, 1)
         for text in texts:
             words += [text[:k] for k in (1, 7, 33)] + [text[-k:] for k in (1, 7, 33)]
-            # past bounded-fibonacci's bound, past chacon-depth-3's expansion
-            words += [(text * 2)[:61], (text * 2)[:41]]
+            # past bounded-fibonacci's bound
+            words += [(text * 2)[:61]]
         # across the joint of two seeds' expansions
         words += [a[-2:] + b[:2] for a, b in zip(texts, texts[1:])]
         for w in words:
@@ -499,16 +499,19 @@ def test_admissibility_matches_factor_set():
 
 
 def test_factor_sets_match_growth_from_the_seed():
-    # 12 letters is the certificate's width, chacon-depth-3 has no
-    # expansion of 41 letters, and bounded-fibonacci's bound is 60;
-    # sigma^6 of Fibonacci's seeds has 21 and 13 letters, so the windows
-    # the two seeds hold lie unevenly about their joint
+    # 12 letters is the certificate's width and bounded-fibonacci's bound
+    # is 60; the closures of bc and efg round the 4096-letter target of
+    # every span up to 128 to 4096 and 4098 letters, so the windows the
+    # two seeds hold lie unevenly about their joint
     systems = {
         **SYSTEMS,
         "uneven-seeds": lambda: SubstitutionSystem(
-            {"0": "01", "1": "0"}, seeds=("0", "1"), depth=6
+            {"a": "bc", "b": "b", "c": "c", "d": "efg", "e": "e", "f": "f", "g": "g"},
+            seeds=("a", "d"),
         ),
     }
+    uneven = systems["uneven-seeds"]()
+    assert [length for _, length in uneven._cuts(target_length(128))] == [4096, 4098]
     for name, make in systems.items():
         sys_ = make()
         for length in (1, 2, 12, 13, 40, 41, 60, 61, 150):
@@ -522,7 +525,7 @@ def test_answers_do_not_depend_on_earlier_queries():
     # query indexed: the windows move the expansion target back and forth
     # across iterate lengths (non-prefix reads sigma^17(0), sigma^18(0)
     # and sigma^19(0), of 4181, 6765 and 10946 letters), and past the
-    # bound or the fixed depth and back
+    # bound and back
     systems = {
         **SYSTEMS,
         # 0 -> 0000000001 grows its runs of 1s slowly, so which words its
@@ -890,13 +893,13 @@ def test_certified_cut_holds_the_factors_of_the_expansion():
             texts = [kept.text[:n] for kept, n in sys_._cuts(target, span)]
             assert "".join(texts) == sys_._index(span, "").text
             for seed, text in zip(sys_.seeds, texts):
-                expansion = grow(rules, None, seed, target)
+                expansion = grow(rules, seed, target)
                 if span > max(sys_._staircase(seed)[0], default=0):
                     # past the certificate's reach the cut is the expansion
                     assert text == expansion, (name, seed, span)
                     continue
                 guessed, got = windows(expansion, span), windows(text, span)
-                grown = grow(rules, None, seed, 4 * len(text))
+                grown = grow(rules, seed, 4 * len(text))
                 assert got >= guessed, (name, seed, span)
                 assert got == windows(grown, span), (name, seed, span)
                 if len(text) < target:
@@ -940,7 +943,7 @@ def test_certified_queries_match_the_oracles():
 
 def fixed_point(sys_, seed):
     image = sys_.rules[seed]
-    return sys_.depth is None and image[0] == seed and len(image) > 1
+    return image[0] == seed and len(image) > 1
 
 
 def test_certified_spans_match_the_cuts():
@@ -971,8 +974,8 @@ def test_certified_spans_match_the_cuts():
                 assert cut == (bases[i] + span - 1 if i < len(caps) else full), (name, span)
     # the famous fixed points certify every span up to the bound
     assert chacon()._certified(5000) and fibonacci()._certified(5000)
-    # uncertified seeds: not a fixed point, or a fixed depth
-    for name in ("non-prefix", "periodic", "chacon-depth-3"):
+    # uncertified seeds: not a fixed point
+    for name in ("non-prefix", "periodic"):
         assert not SYSTEMS[name]()._certified(1), name
 
 
@@ -1002,7 +1005,7 @@ def test_certified_factors_match_a_long_growth():
             length = 4 * max(cut, target_length(span))
             if length * span > 1 << 26:
                 continue
-            text = grow(tuple(sorted(rules.items())), None, "a", length)
+            text = grow(tuple(sorted(rules.items())), "a", length)
             assert sys_.factors(span) == windows(text, span), (rules, span)
             checked += 1
             firsts += span in runs
@@ -1037,12 +1040,13 @@ ABA_WINDOW = (30_937, 612)  # (start, length) in the fixed point of a
 
 def aba_window():
     start, length = ABA_WINDOW
-    return grow(tuple(sorted(ABA.items())), None, "a", start + length)[start:]
+    return grow(tuple(sorted(ABA.items())), "a", start + length)[start:]
 
 
 def test_the_words_past_the_reach_are_factors():
-    # sigma^4(0) ends in 1111, and slow's certificate reaches span 2 only
-    assert grow(tuple(sorted(SLOW.items())), 4, "0", 0).endswith("1111")
+    # sigma^4(0), the first 7381 letters of the fixed point, ends in
+    # 1111, and slow's certificate reaches span 2 only
+    assert grow(tuple(sorted(SLOW.items())), "0", 7381).endswith("1111")
     slow = SubstitutionSystem(SLOW)
     assert slow._certified(2) and not slow._certified(3)
     # a -> aba reaches 611 letters, and the window is one letter longer
