@@ -15,7 +15,6 @@ rule strings) lives in ``config``.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from typing import Callable, Sequence
@@ -100,15 +99,6 @@ def _bits(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_BITS)
 
 
-def _ones(mask: int) -> list[int]:
-    """The positions of the set bits of a nonnegative mask, ascending.
-    They are summed from the runs of zeros between set bits, so a sparse
-    mask costs an object per set bit, not one per position."""
-    gaps = bin(mask)[:1:-1].split("1")[:-1]  # the zeros below each set bit
-    steps = map(operator.add, map(len, gaps), itertools.repeat(1))
-    return list(itertools.accumulate(steps, initial=-1))[1:]
-
-
 def _anchored(
     index: _Occurrences,
     lines: Sequence[tuple[int, int, str]],
@@ -122,44 +112,101 @@ def _anchored(
     ``least`` (0 or 1) on.  The lead is the cell of least slope, the
     least offset breaking a tie; from ``first`` >= ``least`` on, every
     other cell's offset from it is >= 0, so it is the leftmost cell.  The
-    anchors are the positions where the span fits and the lead word
-    starts, and n is a member through anchor p when every other word
-    starts at p plus its offset from the lead.  A cell of slope s >= 2
-    reads a copy of its starts that keeps the residue class of p mod s.
-    Returns ``first`` (window + 1 past the window) and a mask whose bit j
-    is the membership of first + j; the mask is None, and the n left to
-    the sweep, when the anchors are no fewer than the n they would
-    answer."""
+    anchors are the positions where the span fits, the lead word starts
+    and every cell of the lead's slope starts at its fixed offset.  The
+    other cells move with n, and the cells of one slope t are one read
+    of the AND of their starts: through anchor p, bit j of ``starts >>
+    p`` at t = 1, and of ``copies[p % t] >> p // t`` at t >= 2, a copy
+    of the starts that keeps the residue class of p mod t.  One
+    interpreted step per anchor, over the runs of zeros between anchors,
+    ORs the AND of the reads into one int.  Returns ``first`` (window + 1
+    past the window) and a mask whose bit j is the membership of first +
+    j; the mask is None, and the n left to the sweep, when the anchors
+    are no fewer than the n they would answer or the moving cells have
+    more than two slopes."""
     (a0, s0, lead), *others = sorted(lines, key=operator.itemgetter(1, 0))
     rel = [(a - a0, s - s0, w) for a, s, w in others]  # offset e + t*n, t >= 0
     first = min(max([least] + [-(e // t) for e, t, _ in rel if t]), window + 1)
     count = window + 1 - first
-    anchors = index.fits & index.starts(lead)
-    for e, t, w in rel:
-        if not t:  # a fixed offset e >= 0 from the lead
-            anchors &= index.starts(w) >> e
-    if anchors.bit_count() >= count:
+    if not count:  # first was cut to window + 1, where e + t*first may be < 0
         return first, None
-    ps = _ones(anchors)
-    found = itertools.repeat((1 << count) - 1, len(ps))
+    reads = {0: index.fits & index.starts(lead)}  # per slope, from n = first
     for e, t, w in rel:
         # at n = first + j the cell starts at p + e + t*first + t*j, and
         # e + t*first >= 0
-        starts = index.starts(w) >> (e + t * first)
-        if t == 1:
-            shifted = map(operator.rshift, itertools.repeat(starts), ps)
-        elif t:
-            # copies[r] keeps the bits r, r + t, r + 2t, ... of starts
-            bits = bin(starts)[2:]  # bit i at index len(bits) - 1 - i
-            top = len(bits) - 1
-            copies = [int(bits[(top - r) % t :: t] or "0", 2) for r in range(t)]
-            residues = map(operator.mod, ps, itertools.repeat(t))
-            quotients = map(operator.floordiv, ps, itertools.repeat(t))
-            shifted = map(operator.rshift, map(copies.__getitem__, residues), quotients)
+        reads[t] = reads.get(t, -1) & index.starts(w) >> (e + t * first)
+    anchors = reads.pop(0)
+    if len(reads) > 2 or anchors.bit_count() >= count:
+        return first, None
+    one = reads.pop(1, -1)  # -1 >> p is -1: no cell of slope 1 reads all n
+    steep = []
+    for t, starts in reads.items():
+        bits = bin(starts)[2:]  # bit i at index len(bits) - 1 - i
+        top = len(bits) - 1
+        # copies[r] keeps the bits r, r + t, r + 2t, ... of starts
+        steep.append((t, [int(bits[(top - r) % t :: t] or "0", 2) for r in range(t)]))
+    p, found = -1, 0
+    runs = bin(anchors)[:1:-1].split("1")[:-1]  # the zeros below each anchor
+    if not steep:
+        for zeros in runs:
+            p += len(zeros) + 1
+            found |= one >> p
+    elif len(steep) == 1:
+        ((t, copies),) = steep
+        for zeros in runs:
+            p += len(zeros) + 1
+            found |= one >> p & copies[p % t] >> p // t
+    else:
+        (t, copies), (t2, copies2) = steep
+        for zeros in runs:
+            p += len(zeros) + 1
+            found |= copies[p % t] >> p // t & copies2[p % t2] >> p // t2
+    return first, found & ((1 << count) - 1)
+
+
+def _plan(
+    cells: Sequence[tuple[IntegralPolynomial, str]], window: int
+) -> tuple[list[tuple[int, int, str]] | None, tuple[list[Constraint], list[Column]], int]:
+    """How ``_members`` reads the cells (offset polynomial, nonempty word)
+    on [-window, window]: (lines, (fixed, columns), span), the span being
+    the largest any n needs.
+
+    When every offset is affine, ``lines`` gives each cell as (c0, c1,
+    word), its offset being c0 + c1 n, and nothing else is laid out: an
+    offset from the leftmost cell is a maximum of affine functions of n,
+    so the span peaks at n = -window or window.  Otherwise ``lines`` is
+    None, and the sweep reads the ``fixed`` (offset, word) cells once and
+    the ``columns`` of per-n offsets for every n.  When one cell is
+    leftmost at every n, its differences to the other cells are their
+    offsets from it, and the cells whose offset is the same at every n,
+    its own among them, are fixed.  When none is, ``_layout`` takes each
+    n's leftmost cell and nothing is fixed."""
+    lines = []
+    for p, w in cells:
+        a, s, *higher = *p.coeffs, 0, 0
+        if any(higher):
+            break
+        lines.append((a, s, w))
+    else:
+        ends = [([a - s * window, a + s * window], w) for a, s, w in lines]
+        return lines, ([], []), _layout(ends)[1]
+    count = 2 * window + 1
+    for i, (p0, w0) in enumerate(cells):
+        fixed, columns, span = [(0, w0)], [], len(w0)
+        for p, w in cells[:i] + cells[i + 1 :]:
+            offs = (p - p0).values(-window, count)
+            low, high = min(offs), max(offs)
+            if low < 0:
+                break
+            span = max(span, high + len(w))
+            if low == high:
+                fixed.append((low, w))
+            else:
+                columns.append((offs, w))
         else:
-            continue
-        found = map(operator.and_, found, shifted)
-    return first, functools.reduce(operator.or_, found, 0)
+            return None, (fixed, columns), span
+    columns, span = _layout([(p.values(-window, count), w) for p, w in cells])
+    return None, ([], columns), span
 
 
 def _members(
@@ -175,42 +222,36 @@ def _members(
     the query's own index when the query's span is certified
     (``_shared_index``), else each against its own.
 
-    Two routes give the same members, and no Python code runs per n on
-    either.  The sweep (``_layout``, ``carrier_masks``) ANDs one shifted
-    mask per cell for every n.  When every offset is affine in n, each
-    side of 0 may instead take ``_anchored``, which ORs over the lead
-    word's occurrences and answers every n from each; it does so when
-    those are fewer than the side's n.  The positive side holds n = 0,
-    and the negative side starts at -1.  The n before the lead becomes
-    the leftmost cell and any side the anchor route declines take the
-    sweep.  Both read one index, of the span fixed before either runs,
-    and test ``fits`` at the leftmost cell and the same starts of every
-    word, so the answers do not depend on the route."""
+    Two routes give the same members (``_plan`` lays out both).  The
+    sweep (``carrier_masks``) ANDs one shifted mask per moving cell for
+    every n in C-level maps, into a base mask that ANDs each fixed cell
+    once; where one cell is leftmost at every n, which ``_plan`` reads
+    off its differences to the others, the query's offsets are those
+    differences.  When every offset is affine in n, each side of 0 may
+    instead take ``_anchored``, which takes one interpreted step per
+    occurrence of the lead word and answers every n from each; it does
+    so when those are fewer than the side's n.  The positive side holds
+    n = 0, and the negative side starts at -1.  The n before the lead
+    becomes the leftmost cell and any side the anchor route declines
+    take the sweep.  Both read one index, of the span fixed before
+    either runs, and test ``fits`` at the leftmost cell and the same
+    starts of every word, so the answers do not depend on the route."""
     cells = [(p, w) for p, w in columns if w]
     ns = range(-window, window + 1)
     if not cells:
         return frozenset(ns), 0
-    lines = []  # (offset at n = 0, slope, word): an affine offset's c0 + c1 n
-    for p, w in cells:
-        a, s, *higher = *p.coeffs, 0, 0
-        if any(higher):
-            break
-        lines.append((a, s, w))
-    affine = len(lines) == len(cells)
-    if affine:
-        # an offset from the leftmost cell is a maximum of affine
-        # functions of n, so the span peaks at n = -window or window
-        span = _layout([([a - s * window, a + s * window], w) for a, s, w in lines])[1]
-    else:
-        layout, span = _layout([(p.values(-window, len(ns)), w) for p, w in cells])
+    lines, (fixed, layout), span = _plan(cells, window)
     too_long = "query needs words of length {span}, bound is {bound}"
     index = sys._shared_index(span, too_long)
     for cyl in cylinders:
         require_admissible(sys, cyl, index)
     if index is None:
         index = sys._index(span, too_long)
-    if not affine:
-        swept = itertools.compress(ns, index.carrier_masks(layout, len(ns)))
+    if lines is None:
+        base = index.fits
+        for off, w in fixed:
+            base &= index.starts(w) >> off
+        swept = itertools.compress(ns, index.carrier_masks(layout, len(ns), base))
         return frozenset(swept), span
     answered, bounds = [], []
     for sign, least in ((1, 0), (-1, 1)):
@@ -312,11 +353,11 @@ def required_span(
     vs: Sequence[CylinderSet],
     window: int,
 ) -> int:
-    """Longest admissible word a polynomial query will need; lets callers
-    report feasibility before computing."""
-    count = 2 * window + 1
+    """Longest admissible word a polynomial query will need, by the rule
+    its return set's span follows (``_plan``); lets callers report
+    feasibility before computing."""
     columns = [(_ZERO, u.word), *zip(polys, [v.word for v in vs])]
-    return _layout([(p.values(-window, count), w) for p, w in columns])[1]
+    return _plan([(p, w) for p, w in columns if w], window)[2]
 
 
 # -- minimality probe ---------------------------------------------------------

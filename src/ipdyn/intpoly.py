@@ -189,15 +189,13 @@ class IntegralPolynomial(Record):
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        return IntegralPolynomial(
-            tuple(x + y for x, y in zip(a, b)) + a[len(b):]
-        )
+        return IntegralPolynomial(tuple(map(operator.add, a, b)) + a[len(b):])
 
     def __sub__(self, other: "IntegralPolynomial") -> "IntegralPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "IntegralPolynomial":
-        return IntegralPolynomial(tuple(-c for c in self.coeffs))
+        return IntegralPolynomial(map(operator.neg, self.coeffs))
 
     def values(self, start: int, count: int) -> list[int]:
         """[p(start), p(start + 1), ..., p(start + count - 1)].

@@ -415,16 +415,20 @@ class _Occurrences:
             self._starts[word] = found
         return found
 
-    def carrier_masks(self, columns: Sequence[Column], count: int) -> Iterator[int]:
+    def carrier_masks(
+        self, columns: Sequence[Column], count: int, base: int | None = None
+    ) -> Iterator[int]:
         """Where the cells of each of ``count`` n are carried, as a lazy
         chain of maps, given each column's offsets relative to that n's
-        leftmost cell: bit p is set when the span fits at p and every
-        word starts at p + offset.  One mask per n, ``fits`` if no column.
+        leftmost cell: bit p is set when it is set in ``base`` (``fits``
+        by default; a caller ANDs cells at fixed offsets into it once) and
+        every word starts at p + offset.  One mask per n, ``base`` if no
+        column.
         An n whose cells need fewer letters than the index's span gets
         the answer of its own span's index when the index's span is
         certified (``SubstitutionSystem._certified``); the chain search
         reads a block of candidate shifts so."""
-        found = itertools.repeat(self.fits, count)
+        found = itertools.repeat(self.fits if base is None else base, count)
         for offs, w in columns:
             shifted = map(operator.rshift, itertools.repeat(self.starts(w)), offs)
             found = map(operator.and_, found, shifted)

@@ -30,7 +30,7 @@ from ipdyn.dynamics import (
     _gamma_shift,
     _inclusion,
     _layout,
-    _ones,
+    _plan,
     chacon,
     check_polynomial_hypotheses,
     fibonacci,
@@ -44,7 +44,9 @@ from ipdyn.dynamics import (
     verify_chain,
 )
 from ipdyn.gammapoly import parse_gamma_polynomial
-from ipdyn.intpoly import parse_polynomial
+from ipdyn.intpoly import IntegralPolynomial, parse_polynomial
+
+ZERO = IntegralPolynomial(())
 
 SYSTEMS = {
     "chacon": chacon,
@@ -357,14 +359,6 @@ def test_carrier_masks_match_the_per_n_sweep():
             assert (masks, span) == want, (name, columns)
 
 
-def test_ones_lists_the_set_bits():
-    rng = random.Random("ones")
-    masks = [0, 1, 2, 3, 1 << 300, rng.getrandbits(2000) & rng.getrandbits(2000)]
-    masks += [rng.getrandbits(rng.randint(1, 3000)) for _ in range(50)]
-    for mask in masks:
-        assert _ones(mask) == [p for p in range(mask.bit_length()) if mask >> p & 1]
-
-
 def test_anchor_route_matches_the_per_n_sweep():
     outcomes = set()
     for name, make in SYSTEMS.items():
@@ -406,6 +400,93 @@ def test_anchor_route_matches_the_per_n_sweep():
     assert outcomes == {"anchors", "anchors from 0", "sweep"}
 
 
+def per_n_sweep(sys_, words, polys, window):
+    """A polynomial return set's members and span, or the exception it
+    raises past the bound, from each n's offsets p(n): the span is the
+    largest any n needs, and n is a member when the sweep over the index
+    of that span (``carried_masks``) carries its cells."""
+    ns = range(-window, window + 1)
+    columns = [([p(n) for n in ns], w) for p, w in zip([ZERO] + polys, words)]
+    spans = [0]
+    for n in range(len(ns)):
+        cells = [(offs[n], w) for offs, w in columns if w]
+        if cells:
+            spans.append(max(o + len(w) for o, w in cells) - min(o for o, _ in cells))
+    span = max(spans)
+    if span > sys_.max_word_length:
+        return WindowTooLarge, (
+            f"query needs words of length {span}, bound is {sys_.max_word_length}"
+        )
+    masks, _ = carried_masks(sys_._index(max(span, 1), ""), columns, len(ns))
+    return frozenset(n for n, mask in zip(ns, masks) if mask), span
+
+
+def poly_query(sys_, words, polys, window):
+    u, *vs = map(CylinderSet, words)
+    got = outcome(poly_return_set, sys_, u, vs, polys, window)
+    return got if isinstance(got, tuple) else (got.members, got.span)
+
+
+def test_polynomial_return_sets_match_the_per_n_sweep():
+    # degree-2 and degree-3 offsets: some with one cell leftmost at every
+    # n, whose differences to the others are their offsets, and some
+    # whose leftmost cell changes inside the window, laid out per n
+    families = [["n^2 - 3n"], ["n^2", "n^3"], ["n^3 - 4n", "n^2 + 2"], ["-n^2", "n^2 - n"]]
+    rng = random.Random("poly-members")
+    while len(families) < 12:
+        texts = [
+            " + ".join(f"{rng.randint(-4, 4)}n^{k}" for k in range(rng.randint(2, 3), -1, -1))
+            for _ in range(rng.randint(1, 2))
+        ]
+        try:
+            check_polynomial_hypotheses([parse_polynomial(t) for t in texts])
+        except ValueError:
+            continue
+        families.append(texts)
+    layouts = set()
+    for name, make in SYSTEMS.items():
+        sys_ = make()
+        for texts in families:
+            polys = [parse_polynomial(t) for t in texts]
+            for _ in range(3):
+                window = rng.randint(0, 6)
+                words = [
+                    "" if rng.random() < 0.1 else random_word(rng, sys_)
+                    for _ in range(1 + len(polys))
+                ]
+                want = per_n_sweep(sys_, words, polys, window)
+                assert poly_query(sys_, words, polys, window) == want, (name, texts, words, window)
+                cells = [(p, w) for p, w in zip([ZERO] + polys, words) if w]
+                lines, (fixed, _), _ = _plan(cells, window)
+                if lines is None and window:
+                    layouts.add("leftmost" if fixed else "per n")
+    assert layouts == {"leftmost", "per n"}
+
+
+def test_three_moving_slopes_take_the_sweep(monkeypatch):
+    # (n, 2n, 3n) moves three cells against the lead on both sides, so
+    # both take the sweep, also where the lead's anchors are fewer than
+    # the side's n
+    routes = record_routes(monkeypatch)
+    polys = [parse_polynomial(t) for t in ("n", "2n", "3n")]
+    few = 0
+    for name, make in SYSTEMS.items():
+        sys_ = make()
+        rng = random.Random(f"{name}/three-slopes")
+        for _ in range(4):
+            window = rng.randint(5, 30)
+            words = [rng.choice(sorted(sys_.factors(8))) for _ in range(4)]
+            want = per_n_sweep(sys_, words, polys, window)
+            assert poly_query(sys_, words, polys, window) == want, (name, words, window)
+            if not isinstance(want[0], type):
+                index = sys_._index(want[1], "")
+                # the positive side's lead is u, the negative side's the 3n cell
+                leads = [words[0], words[3]]
+                few += all((index.fits & index.starts(w)).bit_count() < window for w in leads)
+    assert routes and not any(taken for _, taken in routes)
+    assert few
+
+
 def python_calls(query, *args):
     """The Python-level calls (profile "call" events, generator resumes
     included) of one query, after one untimed call of it."""
@@ -430,13 +511,15 @@ def test_warm_query_call_budget():
     # and then an op costs about what its code and data take to fetch.
     # Each call touches a code object and its frame, so the fixed path of
     # a query, not its per-n work, was half an op at 140-230 calls.  The
-    # budgets are the counts on CPython 3.11 (41 and 54) with headroom;
-    # 3.12 inlines comprehensions and counts fewer.
+    # budgets are the counts on CPython 3.11 (40, 53 and 51) with
+    # headroom; 3.12 inlines comprehensions and counts fewer.
     sys_ = chacon()
     u, v, v2 = CylinderSet("0010001"), CylinderSet("001000"), CylinderSet("100100")
     polys = [parse_polynomial("n"), parse_polynomial("2n")]
-    assert python_calls(return_set, sys_, u, v, 360) <= 45
-    assert python_calls(poly_return_set, sys_, u, [v, v2], polys, 220) <= 60
+    quadratic = [parse_polynomial("n^2"), parse_polynomial("n^2 + n")]
+    assert python_calls(return_set, sys_, u, v, 360) <= 44
+    assert python_calls(poly_return_set, sys_, u, [v, v2], polys, 220) <= 59
+    assert python_calls(poly_return_set, sys_, u, [v, v2], quadratic, 44) <= 56
 
 
 def in_order(query, sys_, cylinders, *args, polys=()):
