@@ -112,14 +112,17 @@ def _anchored(
     ``least`` (0 or 1) on.  The lead is the cell of least slope, the
     least offset breaking a tie; from ``first`` >= ``least`` on, every
     other cell's offset from it is >= 0, so it is the leftmost cell.  The
-    anchors are the positions where the span fits, the lead word starts
-    and every cell of the lead's slope starts at its fixed offset.  The
+    anchors are the positions of the index's ``cover``, which holds every
+    window of the span that ``fits`` holds, often once, where the lead
+    word starts and every cell of the lead's slope starts at its fixed
+    offset.  The
     other cells move with n, and the cells of one slope t are one read
     of the AND of their starts: through anchor p, bit j of ``starts >>
     p`` at t = 1, and of ``copies[p % t] >> p // t`` at t >= 2, a copy
-    of the starts that keeps the residue class of p mod t.  One
-    interpreted step per anchor, over the runs of zeros between anchors,
-    ORs the AND of the reads into one int.  Returns ``first`` (window + 1
+    of the starts that keeps the residue class of p mod t
+    (``residues``).  One interpreted step per anchor (``ones``) ORs the
+    AND of the reads into one int; a kept index keeps the anchors and
+    copies of its recent queries.  Returns ``first`` (window + 1
     past the window) and a mask whose bit j is the membership of first +
     j; the mask is None, and the n left to the sweep, when the anchors
     are no fewer than the n they would answer or the moving cells have
@@ -130,7 +133,7 @@ def _anchored(
     count = window + 1 - first
     if not count:  # first was cut to window + 1, where e + t*first may be < 0
         return first, None
-    reads = {0: index.fits & index.starts(lead)}  # per slope, from n = first
+    reads = {0: index.cover & index.starts(lead)}  # per slope, from n = first
     for e, t, w in rel:
         # at n = first + j the cell starts at p + e + t*first + t*j, and
         # e + t*first >= 0
@@ -140,26 +143,19 @@ def _anchored(
         return first, None
     one = reads.pop(1, -1)  # -1 >> p is -1: no cell of slope 1 reads all n
     steep = []
-    for t, starts in reads.items():
-        bits = bin(starts)[2:]  # bit i at index len(bits) - 1 - i
-        top = len(bits) - 1
-        # copies[r] keeps the bits r, r + t, r + 2t, ... of starts
-        steep.append((t, [int(bits[(top - r) % t :: t] or "0", 2) for r in range(t)]))
-    p, found = -1, 0
-    runs = bin(anchors)[:1:-1].split("1")[:-1]  # the zeros below each anchor
+    for t, starts in reads.items():  # a loop: on CPython 3.11 a comprehension is a call
+        steep.append((t, index.residues(starts, t)))
+    found = 0
     if not steep:
-        for zeros in runs:
-            p += len(zeros) + 1
+        for p in index.ones(anchors):
             found |= one >> p
     elif len(steep) == 1:
         ((t, copies),) = steep
-        for zeros in runs:
-            p += len(zeros) + 1
+        for p in index.ones(anchors):
             found |= one >> p & copies[p % t] >> p // t
     else:
         (t, copies), (t2, copies2) = steep
-        for zeros in runs:
-            p += len(zeros) + 1
+        for p in index.ones(anchors):
             found |= copies[p % t] >> p // t & copies2[p % t2] >> p // t2
     return first, found & ((1 << count) - 1)
 
@@ -220,7 +216,9 @@ def _members(
     cell's offset as a polynomial in n, and its word.  ``cylinders`` are
     checked admissible first, in order, before the span's bound: against
     the query's own index when the query's span is certified
-    (``_shared_index``), else each against its own.
+    (``_shared_index``), else each against its own.  The system keeps a
+    certified span's index, so a warm query of a recent span builds
+    none.
 
     Two routes give the same members (``_plan`` lays out both).  The
     sweep (``carrier_masks``) ANDs one shifted mask per moving cell for
@@ -229,13 +227,16 @@ def _members(
     off its differences to the others, the query's offsets are those
     differences.  When every offset is affine in n, each side of 0 may
     instead take ``_anchored``, which takes one interpreted step per
-    occurrence of the lead word and answers every n from each; it does
-    so when those are fewer than the side's n.  The positive side holds
+    occurrence of the lead word in the index's ``cover`` and answers
+    every n from each; it does so when those are fewer than the side's
+    n.  The positive side holds
     n = 0, and the negative side starts at -1.  The n before the lead
     becomes the leftmost cell and any side the anchor route declines
     take the sweep.  Both read one index, of the span fixed before
-    either runs, and test ``fits`` at the leftmost cell and the same
-    starts of every word, so the answers do not depend on the route."""
+    either runs, and test the same starts of every word at the leftmost
+    cell's ``fits`` positions, or at its ``cover`` positions, which hold
+    every window the ``fits`` positions do, so the answers do not depend
+    on the route."""
     cells = [(p, w) for p, w in columns if w]
     ns = range(-window, window + 1)
     if not cells:

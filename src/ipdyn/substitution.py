@@ -11,6 +11,7 @@ re-exports the names it builds on.
 
 from __future__ import annotations
 
+import array
 import bisect
 import functools
 import itertools
@@ -34,6 +35,15 @@ _EXPANSION_MARGIN = 32
 # letters exactly, and looks for all of them in this many kept letters
 _CERTIFIED_WIDTH = 12
 _CERTIFY_SEARCH = 256
+# a system keeps the indexes of this many certified spans, the most
+# recently asked, and each index the starts of this many words, and as
+# many anchor masks and residue copies (``_Occurrences.ones``, ``residues``)
+_KEPT_INDEXES = 8
+_KEPT_STARTS = 16
+
+# of one staircase entry (k, l): |sigma^k(c)| per letter c, and the first
+# occurrence in u and the length of every factor of at most l letters
+Origin = tuple[dict[str, int], tuple[tuple[int, int], ...]]
 
 
 class SubstitutionSystem:
@@ -60,7 +70,10 @@ class SubstitutionSystem:
     seeds, and spans no certificate reaches, read the expansion, which
     may miss factors.  Nothing but the kept expansions, the
     certificates, the system's reach (``_reach``, worked out at the
-    first query that asks for it) and its description outlives a query.
+    first query that asks for it), the indexes of the _KEPT_INDEXES
+    certified spans asked most recently (``_index``) and its description
+    outlives a query; the indexes are dropped whenever an expansion is
+    rebuilt or lengthened.
     """
 
     def __init__(
@@ -98,7 +111,8 @@ class SubstitutionSystem:
         rules_text = ";".join(f"{s}->{self.rules[s]}" for s in alphabet)
         self._description = f"substitution[{rules_text}|seeds={','.join(self.seeds)}]"
         self._kept: dict[str, _Expansion] = {}
-        self._staircases: dict[str, tuple[list[int], list[int]]] = {}
+        self._staircases: dict[str, tuple[list[int], list[int], list[Origin]]] = {}
+        self._indexes: dict[int, _Occurrences] = {}
 
     def _apply(self, word: str) -> str:
         return word.translate(self._images)
@@ -163,35 +177,41 @@ class SubstitutionSystem:
 
     def _keep(self, seed: str, key: tuple[str, int], length: int) -> _Expansion:
         """``seed``'s kept expansion, built or lengthened to hold at least
-        ``length`` letters of the text ``key`` names."""
+        ``length`` letters of the text ``key`` names.  The kept indexes
+        go with the expansion they were cut from."""
         kept = self._kept.get(seed)
         if kept is None or kept.key != key or len(kept.text) < length:
             kept = self._kept[seed] = self._build(seed, key, length)
+            self._indexes.clear()
         return kept
 
-    def _cuts(self, target: int, span: int = 0) -> list[tuple[_Expansion, int]]:
-        """Each seed's kept expansion, and the length of the prefix of it
-        that is the seed's expansion for ``target``; given a ``span`` its
-        certificate reaches, a fixed-point seed is cut instead at its
-        certified prefix for that span."""
+    def _cuts(self, target: int, span: int = 0) -> list[Cut]:
+        """Each seed's kept expansion, the length of the prefix of it that
+        is the seed's expansion for ``target``, and None; given a ``span``
+        its certificate reaches, a fixed-point seed is cut instead at its
+        certified prefix for that span, with the origin of its base
+        (``_staircase``)."""
         cuts = []
         for seed in self.seeds:
             key, length = self._shape(seed, target)
+            origin = None
             if span and key[0] == "prefix":
-                caps, bases = self._staircase(seed)
+                caps, bases, origins = self._staircase(seed)
                 i = bisect.bisect_left(caps, span)
                 if i < len(caps):
-                    length = bases[i] + span - 1
-            cuts.append((self._keep(seed, key, length), length))
+                    length, origin = bases[i] + span - 1, origins[i]
+            cuts.append((self._keep(seed, key, length), length, origin))
         return cuts
 
-    def _staircase(self, seed: str) -> tuple[list[int], list[int]]:
+    def _staircase(self, seed: str) -> tuple[list[int], list[int], list[Origin]]:
         """Certified prefixes of the fixed point u of a seed whose image
         begins with it and is longer: for every i and every S up to
         ``caps[i]``, the first ``bases[i] + S - 1`` letters of u hold every
         factor of u of S letters.  ``caps`` ascend, and ``bases[i]`` is the
-        least base certified for ``caps[i]`` letters or more.  Built once
-        per seed, exactly, from the factor sets of at most
+        least base certified for ``caps[i]`` letters or more; ``origins[i]``
+        is what the entry (k, l) that base came from knows of the blocks
+        sigma^k(c) and of the factors of at most l letters (``_cover``).
+        Built once per seed, exactly, from the factor sets of at most
         _CERTIFIED_WIDTH letters and from letter counts.
 
         Let F_l be the factors of u of l letters, all of which have
@@ -203,6 +223,9 @@ class SubstitutionSystem:
         sigma^k(w) that w's first occurrence, at most p_l, maps to.  That
         copy starts in block p_l or before, so the window ends within
         base(k, l) + S - 1 letters, base(k, l) = |sigma^k(u[:p_l + 1])|.
+        The shortest prefix q of w with |sigma^k(q)| at least the window's
+        end already holds it, so the copy of sigma^k(q) at q's first
+        occurrence does too (``_cover``).
         """
         cached = self._staircases.get(seed)
         if cached is not None:
@@ -231,17 +254,20 @@ class SubstitutionSystem:
             return tuple(map(w.count, self.alphabet))
 
         # u is infinite, so F_l is the l-letter prefixes of F_width; per l,
-        # F_(l-1) and the letter counts of u[:p_l + 1]
+        # F_(l-1), the letter counts of u[:p_l + 1] and the first
+        # occurrence and length of every factor of at most l letters
         levels, shorter = [], {w[0] for w in words}
+        prefixes = [(text.find(c), 1) for c in shorter]
         for l in range(2, width + 1):
             factors = {w[:l] for w in words}
             firsts = [text.find(w) for w in factors]
             if -1 in firsts:  # then every longer l misses a factor too
                 break
             head = counts(text[: max(firsts) + 1])
+            prefixes += zip(firsts, itertools.repeat(l))
             if levels and levels[-1][1] == head:  # the same bases, lower caps
                 levels.pop()
-            levels.append((shorter, head))
+            levels.append((shorter, head, tuple(prefixes)))
             shorter = factors
         # |sigma^k(c)| never falls, and once k >= A (the alphabet size) it
         # grows within any A steps unless it never grows again; so a cap
@@ -250,26 +276,36 @@ class SubstitutionSystem:
         rows = [counts(self.rules[c]) for c in self.alphabet]
         steps, limit = len(rows), self._target_length(self.max_word_length)
         sizes = [1] * steps  # |sigma^k(c)| per letter c
-        entries: list[tuple[int, int]] = []
-        plans = [(tuple({*map(counts, shorter)}), head, []) for shorter, head in levels]
+        entries: list[tuple[int, int, Origin]] = []
+        plans = [
+            (tuple({*map(counts, shorter)}), head, prefixes, [])
+            for shorter, head, prefixes in levels
+        ]
         k = 0
         while plans:
-            growing = []
-            for shorter, head, caps in plans:
+            growing, lengths = [], dict(zip(self.alphabet, sizes))
+            for shorter, head, prefixes, caps in plans:
                 cap = 1 + min([sum(map(operator.mul, w, sizes)) for w in shorter])
                 base = sum(map(operator.mul, head, sizes))
                 if base >= limit or (k >= 2 * steps and cap == caps[k - steps]):
                     continue
                 caps.append(cap)
-                entries.append((cap, base))
-                growing.append((shorter, head, caps))
+                entries.append((cap, base, (lengths, prefixes)))
+                growing.append((shorter, head, prefixes, caps))
                 if cap >= self.max_word_length:  # no larger base is of use
                     limit = min(limit, base)
             plans, k = growing, k + 1
             sizes = [sum(map(operator.mul, row, sizes)) for row in rows]
-        entries.sort()
-        bases = list(itertools.accumulate(reversed([b for _, b in entries]), min))
-        cached = self._staircases[seed] = ([cap for cap, _ in entries], bases[::-1])
+        entries.sort(key=operator.itemgetter(0, 1))
+        # per i, the least base of a cap no lower than caps[i], and the
+        # entry it came from (of equal bases, the one of the highest cap)
+        marked = [(base, -j) for j, (_, base, _) in enumerate(entries)]
+        least = list(itertools.accumulate(reversed(marked), min))[::-1]
+        cached = self._staircases[seed] = (
+            [cap for cap, _, _ in entries],
+            [base for base, _ in least],
+            [entries[-j][2] for _, j in least],
+        )
         return cached
 
     @functools.cached_property
@@ -303,7 +339,7 @@ class SubstitutionSystem:
         """One long expansion per seed, deterministically trimmed so the
         result depends only on the requested factor length."""
         target = self._target_length(factor_length)
-        return tuple(kept.text[:length] for kept, length in self._cuts(target))
+        return tuple(kept.text[:length] for kept, length, _ in self._cuts(target))
 
     def _index(self, span: int, too_long: str) -> _Occurrences:
         """The occurrence index a ``span``-letter query reads: per seed,
@@ -316,16 +352,25 @@ class SubstitutionSystem:
         long: an expansion is cut at the target, 32 times ``span`` or
         more, or rounded up from it, and a certified prefix is ``bases[i]
         + span - 1`` letters with ``bases[i] >= 1`` (``_staircase``).
-        Raises WindowTooLarge past the bound, with {span} and {bound}
-        filled into ``too_long``."""
+        The index of a certified span (``_certified``) is kept, for the
+        _KEPT_INDEXES spans asked most recently, and answers every later
+        question of that span.  Raises WindowTooLarge past the bound,
+        with {span} and {bound} filled into ``too_long``."""
         if span > self.max_word_length:
             raise WindowTooLarge(too_long.format(span=span, bound=self.max_word_length))
-        return _Occurrences(self._cuts(self._target_length(span), span), span)
+        index = self._indexes.pop(span, None)
+        if index is None:
+            index = _Occurrences(self._cuts(self._target_length(span), span), span)
+            if not self._certified(span):
+                return index
+            _make_room(self._indexes, _KEPT_INDEXES)
+        self._indexes[span] = index
+        return index
 
     def factors(self, length: int) -> frozenset[str]:
         """All admissible words of exactly the given length: the windows
-        at the ``fits`` positions of the length's occurrence index, read
-        afresh at every call."""
+        at the ``fits`` positions of the length's occurrence index; only
+        a certified length's index is kept, never the set."""
         if length < 1:
             raise ValueError("factor length must be >= 1")
         occ = self._index(length, "factor length {span} exceeds bound {bound}")
@@ -373,6 +418,46 @@ class _Expansion:
 
 
 Column = tuple[Sequence[int], str]  # one cell's offset at each n, and its word
+# a kept expansion, the length of the prefix of it cut, and the staircase
+# entry certifying that prefix (None for an expansion's cut)
+Cut = tuple[_Expansion, int, Origin | None]
+
+
+def _make_room(recent: dict, size: int) -> None:
+    """Drop the entry asked least recently from a cache of ``size``
+    entries that is full; each entry asked moves to the end."""
+    if len(recent) >= size:
+        del recent[next(iter(recent))]
+
+
+def _cover(text: str, origin: Origin, span: int) -> int:
+    """Positions of the fixed point u (``text`` a prefix of it, at least
+    _CERTIFY_SEARCH letters) whose windows of ``span`` letters are every
+    factor of that many letters, given the staircase entry (k, l) with
+    cap(k, l) >= ``span`` (``SubstitutionSystem._staircase``).
+
+    A window that starts at offset o of the block sigma^k(u_i) is
+    sigma^k(q)[o:o + span] for the shortest prefix q of u[i:i + l] with
+    |sigma^k(q)| >= o + span, so it is found at the o with
+    |sigma^k(q[:-1])| - span < o <= |sigma^k(q)| - span and o <
+    |sigma^k(q[0])|, past the copy of sigma^k(q) at q's first occurrence
+    f.  With ends[j] = |sigma^k(u[:j])|, those positions run from
+    max(ends[f], ends[f + m - 1] - span + 1) to min(ends[f + m] - span,
+    ends[f + 1] - 1), m = |q|; each lies before the entry's base."""
+    lengths, firsts = origin
+    top = max([f + m for f, m in firsts])
+    ends = [0, *itertools.accumulate(map(lengths.__getitem__, text[:top]))]
+    cover = 0
+    for f, m in firsts:  # comparisons, not max() and min(): half the time
+        low, high = ends[f + m - 1] - span + 1, ends[f + m] - span
+        start, stop = ends[f], ends[f + 1]
+        if low < start:
+            low = start
+        if high >= stop:
+            high = stop - 1
+        if low <= high:
+            cover |= ((2 << (high - low)) - 1) << low
+    return cover
 
 
 class _Occurrences:
@@ -383,36 +468,82 @@ class _Occurrences:
     the joined ``text`` (joined when first read), and bit p of ``fits``
     when ``span`` letters from p lie inside one expansion; every cut
     holds at least ``span`` letters (``SubstitutionSystem._index``).
-    The starts of a word are the AND of its shifted letter masks, and a
-    pattern of (offset, word) cells holds at p when every cell's word
-    starts at p + offset: the Shift-And idea of Baeza-Yates and Gonnet,
-    "A new approach to text searching", CACM 35(10), 1992.
+    ``cover``, built when first read, keeps of the ``fits`` bits of
+    each certified cut the positions ``_cover`` finds every factor at,
+    and all of any other cut's.  The starts of a word are the AND of its
+    shifted letter masks, and a pattern of (offset, word) cells holds at
+    p when every cell's word starts at p + offset: the Shift-And idea of
+    Baeza-Yates and Gonnet, "A new approach to text searching", CACM
+    35(10), 1992.
     """
 
-    def __init__(self, cuts: Sequence[tuple[_Expansion, int]], span: int):
+    def __init__(self, cuts: Sequence[Cut], span: int):
         self._cuts = cuts
+        self.span = span
         self.letters: dict[str, int] = {}
         self.fits = start = 0
-        for kept, length in cuts:
+        for kept, length, _ in cuts:
             prefix = (1 << length) - 1
             for c, mask in kept.letters.items():
                 self.letters[c] = self.letters.get(c, 0) | (mask & prefix) << start
             self.fits |= ((1 << (length - span + 1)) - 1) << start
             start += length
         self._starts: dict[str, int] = {}
+        self._ones: dict[int, array.array] = {}
+        self._residues: dict[tuple[int, int], list[int]] = {}
 
     @functools.cached_property
     def text(self) -> str:
-        return "".join([kept.text[:length] for kept, length in self._cuts])
+        return "".join([kept.text[:length] for kept, length, _ in self._cuts])
+
+    @functools.cached_property
+    def cover(self) -> int:
+        cover = start = 0
+        for kept, length, origin in self._cuts:
+            if origin is None:
+                cover |= ((1 << (length - self.span + 1)) - 1) << start
+            else:
+                cover |= _cover(kept.text, origin, self.span) << start
+            start += length
+        return cover
 
     def starts(self, word: str) -> int:
-        """Positions at which ``word`` begins, matched once per index."""
-        found = self._starts.get(word)
+        """Positions at which ``word`` begins, matched once per index for
+        the _KEPT_STARTS words asked most recently."""
+        found = self._starts.pop(word, None)
         if found is None:
             found = -1
             for j, c in enumerate(word):
                 found &= self.letters.get(c, 0) >> j
-            self._starts[word] = found
+            _make_room(self._starts, _KEPT_STARTS)
+        self._starts[word] = found
+        return found
+
+    def ones(self, mask: int) -> array.array:
+        """The positions of the set bits of a nonnegative mask, ascending,
+        kept for the _KEPT_STARTS masks asked most recently: the anchors
+        of ``dynamics._anchored``, which a warm query asks again.  They
+        are summed from the runs of zeros between set bits, so a sparse
+        mask costs a step per set bit, not one per position."""
+        found = self._ones.pop(mask, None)
+        if found is None:
+            gaps = bin(mask)[:1:-1].split("1")[:-1]  # the zeros below each set bit
+            steps = map(operator.add, map(len, gaps), itertools.repeat(1))
+            found = array.array("q", itertools.accumulate(steps, initial=-1))[1:]
+            _make_room(self._ones, _KEPT_STARTS)
+        self._ones[mask] = found
+        return found
+
+    def residues(self, mask: int, t: int) -> list[int]:
+        """Copies of a nonnegative mask, the one at r keeping its bits r,
+        r + t, r + 2t, ... at bits 0, 1, 2, ..., kept like ``ones``."""
+        found = self._residues.pop((mask, t), None)
+        if found is None:
+            bits = bin(mask)[2:]  # bit i at index len(bits) - 1 - i
+            top = len(bits) - 1
+            found = [int(bits[(top - r) % t :: t] or "0", 2) for r in range(t)]
+            _make_room(self._residues, _KEPT_STARTS)
+        self._residues[mask, t] = found
         return found
 
     def carrier_masks(

@@ -45,6 +45,7 @@ from ipdyn.dynamics import (
 )
 from ipdyn.gammapoly import parse_gamma_polynomial
 from ipdyn.intpoly import IntegralPolynomial, parse_polynomial
+from ipdyn.substitution import _KEPT_INDEXES
 
 ZERO = IntegralPolynomial(())
 
@@ -511,15 +512,16 @@ def test_warm_query_call_budget():
     # and then an op costs about what its code and data take to fetch.
     # Each call touches a code object and its frame, so the fixed path of
     # a query, not its per-n work, was half an op at 140-230 calls.  The
-    # budgets are the counts on CPython 3.11 (40, 53 and 51) with
-    # headroom; 3.12 inlines comprehensions and counts fewer.
+    # budgets are the counts on CPython 3.11 (36, 49 and 45, the system
+    # keeping each span's index) with headroom; 3.12 inlines
+    # comprehensions and counts fewer.
     sys_ = chacon()
     u, v, v2 = CylinderSet("0010001"), CylinderSet("001000"), CylinderSet("100100")
     polys = [parse_polynomial("n"), parse_polynomial("2n")]
     quadratic = [parse_polynomial("n^2"), parse_polynomial("n^2 + n")]
-    assert python_calls(return_set, sys_, u, v, 360) <= 44
-    assert python_calls(poly_return_set, sys_, u, [v, v2], polys, 220) <= 59
-    assert python_calls(poly_return_set, sys_, u, [v, v2], quadratic, 44) <= 56
+    assert python_calls(return_set, sys_, u, v, 360) <= 40
+    assert python_calls(poly_return_set, sys_, u, [v, v2], polys, 220) <= 55
+    assert python_calls(poly_return_set, sys_, u, [v, v2], quadratic, 44) <= 50
 
 
 def in_order(query, sys_, cylinders, *args, polys=()):
@@ -594,7 +596,7 @@ def test_factor_sets_match_growth_from_the_seed():
         ),
     }
     uneven = systems["uneven-seeds"]()
-    assert [length for _, length in uneven._cuts(target_length(128))] == [4096, 4098]
+    assert [length for _, length, _ in uneven._cuts(target_length(128))] == [4096, 4098]
     for name, make in systems.items():
         sys_ = make()
         for length in (1, 2, 12, 13, 40, 41, 60, 61, 150):
@@ -608,7 +610,8 @@ def test_answers_do_not_depend_on_earlier_queries():
     # query indexed: the windows move the expansion target back and forth
     # across iterate lengths (non-prefix reads sigma^17(0), sigma^18(0)
     # and sigma^19(0), of 4181, 6765 and 10946 letters), and past the
-    # bound and back
+    # bound and back; then through more spans than a system keeps indexes
+    # of, so that the first ones are asked again after they were dropped
     systems = {
         **SYSTEMS,
         # 0 -> 0000000001 grows its runs of 1s slowly, so which words its
@@ -626,7 +629,8 @@ def test_answers_do_not_depend_on_earlier_queries():
             words = (u + v, v + u, v + v) + tuple(
                 map("".join, itertools.product(sys_.alphabet, repeat=2))
             )
-        for window in (230, 0, 150, 230, 10, 150, 0):
+        evicting = tuple(range(20, 20 + 3 * (_KEPT_INDEXES + 1), 3))
+        for window in (230, 0, 150, 230, 10, 150, 0) + evicting + (230, 10, 150, 0):
             got = outcome(return_set, sys_, CylinderSet(u), CylinderSet(v), window)
             if not isinstance(got, tuple):
                 got = got.members
@@ -850,8 +854,9 @@ def test_chain_search_builds_one_index_per_block(monkeypatch):
     assert chain.shifts == (9, 37, 51, 92, 193)
     firsts = [1] + [m + 1 for m in chain.shifts[:-1]]
     blocks = sum(map(blocks_tried, firsts, chain.shifts))
-    # one index per cylinder word's admissibility, then one per block
-    assert len(built) == len(cylinders) + blocks == 16
+    # one index for the admissibility of 1001, which the system keeps for
+    # the second cylinder's check, then one per block
+    assert len(built) == 1 + blocks == 15
 
 
 def verify_each(sys_, cylinders, gammas, chain):
@@ -973,7 +978,7 @@ def test_certified_cut_holds_the_factors_of_the_expansion():
         rules = tuple(sorted(sys_.rules.items()))
         for span in CUT_SPANS:
             target = target_length(span)
-            texts = [kept.text[:n] for kept, n in sys_._cuts(target, span)]
+            texts = [kept.text[:n] for kept, n, _ in sys_._cuts(target, span)]
             assert "".join(texts) == sys_._index(span, "").text
             for seed, text in zip(sys_.seeds, texts):
                 expansion = grow(rules, seed, target)
@@ -1033,7 +1038,7 @@ def test_certified_spans_match_the_cuts():
     for name, make in {**SYSTEMS, **CERTIFIED_SYSTEMS}.items():
         sys_ = make()
         stairs = [
-            sys_._staircase(seed) if fixed_point(sys_, seed) else ([], [])
+            sys_._staircase(seed)[:2] if fixed_point(sys_, seed) else ([], [])
             for seed in sys_.seeds
         ]
         # the system's reach: the least last cap over its seeds, 0 when a
@@ -1052,7 +1057,7 @@ def test_certified_spans_match_the_cuts():
             # certificate reaches, and at the expansion past it
             target = target_length(span)
             cuts = zip(stairs, sys_._cuts(target, span), sys_._cuts(target))
-            for (caps, bases), (_, cut), (_, full) in cuts:
+            for (caps, bases), (_, cut, _), (_, full, _) in cuts:
                 i = bisect.bisect_left(caps, span)
                 assert cut == (bases[i] + span - 1 if i < len(caps) else full), (name, span)
     # the famous fixed points certify every span up to the bound
@@ -1074,7 +1079,7 @@ def test_certified_factors_match_a_long_growth():
     for i in range(40):
         rules = random_prolongable(random.Random(f"long-growth-{i}"), longest=6)
         sys_ = SubstitutionSystem(rules)
-        caps, bases = sys_._staircase("a")
+        caps, bases, _ = sys_._staircase("a")
         top = min(caps[-1] if caps else 0, sys_.max_word_length)
         longer = [False] + [
             bases[bisect.bisect_left(caps, s)] + s - 1 > target_length(s)
@@ -1110,6 +1115,89 @@ def test_certified_cut_sizes():
         sys_ = SubstitutionSystem(rules)
         for span in (13, 40, 128, 129, 300):
             assert indexed_length(sys_, span) == max(32 * span, 4096), (rules, span)
+
+
+# -- the cover and the kept indexes ------------------------------------------------
+
+
+def positions(mask):
+    return [p for p, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def first_windows(text, mask, span):
+    """Per distinct window of ``span`` letters at the set bits of ``mask``,
+    its first position, scanning from the left.  Windows are told apart by
+    hash(), so that spans of thousands of letters keep no window; two
+    distinct windows collide with odds of about 2^-64."""
+    firsts = {}
+    for p in positions(mask):
+        firsts.setdefault(hash(text[p : p + span]), p)
+    return firsts
+
+
+def test_cover_holds_every_factor_of_the_span():
+    # the cover keeps, of each certified cut's fits positions, one block
+    # offset per prefix q of a factor at q's first occurrence
+    # (substitution._cover); it must hold every window fits does
+    for name, make in {**SYSTEMS, **CERTIFIED_SYSTEMS}.items():
+        sys_ = make()
+        reach = min(sys_._reach, sys_.max_word_length)
+        for span in sorted({*CUT_SPANS, reach} - {0}):
+            if span > sys_.max_word_length:
+                continue
+            index = sys_._index(span, "")
+            cover, fits = index.cover, index.fits
+            assert cover & ~fits == 0, (name, span)
+            firsts = first_windows(index.text, fits, span)
+            assert first_windows(index.text, cover, span).keys() == firsts.keys(), (
+                name, span,
+            )
+            if span > sys_._reach:  # no certified cut: every fits position
+                assert cover == fits, (name, span)
+    # Chacon's cover is one position per factor, p(367) = 733, where fits
+    # has 1822
+    chacon_index = chacon()._index(367, "")
+    assert chacon_index.cover.bit_count() == 733
+    assert len(first_windows(chacon_index.text, chacon_index.fits, 367)) == 733
+    fibonacci_index = fibonacci()._index(527, "")
+    assert fibonacci_index.cover.bit_count() <= 670 < fibonacci_index.fits.bit_count()
+
+
+def test_kept_indexes_are_the_recent_certified_spans():
+    sys_ = chacon()
+    spans = range(10, 10 + 2 * _KEPT_INDEXES)
+    first = [sys_._index(span, "") for span in spans]
+    # the most recent _KEPT_INDEXES spans answer again from their index
+    again = [sys_._index(span, "") for span in spans[::-1]]
+    kept = _KEPT_INDEXES
+    assert all(a is b for a, b in zip(again[:kept], first[::-1]))
+    assert not any(a is b for a, b in zip(again[kept:], first[::-1][kept:]))
+    # a span past the reach reads a fresh index every time
+    slow = SubstitutionSystem({"0": "0000000001", "1": "1"})
+    assert slow._index(2, "") is slow._index(2, "")
+    assert slow._index(3, "") is not slow._index(3, "")
+
+
+def test_kept_indexes_stay_small():
+    # 250 return sets of 500 distinct words and 156 distinct spans, then
+    # the 500 words asked of one kept index, hold about 40 KiB; keeping
+    # every index, starts mask and anchor list would hold 380 KiB
+    sys_ = chacon()
+    rng = random.Random("kept")
+    words = rng.sample(sorted(sys_.language(27) - sys_.language(4)), 500)
+    spans = set()
+    tracemalloc.start()
+    try:
+        for window, u, v in zip(range(50, 300), words[::2], words[1::2]):
+            spans.add(return_set(sys_, CylinderSet(u), CylinderSet(v), window).span)
+        index = sys_._index(400, "")
+        for w in words:
+            require_admissible(sys_, CylinderSet(w), index)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(spans) >= 100
+    assert retained < 64 << 10, retained
 
 
 # The open defect of the language: a span past its certificate's reach
