@@ -52,8 +52,8 @@ def require_admissible(
     sys: SubstitutionSystem, cyl: CylinderSet, index: _Occurrences | None = None
 ) -> None:
     """Raise unless the cylinder word is admissible; ``index``, the index
-    of a certified span (``SubstitutionSystem._certified``) no shorter
-    than the word, is asked in place of the word's own."""
+    of a span within the system's reach (``SubstitutionSystem._reach``)
+    no shorter than the word, is asked in place of the word's own."""
     w = cyl.word
     if not (sys.is_admissible(w) if index is None else index.fits & index.starts(w)):
         raise ValueError(f"cylinder word {w!r} is not admissible")
@@ -115,18 +115,18 @@ def _anchored(
     anchors are the positions of the index's ``cover``, which holds every
     window of the span that ``fits`` holds, often once, where the lead
     word starts and every cell of the lead's slope starts at its fixed
-    offset.  The
-    other cells move with n, and the cells of one slope t are one read
-    of the AND of their starts: through anchor p, bit j of ``starts >>
-    p`` at t = 1, and of ``copies[p % t] >> p // t`` at t >= 2, a copy
-    of the starts that keeps the residue class of p mod t
-    (``residues``).  One interpreted step per anchor (``ones``) ORs the
-    AND of the reads into one int; a kept index keeps the anchors and
-    copies of its recent queries.  Returns ``first`` (window + 1
-    past the window) and a mask whose bit j is the membership of first +
-    j; the mask is None, and the n left to the sweep, when the anchors
-    are no fewer than the n they would answer or the moving cells have
-    more than two slopes."""
+    offset.  The other cells move with n, at slope 1 and at most one
+    other slope t, and the cells of one slope are one read of the AND of
+    their starts: through anchor p, bit j of ``starts >> p`` at slope 1,
+    and of ``copies[p % t] >> p // t`` at t >= 2, a copy of the starts
+    that keeps the residue class of p mod t (``residues``).  One
+    interpreted step per anchor (``ones``) ORs the AND of the reads into
+    one int; a kept index keeps the anchors and copies of its recent
+    queries.  Returns ``first`` (window + 1 past the window) and a mask
+    whose bit j is the membership of first + j; the mask is None, and
+    the n left to the sweep, when the anchors are no fewer than the n
+    they would answer or the moving cells have more than one slope
+    other than 1."""
     (a0, s0, lead), *others = sorted(lines, key=operator.itemgetter(1, 0))
     rel = [(a - a0, s - s0, w) for a, s, w in others]  # offset e + t*n, t >= 0
     first = min(max([least] + [-(e // t) for e, t, _ in rel if t]), window + 1)
@@ -139,24 +139,18 @@ def _anchored(
         # e + t*first >= 0
         reads[t] = reads.get(t, -1) & index.starts(w) >> (e + t * first)
     anchors = reads.pop(0)
-    if len(reads) > 2 or anchors.bit_count() >= count:
-        return first, None
     one = reads.pop(1, -1)  # -1 >> p is -1: no cell of slope 1 reads all n
-    steep = []
-    for t, starts in reads.items():  # a loop: on CPython 3.11 a comprehension is a call
-        steep.append((t, index.residues(starts, t)))
+    if len(reads) > 1 or anchors.bit_count() >= count:
+        return first, None
     found = 0
-    if not steep:
+    if not reads:
         for p in index.ones(anchors):
             found |= one >> p
-    elif len(steep) == 1:
-        ((t, copies),) = steep
+    else:
+        ((t, starts),) = reads.items()
+        copies = index.residues(starts, t)
         for p in index.ones(anchors):
             found |= one >> p & copies[p % t] >> p // t
-    else:
-        (t, copies), (t2, copies2) = steep
-        for p in index.ones(anchors):
-            found |= copies[p % t] >> p // t & copies2[p % t2] >> p // t2
     return first, found & ((1 << count) - 1)
 
 
@@ -640,31 +634,32 @@ def verify_chain(
 ) -> tuple[bool, tuple[ContainmentCheck, ...]]:
     """Re-verify every displayed containment of the chain independently:
     shifting level n by the step-j map must land inside the cylinder
-    (``_inclusion``, ``_contained``).  A level whose widest inclusion
-    span is certified (``_shared_index``) is read from that span's index;
-    any other level asks each span's own, in order."""
-    checks: list[ContainmentCheck] = []
+    (``_inclusion``, ``_contained``).  The chain needs one exponent
+    element per cylinder, one shift per level and one pattern per
+    cylinder at every level, else ValueError, before any index is read.
+    When the chain's widest inclusion span is certified
+    (``_shared_index``), every check reads that span's index; else each
+    reads its own span's, in order."""
+    if len(gammas) != len(cylinders):
+        raise ValueError("need one exponent element per cylinder")
+    if len(chain.shifts) != len(chain.levels):
+        raise ValueError("need one shift per chain level")
+    if any(len(level) != len(cylinders) for level in chain.levels):
+        raise ValueError("need one pattern per cylinder at every chain level")
+    asked = []  # (level, cylinder index, step, word, its _inclusion or None), in order
     for n, level in enumerate(chain.levels):
-        asked = []  # (cylinder index, step, word, its _inclusion or None), in order
-        failure = None
-        try:
-            for i, cells in enumerate(level):
-                for j in range(n + 1):
-                    s = _gamma_shift(gammas[i], chain.shifts[j]) - j * chain.base_power
-                    shifted = [(off - s, w) for off, w in cells]
-                    word = cylinders[i].word
-                    asked.append((i, j, word, _inclusion(shifted, word) if word else None))
-        except IndexError as exc:  # raised below, after the checks before it
-            failure = exc
-        span = max((question[2] for *_, question in asked if question), default=0)
-        index = None
-        if not failure and span:
-            index = sys._shared_index(span, _INCLUSION_TOO_LONG)
-        for i, j, word, question in asked:
-            holds = not question or _contained(
-                index or sys._index(question[2], _INCLUSION_TOO_LONG), *question[:2], word
-            )
-            checks.append(ContainmentCheck(n, i, j, holds))
-        if failure:
-            raise failure
+        for i, (cells, cyl, g) in enumerate(zip(level, cylinders, gammas)):
+            word = cyl.word
+            for j, m in enumerate(chain.shifts[: n + 1]):
+                s = _gamma_shift(g, m) - j * chain.base_power
+                shifted = [(off - s, w) for off, w in cells]
+                asked.append((n, i, j, word, _inclusion(shifted, word) if word else None))
+    span = max((question[2] for *_, question in asked if question), default=0)
+    index = sys._shared_index(span, _INCLUSION_TOO_LONG) if span else None
+    checks = []
+    for n, i, j, word, question in asked:
+        holds = not question or _contained(
+            index or sys._index(question[2], _INCLUSION_TOO_LONG), *question[:2], word
+        )
+        checks.append(ContainmentCheck(n, i, j, holds))
     return all(c.holds for c in checks), tuple(checks)

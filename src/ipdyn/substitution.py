@@ -312,26 +312,21 @@ class SubstitutionSystem:
     def _reach(self) -> int:
         """The longest span every seed's certificate reaches: the least
         last cap of their staircases, 0 unless every seed is a fixed
-        point (``_staircase``)."""
+        point (``_staircase``).  A span within it is certified: every span
+        up to it reads certified prefixes (``_cuts``), so its index holds
+        every factor of that many letters and no other word, and, every
+        factor extending to the right, answers a question of any shorter
+        span as that span's own index does."""
         if not all(self._shape(seed, 1)[0] == ("prefix", 0) for seed in self.seeds):
             return 0
         return min([max(self._staircase(seed)[0], default=0) for seed in self.seeds])
 
-    def _certified(self, span: int) -> bool:
-        """True when ``span`` is within the system's reach (``_reach``),
-        so every span up to it reads certified prefixes (``_cuts``).  The
-        index of such a span holds every factor of that many letters and
-        no other word, and every factor extends to the right, so it
-        answers a question of any shorter span as that span's own index
-        does."""
-        return span <= self._reach
-
     def _shared_index(self, span: int, too_long: str) -> _Occurrences | None:
         """The one index that answers every question of a span up to
-        ``span``: that of ``span``, when it is within the bound and
-        certified (``_certified``); else None, and each question reads
-        the index of its own span."""
-        if span <= self.max_word_length and self._certified(span):
+        ``span``: that of ``span``, when it is within the bound and the
+        reach (``_reach``); else None, and each question reads the index
+        of its own span."""
+        if span <= self.max_word_length and span <= self._reach:
             return self._index(span, too_long)
         return None
 
@@ -352,7 +347,7 @@ class SubstitutionSystem:
         long: an expansion is cut at the target, 32 times ``span`` or
         more, or rounded up from it, and a certified prefix is ``bases[i]
         + span - 1`` letters with ``bases[i] >= 1`` (``_staircase``).
-        The index of a certified span (``_certified``) is kept, for the
+        The index of a certified span (``_reach``) is kept, for the
         _KEPT_INDEXES spans asked most recently, and answers every later
         question of that span.  Raises WindowTooLarge past the bound,
         with {span} and {bound} filled into ``too_long``."""
@@ -361,7 +356,7 @@ class SubstitutionSystem:
         index = self._indexes.pop(span, None)
         if index is None:
             index = _Occurrences(self._cuts(self._target_length(span), span), span)
-            if not self._certified(span):
+            if span > self._reach:
                 return index
             _make_room(self._indexes, _KEPT_INDEXES)
         self._indexes[span] = index
@@ -557,7 +552,7 @@ class _Occurrences:
         column.
         An n whose cells need fewer letters than the index's span gets
         the answer of its own span's index when the index's span is
-        certified (``SubstitutionSystem._certified``); the chain search
+        certified (``SubstitutionSystem._reach``); the chain search
         reads a block of candidate shifts so."""
         found = itertools.repeat(self.fits if base is None else base, count)
         for offs, w in columns:

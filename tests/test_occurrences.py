@@ -465,27 +465,36 @@ def test_polynomial_return_sets_match_the_per_n_sweep():
 
 
 def test_three_moving_slopes_take_the_sweep(monkeypatch):
-    # (n, 2n, 3n) moves three cells against the lead on both sides, so
-    # both take the sweep, also where the lead's anchors are fewer than
-    # the side's n
+    # (n, 2n, 3n) moves cells of three slopes against the lead on both
+    # sides, and (2n, 3n) cells of slopes 2 and 3 against u on the
+    # positive side, so those sides take the sweep, also where the lead's
+    # anchors are fewer than the side's n; the negative side of (2n, 3n),
+    # led by the 3n cell, moves at slopes 1 and 3 and may be anchored
     routes = record_routes(monkeypatch)
-    polys = [parse_polynomial(t) for t in ("n", "2n", "3n")]
-    few = 0
-    for name, make in SYSTEMS.items():
-        sys_ = make()
-        rng = random.Random(f"{name}/three-slopes")
-        for _ in range(4):
-            window = rng.randint(5, 30)
-            words = [rng.choice(sorted(sys_.factors(8))) for _ in range(4)]
-            want = per_n_sweep(sys_, words, polys, window)
-            assert poly_query(sys_, words, polys, window) == want, (name, words, window)
-            if not isinstance(want[0], type):
-                index = sys_._index(want[1], "")
-                # the positive side's lead is u, the negative side's the 3n cell
-                leads = [words[0], words[3]]
-                few += all((index.fits & index.starts(w)).bit_count() < window for w in leads)
-    assert routes and not any(taken for _, taken in routes)
-    assert few
+    # per family, the cells that lead the sides left to the sweep
+    families = {("n", "2n", "3n"): (0, 3), ("2n", "3n"): (0,)}
+    for texts, leads in families.items():
+        polys = [parse_polynomial(t) for t in texts]
+        few = 0
+        for name, make in SYSTEMS.items():
+            sys_ = make()
+            rng = random.Random(f"{name}/three-slopes")
+            for _ in range(4):
+                window = rng.randint(5, 30)
+                words = [rng.choice(sorted(sys_.factors(8))) for _ in range(1 + len(polys))]
+                want = per_n_sweep(sys_, words, polys, window)
+                start = len(routes)
+                assert poly_query(sys_, words, polys, window) == want, (name, words, window)
+                if not isinstance(want[0], type):
+                    # the positive side is offered first, then the negative
+                    sides = [taken for _, taken in routes[start:]]
+                    assert len(sides) == 2 and not any(sides[: len(leads)]), (name, words)
+                    index = sys_._index(want[1], "")
+                    few += all(
+                        (index.fits & index.starts(words[k])).bit_count() < window
+                        for k in leads
+                    )
+        assert few, texts
 
 
 def python_calls(query, *args):
@@ -512,16 +521,16 @@ def test_warm_query_call_budget():
     # and then an op costs about what its code and data take to fetch.
     # Each call touches a code object and its frame, so the fixed path of
     # a query, not its per-n work, was half an op at 140-230 calls.  The
-    # budgets are the counts on CPython 3.11 (36, 49 and 45, the system
+    # budgets are the counts on CPython 3.11 (35, 48 and 44, the system
     # keeping each span's index) with headroom; 3.12 inlines
     # comprehensions and counts fewer.
     sys_ = chacon()
     u, v, v2 = CylinderSet("0010001"), CylinderSet("001000"), CylinderSet("100100")
     polys = [parse_polynomial("n"), parse_polynomial("2n")]
     quadratic = [parse_polynomial("n^2"), parse_polynomial("n^2 + n")]
-    assert python_calls(return_set, sys_, u, v, 360) <= 40
-    assert python_calls(poly_return_set, sys_, u, [v, v2], polys, 220) <= 55
-    assert python_calls(poly_return_set, sys_, u, [v, v2], quadratic, 44) <= 50
+    assert python_calls(return_set, sys_, u, v, 360) <= 39
+    assert python_calls(poly_return_set, sys_, u, [v, v2], polys, 220) <= 54
+    assert python_calls(poly_return_set, sys_, u, [v, v2], quadratic, 44) <= 49
 
 
 def in_order(query, sys_, cylinders, *args, polys=()):
@@ -876,8 +885,7 @@ def verify_each(sys_, cylinders, gammas, chain):
 
 def test_verify_chain_matches_each_check_alone():
     """Every system, the chains of the shifts found and of shifts that do
-    not fit their levels, and too few exponent elements: the same checks,
-    or the same exception after the same earlier ones."""
+    not fit their levels: the same checks, or the same exception."""
     chains = [
         (["1001", "1001"], ["T1^{n}", "T1^{2n}"], [9, 37, 51, 92, 193]),
         (["01"], ["T1^{n^2}"], [2, 3, 5, 6, 8]),
@@ -902,38 +910,60 @@ def test_verify_chain_matches_each_check_alone():
             for base_power, moved in itertools.product((1, 2), (0, 1, 5)):
                 levels = chain_levels(cylinders, gammas, shifts, base_power)
                 chain = Lemma213Chain(tuple(m + moved for m in shifts), levels, base_power)
-                for given in (gammas, gammas[:1]):
-                    got, want = (
-                        outcome_or_index_error(check, sys_, cylinders, given, chain)
-                        for check in (verify_chain, verify_each)
-                    )
-                    assert got == want, (name, words, base_power, moved, len(given))
-                    seen[got[0] if isinstance(got[0], type) else got[0] is True] += 1
-    assert set(seen) == {True, False, WindowTooLarge, IndexError}, seen
+                got, want = (
+                    outcome(check, sys_, cylinders, gammas, chain)
+                    for check in (verify_chain, verify_each)
+                )
+                assert got == want, (name, words, base_power, moved)
+                seen[got[0] if isinstance(got[0], type) else got[0] is True] += 1
+    assert set(seen) == {True, False, WindowTooLarge}, seen
 
 
-def outcome_or_index_error(fn, *args):
-    try:
-        return fn(*args)
-    except (ValueError, IndexError) as exc:
-        return type(exc), str(exc)
-
-
-def test_verify_chain_builds_one_index_per_level(monkeypatch):
-    # the lemma213 chain of the benchmark: 30 indexes, one per check, when
-    # each containment was checked alone
+def test_verify_chain_rejects_mismatched_inputs(monkeypatch):
+    # each mismatch is reported before any index is read; _build_chain
+    # words the first the same way
     sys_ = chacon()
     cylinders = [CylinderSet("1001")] * 2
     gammas = [parse_gamma_polynomial("T1^{n}"), parse_gamma_polynomial("T1^{2n}")]
-    chain = find_chain_shifts(sys_, cylinders, gammas, 4, search_window=200)
+    shifts = (9, 37, 51)
+    levels = chain_levels(cylinders, gammas, shifts, 1)
+    mismatched = [
+        (gammas[:1], Lemma213Chain(shifts, levels, 1),
+         "need one exponent element per cylinder"),
+        (gammas, Lemma213Chain(shifts[:2], levels, 1), "need one shift per chain level"),
+        (gammas, Lemma213Chain(shifts, (*levels[:2], levels[2][:1]), 1),
+         "need one pattern per cylinder at every chain level"),
+    ]
     built = []
     init = _Occurrences.__init__
     monkeypatch.setattr(
         _Occurrences, "__init__", lambda self, *args: built.append(init(self, *args))
     )
+    for given, chain, message in mismatched:
+        got = outcome(verify_chain, sys_, cylinders, given, chain)
+        assert got == (ValueError, message)
+    got = outcome(find_chain_shifts, sys_, cylinders, gammas[:1], 2, search_window=20)
+    assert got == (ValueError, mismatched[0][2])
+    assert not built
+
+
+def test_verify_chain_builds_one_index_per_chain(monkeypatch):
+    # the lemma213 chain of the benchmark: 30 indexes, one per check, when
+    # each containment was checked alone, and 5, one per level, when each
+    # level read the index of its widest span; the chain's widest span,
+    # 386 letters, is certified on Chacon
+    sys_ = chacon()
+    cylinders = [CylinderSet("1001")] * 2
+    gammas = [parse_gamma_polynomial("T1^{n}"), parse_gamma_polynomial("T1^{2n}")]
+    chain = find_chain_shifts(sys_, cylinders, gammas, 4, search_window=200)
+    spans = []
+    init = _Occurrences.__init__
+    monkeypatch.setattr(
+        _Occurrences, "__init__", lambda self, *args: spans.append(init(self, *args) or args[1])
+    )
     ok, checks = verify_chain(sys_, cylinders, gammas, chain)
     assert ok and len(checks) == 30
-    assert len(built) == len(chain.levels) == 5
+    assert spans == [386]
 
 
 # -- the certified index cut ---------------------------------------------------------
@@ -1046,7 +1076,7 @@ def test_certified_spans_match_the_cuts():
         reach = min(caps[-1] if caps else 0 for caps, _ in stairs)
         for span in sorted({*range(1, 301), reach, reach + 1} - {0}):
             certified = span <= reach
-            assert sys_._certified(span) == certified, (name, span)
+            assert (span <= sys_._reach) == certified, (name, span)
             shared = sys_._shared_index(span, "")
             assert (shared is not None) == (
                 certified and span <= sys_.max_word_length
@@ -1061,10 +1091,10 @@ def test_certified_spans_match_the_cuts():
                 i = bisect.bisect_left(caps, span)
                 assert cut == (bases[i] + span - 1 if i < len(caps) else full), (name, span)
     # the famous fixed points certify every span up to the bound
-    assert chacon()._certified(5000) and fibonacci()._certified(5000)
+    assert 5000 <= chacon()._reach and 5000 <= fibonacci()._reach
     # uncertified seeds: not a fixed point
     for name in ("non-prefix", "periodic"):
-        assert not SYSTEMS[name]()._certified(1), name
+        assert not 1 <= SYSTEMS[name]()._reach, name
 
 
 def test_certified_factors_match_a_long_growth():
@@ -1219,10 +1249,10 @@ def test_the_words_past_the_reach_are_factors():
     # 1111, and slow's certificate reaches span 2 only
     assert grow(tuple(sorted(SLOW.items())), "0", 7381).endswith("1111")
     slow = SubstitutionSystem(SLOW)
-    assert slow._certified(2) and not slow._certified(3)
+    assert 2 <= slow._reach < 3
     # a -> aba reaches 611 letters, and the window is one letter longer
     aba = SubstitutionSystem(ABA)
-    assert aba._certified(611) and not aba._certified(612)
+    assert 611 <= aba._reach < 612
     assert len(aba_window()) == 612
     assert aba.is_admissible(aba_window()[1:]) and aba.is_admissible(aba_window()[:-1])
 
