@@ -27,7 +27,9 @@ from .substitution import (  # noqa: F401 -- re-exported
     Column,
     SubstitutionSystem,
     WindowTooLarge,
+    _KEPT_LAYOUTS,
     _Occurrences,
+    _make_room,
     chacon,
     fibonacci,
 )
@@ -154,49 +156,75 @@ def _anchored(
     return first, found & ((1 << count) - 1)
 
 
-def _plan(
-    cells: Sequence[tuple[IntegralPolynomial, str]], window: int
-) -> tuple[list[tuple[int, int, str]] | None, tuple[list[Constraint], list[Column]], int]:
-    """How ``_members`` reads the cells (offset polynomial, nonempty word)
-    on [-window, window]: (lines, (fixed, columns), span), the span being
-    the largest any n needs.
+# a query's layout (``_arrange``): each cell as (c0, c1) when every
+# offset is affine, else None; the (cell, offset) pairs read once; the
+# (cell, offsets) pairs read at every n; and each cell's reach
+Layout = tuple[
+    list[tuple[int, int]] | None, list[tuple[int, int]], list[tuple[int, list[int]]], list[int]
+]
+_COEFFS = operator.attrgetter("coeffs")
 
-    When every offset is affine, ``lines`` gives each cell as (c0, c1,
-    word), its offset being c0 + c1 n, and nothing else is laid out: an
-    offset from the leftmost cell is a maximum of affine functions of n,
-    so the span peaks at n = -window or window.  Otherwise ``lines`` is
-    None, and the sweep reads the ``fixed`` (offset, word) cells once and
-    the ``columns`` of per-n offsets for every n.  When one cell is
-    leftmost at every n, its differences to the other cells are their
-    offsets from it, and the cells whose offset is the same at every n,
-    its own among them, are fixed.  When none is, ``_layout`` takes each
-    n's leftmost cell and nothing is fixed."""
-    lines = []
-    for p, w in cells:
-        a, s, *higher = *p.coeffs, 0, 0
-        if any(higher):
-            break
-        lines.append((a, s, w))
+
+def _arrange(polys: Sequence[IntegralPolynomial], window: int) -> Layout:
+    """How ``_members`` reads cells of these offset polynomials on
+    [-window, window], whatever their words: the layout that ``_plan``
+    joins the words to.  The reach of a cell is the furthest from the
+    leftmost cell its word may start at any n, so that the query's span,
+    the largest any n needs, is the largest reach plus word length.
+
+    When every offset is affine, the layout gives each cell as (c0, c1),
+    its offset being c0 + c1 n, and nothing else is laid out: an offset
+    from the leftmost cell is a maximum of affine functions of n, so it
+    peaks at n = -window or window.  Otherwise the sweep reads the
+    fixed cells once and the moving cells' offsets for every n.  When
+    one cell is leftmost at every n, its differences to the other cells
+    are their offsets from it, and the cells whose offset is the same at
+    every n, its own among them, are fixed.  When none is, each n's
+    leftmost cell is taken (as ``_layout`` does) and nothing is fixed."""
+    lines = None
+    if max([p.degree for p in polys]) <= 1:
+        lines = [(*p.coeffs, 0, 0)[:2] for p in polys]
+        columns = [(a - s * window, a + s * window) for a, s in lines]
     else:
-        ends = [([a - s * window, a + s * window], w) for a, s, w in lines]
-        return lines, ([], []), _layout(ends)[1]
-    count = 2 * window + 1
-    for i, (p0, w0) in enumerate(cells):
-        fixed, columns, span = [(0, w0)], [], len(w0)
-        for p, w in cells[:i] + cells[i + 1 :]:
-            offs = (p - p0).values(-window, count)
-            low, high = min(offs), max(offs)
-            if low < 0:
-                break
-            span = max(span, high + len(w))
-            if low == high:
-                fixed.append((low, w))
+        count = 2 * window + 1
+        for i, p0 in enumerate(polys):
+            fixed, moving, reaches = [(i, 0)], [], [0] * len(polys)
+            for j, p in enumerate(polys):
+                if j == i:
+                    continue
+                offs = (p - p0).values(-window, count)
+                low, high = min(offs), max(offs)
+                if low < 0:
+                    break
+                reaches[j] = high
+                if low == high:
+                    fixed.append((j, low))
+                else:
+                    moving.append((j, offs))
             else:
-                columns.append((offs, w))
-        else:
-            return None, (fixed, columns), span
-    columns, span = _layout([(p.values(-window, count), w) for p, w in cells])
-    return None, ([], columns), span
+                return None, fixed, moving, reaches
+        columns = [p.values(-window, count) for p in polys]
+    bases = columns[0] if len(columns) == 1 else list(map(min, *columns))
+    offsets = [list(map(operator.sub, offs, bases)) for offs in columns]
+    moving = [] if lines is not None else list(enumerate(offsets))
+    return lines, [], moving, list(map(max, offsets))
+
+
+def _plan(
+    words: Sequence[str], layout: Layout
+) -> tuple[list[tuple[int, int, str]] | None, tuple[list[Constraint], list[Column]], int]:
+    """The cells of a query's ``layout`` (``_arrange``) with their
+    nonempty ``words``: (lines, (fixed, columns), span).  ``lines``
+    gives each cell as (c0, c1, word) when every offset is affine, else
+    it is None, and the sweep reads the ``fixed`` (offset, word) cells
+    once and the ``columns`` of per-n offsets for every n; the span is
+    the largest any n needs.  Evaluates no polynomial."""
+    lines, fixed, moving, reaches = layout
+    span = max(map(operator.add, reaches, map(len, words)))
+    if lines is not None:
+        return [(a, s, w) for (a, s), w in zip(lines, words)], ([], []), span
+    sweep = [(off, words[j]) for j, off in fixed], [(offs, words[j]) for j, offs in moving]
+    return None, sweep, span
 
 
 def _members(
@@ -212,12 +240,15 @@ def _members(
     the query's own index when the query's span is certified
     (``_shared_index``), else each against its own.  The system keeps a
     certified span's index, so a warm query of a recent span builds
-    none.
+    none, and, once a query's span has passed the bound, the layout
+    (``_arrange``) of its word-carrying cells' polynomials and window, for
+    the _KEPT_LAYOUTS pairs asked most recently, so a warm query of a
+    recent pair evaluates no polynomial (``_plan``).
 
-    Two routes give the same members (``_plan`` lays out both).  The
+    Two routes give the same members (``_arrange`` lays out both).  The
     sweep (``carrier_masks``) ANDs one shifted mask per moving cell for
     every n in C-level maps, into a base mask that ANDs each fixed cell
-    once; where one cell is leftmost at every n, which ``_plan`` reads
+    once; where one cell is leftmost at every n, which ``_arrange`` reads
     off its differences to the others, the query's offsets are those
     differences.  When every offset is affine in n, each side of 0 may
     instead take ``_anchored``, which takes one interpreted step per
@@ -235,18 +266,27 @@ def _members(
     ns = range(-window, window + 1)
     if not cells:
         return frozenset(ns), 0
-    lines, (fixed, layout), span = _plan(cells, window)
+    polys, words = zip(*cells)
+    # a display, not tuple(map(...)), which sizes a tuple for 10 items
+    # and shrinks it: each shrunk tuple joins the free list of its new
+    # size when freed, so that list would grow by one per query, to 2000
+    key, kept = ((*map(_COEFFS, polys),), window), sys._layouts
+    layout = kept.get(key) or _arrange(polys, window)
+    lines, (fixed, moving), span = _plan(words, layout)
     too_long = "query needs words of length {span}, bound is {bound}"
     index = sys._shared_index(span, too_long)
     for cyl in cylinders:
         require_admissible(sys, cyl, index)
     if index is None:
         index = sys._index(span, too_long)
+    kept.pop(key, None)  # asked again: moves to the end
+    _make_room(kept, _KEPT_LAYOUTS)
+    kept[key] = layout
     if lines is None:
         base = index.fits
         for off, w in fixed:
             base &= index.starts(w) >> off
-        swept = itertools.compress(ns, index.carrier_masks(layout, len(ns), base))
+        swept = itertools.compress(ns, index.carrier_masks(moving, len(ns), base))
         return frozenset(swept), span
     answered, bounds = [], []
     for sign, least in ((1, 0), (-1, 1)):
@@ -261,11 +301,11 @@ def _members(
     near = range(1 - bounds[1], bounds[0])
     if near:
         lo, hi = near.start, near.stop
-        layout, _ = _layout(
+        moving, _ = _layout(
             [(range(a + s * lo, a + s * hi, s) if s else [a] * len(near), w)
              for a, s, w in lines]
         )
-        swept = itertools.compress(near, index.carrier_masks(layout, len(near)))
+        swept = itertools.compress(near, index.carrier_masks(moving, len(near)))
         answered.append(swept)
     return frozenset(itertools.chain(*answered)), span
 
@@ -349,10 +389,14 @@ def required_span(
     window: int,
 ) -> int:
     """Longest admissible word a polynomial query will need, by the rule
-    its return set's span follows (``_plan``); lets callers report
-    feasibility before computing."""
+    its return set's span follows (``_arrange``, ``_plan``); lets callers
+    report feasibility before computing.  Keeps no layout."""
     columns = [(_ZERO, u.word), *zip(polys, [v.word for v in vs])]
-    return _plan([(p, w) for p, w in columns if w], window)[2]
+    cells = [(p, w) for p, w in columns if w]
+    if not cells:
+        return 0
+    polys, words = zip(*cells)
+    return _plan(words, _arrange(polys, window))[2]
 
 
 # -- minimality probe ---------------------------------------------------------

@@ -40,6 +40,9 @@ _CERTIFY_SEARCH = 256
 # many anchor masks and residue copies (``_Occurrences.ones``, ``residues``)
 _KEPT_INDEXES = 8
 _KEPT_STARTS = 16
+# and the layouts of this many return-set queries' (polynomials, window)
+# pairs, the most recently asked (``dynamics._arrange``)
+_KEPT_LAYOUTS = 8
 
 # of one staircase entry (k, l): |sigma^k(c)| per letter c, and the first
 # occurrence in u and the length of every factor of at most l letters
@@ -71,9 +74,12 @@ class SubstitutionSystem:
     may miss factors.  Nothing but the kept expansions, the
     certificates, the system's reach (``_reach``, worked out at the
     first query that asks for it), the indexes of the _KEPT_INDEXES
-    certified spans asked most recently (``_index``) and its description
-    outlives a query; the indexes are dropped whenever an expansion is
-    rebuilt or lengthened.
+    certified spans asked most recently (``_index``), the layouts of the
+    _KEPT_LAYOUTS return-set (polynomials, window) pairs asked most
+    recently (``dynamics._members``) and its description outlives a
+    query; the indexes are dropped whenever an expansion is rebuilt or
+    lengthened, and a layout, which depends on no word, never goes
+    stale.
     """
 
     def __init__(
@@ -113,6 +119,7 @@ class SubstitutionSystem:
         self._kept: dict[str, _Expansion] = {}
         self._staircases: dict[str, tuple[list[int], list[int], list[Origin]]] = {}
         self._indexes: dict[int, _Occurrences] = {}
+        self._layouts: dict[tuple[tuple[tuple[int, ...], ...], int], tuple] = {}
 
     def _apply(self, word: str) -> str:
         return word.translate(self._images)

@@ -26,10 +26,12 @@ from ipdyn.dynamics import (
     _Occurrences,
     _INCLUSION_TOO_LONG,
     _anchored,
+    _arrange,
     _contained,
     _gamma_shift,
     _inclusion,
     _layout,
+    _members,
     _plan,
     chacon,
     check_polynomial_hypotheses,
@@ -45,7 +47,7 @@ from ipdyn.dynamics import (
 )
 from ipdyn.gammapoly import parse_gamma_polynomial
 from ipdyn.intpoly import IntegralPolynomial, parse_polynomial
-from ipdyn.substitution import _KEPT_INDEXES
+from ipdyn.substitution import _KEPT_INDEXES, _KEPT_LAYOUTS
 
 ZERO = IntegralPolynomial(())
 
@@ -130,6 +132,42 @@ def scan_poly_members(sys_, u, vs, polys, window):
         range(-window, window + 1),
         lambda n: [(0, u)] + [(p(n), v) for p, v in zip(polys, vs)],
     )
+
+
+def planned(cells, window):
+    """How a query reads its cells (offset polynomial, nonempty word) on
+    [-window, window], worked out from the words and polynomials at once:
+    (lines, (fixed, columns), span) as ``_plan`` gives it.  Affine
+    offsets are lines; else, when one cell is leftmost at every n, its
+    differences to the others are their offsets, and the cells at a
+    constant one are fixed; else each n's offsets from its leftmost cell
+    (``_layout``)."""
+    lines = []
+    for p, w in cells:
+        a, s, *higher = *p.coeffs, 0, 0
+        if any(higher):
+            break
+        lines.append((a, s, w))
+    else:
+        ends = [([a - s * window, a + s * window], w) for a, s, w in lines]
+        return lines, ([], []), _layout(ends)[1]
+    count = 2 * window + 1
+    for i, (p0, w0) in enumerate(cells):
+        fixed, columns, span = [(0, w0)], [], len(w0)
+        for p, w in cells[:i] + cells[i + 1 :]:
+            offs = (p - p0).values(-window, count)
+            low, high = min(offs), max(offs)
+            if low < 0:
+                break
+            span = max(span, high + len(w))
+            if low == high:
+                fixed.append((low, w))
+            else:
+                columns.append((offs, w))
+        else:
+            return None, (fixed, columns), span
+    columns, span = _layout([(p.values(-window, count), w) for p, w in cells])
+    return None, ([], columns), span
 
 
 def spelled(cells):
@@ -458,7 +496,7 @@ def test_polynomial_return_sets_match_the_per_n_sweep():
                 want = per_n_sweep(sys_, words, polys, window)
                 assert poly_query(sys_, words, polys, window) == want, (name, texts, words, window)
                 cells = [(p, w) for p, w in zip([ZERO] + polys, words) if w]
-                lines, (fixed, _), _ = _plan(cells, window)
+                lines, (fixed, _), _ = planned(cells, window)
                 if lines is None and window:
                     layouts.add("leftmost" if fixed else "per n")
     assert layouts == {"leftmost", "per n"}
@@ -528,9 +566,108 @@ def test_warm_query_call_budget():
     u, v, v2 = CylinderSet("0010001"), CylinderSet("001000"), CylinderSet("100100")
     polys = [parse_polynomial("n"), parse_polynomial("2n")]
     quadratic = [parse_polynomial("n^2"), parse_polynomial("n^2 + n")]
-    assert python_calls(return_set, sys_, u, v, 360) <= 39
-    assert python_calls(poly_return_set, sys_, u, [v, v2], polys, 220) <= 54
-    assert python_calls(poly_return_set, sys_, u, [v, v2], quadratic, 44) <= 49
+    assert python_calls(return_set, sys_, u, v, 360) <= 35
+    assert python_calls(poly_return_set, sys_, u, [v, v2], polys, 220) <= 50
+    assert python_calls(poly_return_set, sys_, u, [v, v2], quadratic, 44) <= 34
+
+
+def counted_values(monkeypatch):
+    """The polynomials ``IntegralPolynomial.values`` evaluates from now
+    on, one entry per call."""
+    evaluated = []
+    values = IntegralPolynomial.values
+
+    def counted(self, start, count):
+        evaluated.append(self)
+        return values(self, start, count)
+
+    monkeypatch.setattr(IntegralPolynomial, "values", counted)
+    return evaluated
+
+
+# offset polynomials of v_1, v_2, ..., u being at 0
+LAYOUT_FAMILIES = {
+    "affine": ["n + 3", "-2n + 1"],
+    "quadratic": ["n^2", "n^2 + n"],
+    # no cell is leftmost at every n
+    "crossing": ["n^2 - 3n"],
+    "cubic": ["n^3 - 4n", "n^2 + 2"],
+}
+
+
+def test_kept_layouts_match_the_plan_oracle():
+    # each (polynomials, window) pair is asked twice, with other words
+    # the second time: once laid out afresh and once from the layout the
+    # system kept, when the first query's span passed the bound; two
+    # sets of empty words at one window are two pairs
+    kept_calls = Counter()
+    for name, make in SYSTEMS.items():
+        sys_ = make()
+        rng = random.Random(f"{name}/layouts")
+        for family, texts in LAYOUT_FAMILIES.items():
+            polys = [parse_polynomial(t) for t in texts]
+            for window in (rng.randint(0, 8), rng.randint(0, 60)):
+                blanks = [[rng.random() < 0.2 for _ in range(1 + len(polys))] for _ in "ab"]
+                for blank, call in itertools.product(blanks, ("first", "kept")):
+                    words = ["" if b else random_word(rng, sys_) for b in blank]
+                    cells = [(p, w) for p, w in zip([ZERO] + polys, words) if w]
+                    key = (tuple(p.coeffs for p, _ in cells), window)
+                    context = (name, family, words, window, call)
+                    if call == "kept" and key in sys_._layouts:
+                        layout = sys_._layouts[key]
+                        kept_calls[family] += 1
+                    elif cells:
+                        layout = _arrange([p for p, _ in cells], window)
+                    if cells:
+                        want = planned(cells, window)
+                        assert _plan([w for _, w in cells], layout) == want, context
+                    got = outcome(_members, sys_, window, list(zip([ZERO] + polys, words)))
+                    assert got == per_n_sweep(sys_, words, polys, window), context
+    assert set(kept_calls) == set(LAYOUT_FAMILIES), kept_calls
+
+
+def test_a_kept_layout_evaluates_no_polynomial(monkeypatch):
+    evaluated = counted_values(monkeypatch)
+    sys_ = chacon()
+    u, v, v2 = CylinderSet("0010001"), CylinderSet("001000"), CylinderSet("100100")
+    quadratic = ["n^2", "n^2 + n"]
+    poly_return_set(sys_, u, [v, v2], list(map(parse_polynomial, quadratic)), 44)
+    assert evaluated
+    evaluated.clear()
+    # other words and other polynomials of the same coefficients
+    w, w2 = CylinderSet("1001"), CylinderSet("0100")
+    got = poly_return_set(sys_, v, [w, w2], list(map(parse_polynomial, quadratic)), 44)
+    assert not evaluated
+    want = poly_return_set(chacon(), v, [w, w2], list(map(parse_polynomial, quadratic)), 44)
+    assert got == want
+    # a fresh system keeps nothing of another's layouts
+    assert evaluated
+
+
+def test_kept_layouts_are_the_recent_pairs():
+    sys_ = chacon()
+    u, v = CylinderSet("00"), CylinderSet("01")
+    quadratic = [parse_polynomial("n^2")]
+    windows = range(3 * _KEPT_LAYOUTS)
+    for window in windows:
+        poly_return_set(sys_, u, [v], quadratic, window)
+        assert len(sys_._layouts) <= _KEPT_LAYOUTS
+    assert [w for _, w in sys_._layouts] == list(windows[-_KEPT_LAYOUTS:])
+    # one asked again moves to the end, so a new one drops the next
+    poly_return_set(sys_, u, [v], quadratic, windows[-_KEPT_LAYOUTS])
+    poly_return_set(sys_, u, [v], quadratic, 0)
+    assert [w for _, w in sys_._layouts] == [*windows[2 - _KEPT_LAYOUTS :], windows[-_KEPT_LAYOUTS], 0]
+    # a query past the bound keeps no layout, nor one that is not admissible
+    before = dict(sys_._layouts)
+    with pytest.raises(WindowTooLarge):
+        poly_return_set(sys_, u, [v], quadratic, 80)
+    with pytest.raises(ValueError, match="not admissible"):
+        poly_return_set(sys_, u, [CylinderSet("11")], [parse_polynomial("n^3")], 2)
+    assert sys_._layouts == before
+    bounded = fibonacci(max_word_length=60)
+    with pytest.raises(WindowTooLarge):
+        poly_return_set(bounded, CylinderSet("0"), [CylinderSet("1")], quadratic, 20)
+    assert bounded._layouts == {}
 
 
 def in_order(query, sys_, cylinders, *args, polys=()):
