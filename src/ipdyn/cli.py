@@ -209,10 +209,7 @@ def _hindman(p: _Params) -> _Report:
     n_max = p.integer("n-max")
     colors = p.integer("colors")
     depth = p.integer("depth")
-    coloring_text = p.get("coloring")
-    one = not p.args.all and (
-        coloring_text is not None or p.get("mode") == "one"
-    )
+    one = not p.args.all and p.get("coloring") is not None
     mode = "one-coloring" if one else "all-colorings"
     params = {"N": n_max, "r": colors, "depth": depth, "mode": mode}
     lines = _params_lines(params) + [""]

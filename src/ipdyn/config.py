@@ -199,7 +199,7 @@ _KEYS = {
     "run": (
         "system", "u", "v", "vs", "polys", "window", "truncations",
         "gamma-system", "gammas", "shifts", "base-power", "depth",
-        "generators", "n-max", "colors", "coloring", "mode",
+        "generators", "n-max", "colors", "coloring",
         "lo", "hi", "length", "predicate", "csv",
     ),
 }

@@ -87,10 +87,16 @@ def _layout(columns: Sequence[Column]) -> tuple[list[Column], int]:
     cells = [(offs, w) for offs, w in columns if w]
     if not cells:
         return [], 0
-    # one column is its own leftmost cell, and map(min, offs) would call min(int)
-    bases = cells[0][0] if len(cells) == 1 else list(map(min, *[o for o, _ in cells]))
-    cells = [(list(map(operator.sub, offs, bases)), w) for offs, w in cells]
+    cells = list(zip(_from_leftmost([offs for offs, _ in cells]), [w for _, w in cells]))
     return cells, max([len(w) + max(offs) for offs, w in cells])
+
+
+def _from_leftmost(columns: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Each column of per-n offsets as its offsets from that n's
+    leftmost cell."""
+    # one column is its own leftmost cell, and map(min, offs) would call min(int)
+    bases = columns[0] if len(columns) == 1 else list(map(min, *columns))
+    return [list(map(operator.sub, offs, bases)) for offs in columns]
 
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -175,39 +181,22 @@ def _arrange(polys: Sequence[IntegralPolynomial], window: int) -> Layout:
     When every offset is affine, the layout gives each cell as (c0, c1),
     its offset being c0 + c1 n, and nothing else is laid out: an offset
     from the leftmost cell is a maximum of affine functions of n, so it
-    peaks at n = -window or window.  Otherwise the sweep reads the
-    fixed cells once and the moving cells' offsets for every n.  When
-    one cell is leftmost at every n, its differences to the other cells
-    are their offsets from it, and the cells whose offset is the same at
-    every n, its own among them, are fixed.  When none is, each n's
-    leftmost cell is taken (as ``_layout`` does) and nothing is fixed."""
-    lines = None
+    peaks at n = -window or window.  Otherwise every cell takes each n's
+    offset from that n's leftmost cell (``_from_leftmost``), and the
+    sweep reads once the fixed cells, whose offset is the same at every
+    n, and the moving cells' offsets for every n."""
     if max([p.degree for p in polys]) <= 1:
         lines = [(*p.coeffs, 0, 0)[:2] for p in polys]
-        columns = [(a - s * window, a + s * window) for a, s in lines]
-    else:
-        count = 2 * window + 1
-        for i, p0 in enumerate(polys):
-            fixed, moving, reaches = [(i, 0)], [], [0] * len(polys)
-            for j, p in enumerate(polys):
-                if j == i:
-                    continue
-                offs = (p - p0).values(-window, count)
-                low, high = min(offs), max(offs)
-                if low < 0:
-                    break
-                reaches[j] = high
-                if low == high:
-                    fixed.append((j, low))
-                else:
-                    moving.append((j, offs))
-            else:
-                return None, fixed, moving, reaches
-        columns = [p.values(-window, count) for p in polys]
-    bases = columns[0] if len(columns) == 1 else list(map(min, *columns))
-    offsets = [list(map(operator.sub, offs, bases)) for offs in columns]
-    moving = [] if lines is not None else list(enumerate(offsets))
-    return lines, [], moving, list(map(max, offsets))
+        ends = _from_leftmost([(a - s * window, a + s * window) for a, s in lines])
+        return lines, [], [], list(map(max, ends))
+    offsets = _from_leftmost([p.values(-window, 2 * window + 1) for p in polys])
+    fixed, moving, reaches = [], [], list(map(max, offsets))
+    for j, offs in enumerate(offsets):
+        if min(offs) == reaches[j]:
+            fixed.append((j, reaches[j]))
+        else:
+            moving.append((j, offs))
+    return None, fixed, moving, reaches
 
 
 def _plan(
@@ -248,9 +237,8 @@ def _members(
     Two routes give the same members (``_arrange`` lays out both).  The
     sweep (``carrier_masks``) ANDs one shifted mask per moving cell for
     every n in C-level maps, into a base mask that ANDs each fixed cell
-    once; where one cell is leftmost at every n, which ``_arrange`` reads
-    off its differences to the others, the query's offsets are those
-    differences.  When every offset is affine in n, each side of 0 may
+    once, the offsets being each n's from its leftmost cell.  When every
+    offset is affine in n, each side of 0 may
     instead take ``_anchored``, which takes one interpreted step per
     occurrence of the lead word in the index's ``cover`` and answers
     every n from each; it does so when those are fewer than the side's

@@ -393,7 +393,7 @@ class SubstitutionSystem:
         if any(c not in self.rules for c in word):
             return False
         index = self._index(len(word), "factor length {span} exceeds bound {bound}")
-        return any(index.carrier_masks([((0,), word)], 1))
+        return bool(index.fits & index.starts(word))
 
     def describe(self) -> str:
         return self._description

@@ -12,6 +12,9 @@ certificate: a fixed-point seed is cut at its certified prefix for
 every span the certificate reaches, which holds every factor of the
 span, and so at least those of the expansion here.  Seeds that are not
 fixed points and spans past the reach read the expansion.
+
+``two_block_factors`` is a second oracle, which grows no expansion to a
+length: it is exact on fixed points whose every letter grows.
 """
 
 import functools
@@ -71,4 +74,35 @@ def factors(sys_, length):
         text[i : i + length]
         for text in expansions(sys_, length)
         for i in range(len(text) - length + 1)
+    )
+
+
+def two_block_factors(rules, seed, length):
+    """The ``length``-letter factors of the fixed point u of ``seed``, for
+    rules whose every letter grows under iteration.
+
+    u = sigma^k(u) is a row of blocks sigma^k(c), one per letter c of u;
+    with k the least power at which every block holds length - 1 letters
+    or more, a window of ``length`` letters that starts in sigma^k(x)
+    ends inside sigma^k(xy), xy the next two letters of u.  So the
+    factors are the windows of sigma^k(xy) over the 2-letter factors xy,
+    and those are the first two letters' pair closed under the windows
+    of sigma(w) that start in sigma(w[0]), w a pair already found.  The
+    argument is the standard one that a primitive language is the set
+    of factors of the sigma^n(xy) (Queffelec, LNM 1294, ch. 5).
+    """
+    first = grow(tuple(sorted(rules.items())), seed, 2)
+    pairs, todo = {first}, [first]
+    while todo:
+        x, y = todo.pop()
+        image = rules[x] + rules[y]
+        new = {image[i : i + 2] for i in range(len(rules[x]))} - pairs
+        pairs |= new
+        todo += new
+    power = {c: c for c in rules}  # sigma^k(c), from k = 0
+    while min(map(len, power.values())) < length - 1:
+        power = {c: "".join(power[d] for d in rules[c]) for c in power}
+    texts = [power[x] + power[y] for x, y in pairs]
+    return frozenset(
+        text[i : i + length] for text in texts for i in range(len(text) - length + 1)
     )

@@ -742,7 +742,6 @@ GOLDEN_CASES = {
     "missing-gamma-system": ["pet-trace"],
     "missing-generators": ["fs"],
     "missing-N": ["hindman"],
-    "missing-coloring": ["hindman", "--config", "hindman-one.cfg"],
     "missing-lo": ["density"],
     "density-no-source": ["density", "--lo", "0", "--hi", "10", "--length", "2"],
     "density-unreadable-csv": ["density", "--csv-path", "nope.csv", "--lo", "0",
