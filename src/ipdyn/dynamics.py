@@ -489,10 +489,13 @@ def _next_level(
     The m are tried in blocks of 8, 16, 32, ... up to 1024.  A run of a
     block within the bound whose widest span is certified
     (``_shared_index``) is answered by that span's index and per
-    cylinder one ``_layout`` and one lazy chain of carrier masks; the
-    first m carried for every cylinder wins.  Any other m asks ``pattern_realizable`` of each cylinder in
-    order, as the search always did, so an m whose span passes the bound
-    raises WindowTooLarge only where it did."""
+    cylinder one ``_layout``, one base mask that ANDs once every cell at
+    the same offset from the leftmost cell at each m, as ``_members``'
+    sweep does, and one lazy chain of carrier masks for the other
+    cells; the first m carried for every cylinder wins.  Any other m
+    asks ``pattern_realizable`` of each cylinder in order, as the search
+    always did, so an m whose span passes the bound raises WindowTooLarge
+    only where it did."""
     start, size = 0, 8
     while start < len(ms):
         block = ms[start : start + size]
@@ -526,13 +529,17 @@ def _next_level(
                     if all(pattern_realizable(sys, cells) for cells in nxt):
                         return block[k], nxt
                 continue
-            masks = [
-                index.carrier_masks(
-                    _layout([((o,) * (b - a), v) for o, v in cells] + [(offs[a:b], w)])[0],
-                    b - a,
-                )
-                for cells, w, offs in cols
-            ]
+            masks = []
+            for cells, w, offs in cols:
+                fixed = [((o,) * (b - a), v) for o, v in cells]
+                columns, _ = _layout(fixed + [(offs[a:b], w)])
+                base, moving = index.fits, []
+                for col, v in columns:
+                    if col.count(col[0]) == len(col):
+                        base &= index.starts(v) >> col[0]
+                    else:
+                        moving.append((col, v))
+                masks.append(index.carrier_masks(moving, b - a, base))
             for k, found in enumerate(zip(*masks), a):
                 if all(found):
                     return block[k], level(k)

@@ -536,6 +536,38 @@ PARSER_CORPUS = [
 ]
 
 
+def flag_lines():
+    """(line, whether it is well formed) for every flag of every
+    subcommand, in both spellings, with values an int flag takes or
+    declines, empty, starting with "-" or missing, repeated, and with
+    every flag of the subcommand at once."""
+    for name in cli._COMMANDS:
+        everything = [name]
+        for flag, _, options in cli._flags(name):
+            dashed = f"--{flag}"
+            if options.get("action") == "store_true":
+                everything.append(dashed)
+                yield [name, dashed], True
+                yield [name, dashed, dashed], True
+                for value in ("", "x"):
+                    yield [name, f"{dashed}={value}"], False
+                continue
+            number = options.get("type") is int
+            everything += [dashed, "7"]
+            for value in ("7", " 8 ", "x", "", "1,3", "a b", "-5", "-x", "--"):
+                taken = value[:1] != "-" and (not number or value.strip().isdigit())
+                yield [name, dashed, value], taken
+                yield [name, f"{dashed}={value}"], taken
+            yield [name, dashed, "1", f"{dashed}=2", dashed, "3"], True
+            yield [name, dashed], False
+            yield [name, "--out", "o", dashed, "7", "stray"], False
+        yield everything, True
+        yield everything + everything[1:], True
+
+
+PARSER_CORPUS += [line for line, _ in flag_lines()]
+
+
 def parse_outcome(parse, argv):
     """Exit code (None when parsing returned), stdout, stderr and the
     parsed namespace of one parse."""
@@ -555,6 +587,43 @@ def test_one_subcommand_parser_matches_the_full_parser(argv):
     full = parse_outcome(lambda a: cli._build_parser().parse_args(a), argv)
     assert parse_outcome(cli._parse, argv) == full
     assert full[0] in (None, cli.EXIT_OK, cli.EXIT_USAGE)
+
+
+def test_the_reader_reads_exactly_the_well_formed_lines():
+    lines = list(flag_lines())
+    assert len(lines) > 400
+    for argv, taken in lines:
+        assert (cli._read(argv) is not None) == taken, argv
+
+
+def test_a_well_formed_line_builds_no_parser(tmp_path, monkeypatch):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    out = str(tmp_path / "o")
+    assert cli.main(["fs", "--generators=1,3", "--out", out]) == 0
+    assert cli.main(["hindman", "--N", "4", "--r=2", "--depth", "2", "--all",
+                     "--out", out]) == 0
+    assert built == []
+    # an abbreviation is argparse's to read
+    assert cli.main(["fs", "--gen", "1,3", "--out", out]) == 0
+    assert built
+
+
+@pytest.mark.parametrize(
+    "path",
+    ["", ".", "./", "out", "out/", "./out", "a//b/./c/", "/", "//", "///", "//a",
+     "///a/", "/a/../b", "..", "a/.."],
+)
+def test_paths_are_spelled_as_pathlib_spells_them(path):
+    assert cli._as_pathlib(path) == str(Path(path))
 
 
 class TestDeterminism:
@@ -800,6 +869,23 @@ def read_golden(case: str) -> dict[str, bytes]:
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
 def test_golden_output(case, tmp_path):
     assert run_golden_case(GOLDEN_CASES[case], tmp_path) == read_golden(case)
+
+
+def test_golden_chain_builds_one_staircase_per_seed(tmp_path, monkeypatch):
+    # the certificate of a seed is built once per system, however many
+    # indexes and checks of the run read it
+    built = []
+    staircase = dynamics.SubstitutionSystem._staircase
+
+    def counted(self, seed):
+        if seed not in self._staircases:
+            built.append((id(self), seed))
+        return staircase(self, seed)
+
+    monkeypatch.setattr(dynamics.SubstitutionSystem, "_staircase", counted)
+    result = run_golden_case(GOLDEN_CASES["lemma213"], tmp_path)
+    assert result == read_golden("lemma213")
+    assert len(built) == len(set(built)) == 1
 
 
 if __name__ == "__main__":
