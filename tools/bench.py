@@ -124,8 +124,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="revision to compare with")
     parser.add_argument("--out", required=True, help="the JSON file to write")
-    parser.add_argument("--cli-pairs", type=int, default=10)
-    parser.add_argument("--warm-pairs", type=int, default=5)
+    parser.add_argument("--cli-pairs", type=int, default=10, help="at least 2")
+    parser.add_argument("--warm-pairs", type=int, default=5, help="at least 2")
     parser.add_argument("--seconds", type=float, default=45.0)
     parser.add_argument("--seed", type=int, default=101, help="the first pair's seed")
     parser.add_argument("--workdir", help="where the parent tree goes (default: a temp dir)")
