@@ -18,8 +18,8 @@ containment check (both artifacts are still written).
 from __future__ import annotations
 
 import csv
-import os
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Sequence
 
@@ -37,7 +37,7 @@ class _CliError(ValueError):
     """A usage or IO problem the CLI reports itself (exit 1)."""
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence] | str) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence] | str) -> None:
     """``header`` and ``rows`` as CSV; ``rows`` may be the rows' text
     already, when no field of them needs quoting."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -273,7 +273,10 @@ def _density(p: _Params) -> _Report:
         )
         source = f"predicate:{predicate}"
     elif csv_path is not None:
-        text = _read_text(str(csv_path), "set CSV")
+        try:
+            text = Path(str(csv_path)).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise _CliError(f"cannot read set CSV: {exc}")
         ws = ipsets.WindowSet.from_csv_text(text, lo, hi)
         source = f"csv:{csv_path}"
     else:
@@ -529,42 +532,28 @@ def _parse(argv: Sequence[str]):
     return _build_parser().parse_args(argv) if args is None else args
 
 
-def _as_pathlib(path: str) -> str:
-    """``path`` as ``str(pathlib.Path(path))`` spells it, without loading
-    pathlib: its empty and "." parts dropped, a root of exactly two
-    slashes kept, "." for nothing left."""
-    lead = len(path) - len(path.lstrip("/"))
-    root = "//" if lead == 2 else "/" if lead else ""
-    return root + "/".join(p for p in path.split("/") if p not in ("", ".")) or "."
-
-
-def _read_text(path: str, what: str) -> str:
-    try:
-        with open(_as_pathlib(path), encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise _CliError(f"cannot read {what}: {exc}")
-
-
 def _run(args) -> int:
     """Load the config, make ``--out``, compute the subcommand's report,
     write ``<name>.txt`` and ``<name>.csv`` and print the summary."""
     if args.config is None:
         cfg = config_mod.ExperimentConfig({}, {}, {}, {}, {}, {})
     else:
-        cfg = config_mod.parse_config(_read_text(args.config, "config"))
-    out = _as_pathlib(args.out)
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise _CliError(f"cannot read config: {exc}")
+        cfg = config_mod.parse_config(text)
+    out = Path(args.out)
     try:
-        os.makedirs(out, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise _CliError(f"cannot create output directory: {exc}")
     name = args.command
     _, flags, compute = _COMMANDS[name]
     report = compute(_Params(cfg, args, flags))
     text = "\n".join([name, ""] + report.lines) + "\n"
-    with open(os.path.join(out, f"{name}.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text)
-    _write_csv(os.path.join(out, f"{name}.csv"), report.header, report.rows)
+    (out / f"{name}.txt").write_text(text, encoding="utf-8")
+    _write_csv(out / f"{name}.csv", report.header, report.rows)
     print(f"{name}: {report.summary} -> {out}")
     return report.code
 

@@ -261,21 +261,20 @@ class SubstitutionSystem:
             return tuple(map(w.count, self.alphabet))
 
         # u is infinite, so F_l is the l-letter prefixes of F_width; per l,
-        # F_(l-1), p_l and how many of the first occurrences (and lengths)
-        # of the factors of at most l letters lead ``firsts``; a level is
-        # dropped when the next has the same p_l (the same bases, lower caps)
+        # F_(l-1), the letter counts of u[:p_l + 1] and the first
+        # occurrence and length of every factor of at most l letters
         levels, shorter = [], {w[0] for w in words}
-        firsts = [(text.find(c), 1) for c in shorter]
+        prefixes = [(text.find(c), 1) for c in shorter]
         for l in range(2, width + 1):
             factors = {w[:l] for w in words}
-            found = [text.find(w) for w in factors]
-            if -1 in found:  # then every longer l misses a factor too
+            firsts = [text.find(w) for w in factors]
+            if -1 in firsts:  # then every longer l misses a factor too
                 break
-            last = max(found)
-            if levels and levels[-1][1] == last:
+            head = counts(text[: max(firsts) + 1])
+            prefixes += zip(firsts, itertools.repeat(l))
+            if levels and levels[-1][1] == head:  # the same bases, lower caps
                 levels.pop()
-            firsts += zip(found, itertools.repeat(l))
-            levels.append((shorter, last, len(firsts)))
+            levels.append((shorter, head, tuple(prefixes)))
             shorter = factors
         # |sigma^k(c)| never falls, and once k >= A (the alphabet size) it
         # grows within any A steps unless it never grows again; so a cap
@@ -286,8 +285,8 @@ class SubstitutionSystem:
         sizes = [1] * steps  # |sigma^k(c)| per letter c
         entries: list[tuple[int, int, Origin]] = []
         plans = [
-            ({*map(counts, shorter)}, counts(text[: last + 1]), tuple(firsts[:n]), [])
-            for shorter, last, n in levels
+            (tuple({*map(counts, shorter)}), head, prefixes, [])
+            for shorter, head, prefixes in levels
         ]
         k = 0
         while plans:

@@ -15,21 +15,14 @@ fixed points and spans past the reach read the expansion.
 
 ``two_block_factors`` is a second oracle, which grows no expansion to a
 length: it is exact on fixed points whose every letter grows.
-``staircase`` builds the certificate of a fixed-point seed the plain
-way, with the argument the library's ``_staircase`` gives.
 """
 
-import bisect
 import functools
-import itertools
-import operator
 
 from ipdyn.dynamics import WindowTooLarge
 
 MIN_EXPANSION = 4096
 EXPANSION_MARGIN = 32
-CERTIFIED_WIDTH = 12
-CERTIFY_SEARCH = 256
 
 
 def target_length(factor_length):
@@ -112,78 +105,4 @@ def two_block_factors(rules, seed, length):
     texts = [power[x] + power[y] for x, y in pairs]
     return frozenset(
         text[i : i + length] for text in texts for i in range(len(text) - length + 1)
-    )
-
-
-def staircase(sys_, seed):
-    """(caps, bases, origins) of the fixed point u of ``seed``, whose image
-    begins with it and is longer: for every i and every S up to
-    ``caps[i]``, the first ``bases[i] + S - 1`` letters of u hold every
-    factor of u of S letters (``SubstitutionSystem._staircase`` gives the
-    argument).  Every level (k, l) is kept with its letter counts and
-    tuple of first occurrences, and the entries are ranked at the end."""
-    rules, alphabet, width = sys_.rules, sorted(sys_.rules), CERTIFIED_WIDTH
-    text = grow(tuple(sorted(rules.items())), seed, CERTIFY_SEARCH)
-    images = {ord(c): image for c, image in rules.items()}
-    # F_width: u[:width] closed under w -> the windows of sigma(w) that
-    # start in sigma(w[0]); windows of sigma(w) for a window w of the text
-    # are windows of the text while sigma(w) lies in it
-    words = {text[i : i + width] for i in range(len(text) - width + 1)}
-    ends = itertools.accumulate(map(len, map(rules.__getitem__, text)))
-    seen = bisect.bisect_right(list(ends), len(text)) - width + 1
-    todo = [w for w in words if text.find(w) >= seen]
-    while todo:
-        w = todo.pop()
-        image = w.translate(images)
-        for i in range(len(rules[w[0]])):
-            if image[i : i + width] not in words:
-                words.add(image[i : i + width])
-                todo.append(image[i : i + width])
-
-    def counts(w):
-        return tuple(map(w.count, alphabet))
-
-    levels, shorter = [], {w[0] for w in words}
-    prefixes = [(text.find(c), 1) for c in shorter]
-    for l in range(2, width + 1):
-        factors = {w[:l] for w in words}
-        firsts = [text.find(w) for w in factors]
-        if -1 in firsts:
-            break
-        head = counts(text[: max(firsts) + 1])
-        prefixes += zip(firsts, itertools.repeat(l))
-        if levels and levels[-1][1] == head:
-            levels.pop()
-        levels.append((shorter, head, tuple(prefixes)))
-        shorter = factors
-    rows = [counts(rules[c]) for c in alphabet]
-    steps, limit = len(rows), target_length(sys_.max_word_length)
-    sizes = [1] * steps
-    entries = []
-    plans = [
-        (tuple({*map(counts, shorter)}), head, prefixes, [])
-        for shorter, head, prefixes in levels
-    ]
-    k = 0
-    while plans:
-        growing, lengths = [], dict(zip(alphabet, sizes))
-        for shorter, head, prefixes, caps in plans:
-            cap = 1 + min([sum(map(operator.mul, w, sizes)) for w in shorter])
-            base = sum(map(operator.mul, head, sizes))
-            if base >= limit or (k >= 2 * steps and cap == caps[k - steps]):
-                continue
-            caps.append(cap)
-            entries.append((cap, base, (lengths, prefixes)))
-            growing.append((shorter, head, prefixes, caps))
-            if cap >= sys_.max_word_length:
-                limit = min(limit, base)
-        plans, k = growing, k + 1
-        sizes = [sum(map(operator.mul, row, sizes)) for row in rows]
-    entries.sort(key=operator.itemgetter(0, 1))
-    marked = [(base, -j) for j, (_, base, _) in enumerate(entries)]
-    least = list(itertools.accumulate(reversed(marked), min))[::-1]
-    return (
-        [cap for cap, _, _ in entries],
-        [base for base, _ in least],
-        [entries[-j][2] for _, j in least],
     )

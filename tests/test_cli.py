@@ -618,15 +618,6 @@ def test_a_well_formed_line_builds_no_parser(tmp_path, monkeypatch):
     assert built
 
 
-@pytest.mark.parametrize(
-    "path",
-    ["", ".", "./", "out", "out/", "./out", "a//b/./c/", "/", "//", "///", "//a",
-     "///a/", "/a/../b", "..", "a/.."],
-)
-def test_paths_are_spelled_as_pathlib_spells_them(path):
-    assert cli._as_pathlib(path) == str(Path(path))
-
-
 class TestDeterminism:
     def test_all_subcommands_byte_identical(self, tmp_path):
         shared = write_config(

@@ -43,11 +43,9 @@ def test_compile_peak_within_budget(path):
 # ``linecache`` and ``copy``) to do it: for 18 value types, about 20 ms
 # and 0.8 MB of peak memory per CLI process on CPython 3.11.
 # ``_record.Record`` stands in for it.  ``argparse`` (with ``gettext``)
-# and ``pathlib`` (with ``fnmatch``, ``ntpath`` and ``urllib``) take about
-# 2.4 and 5 ms under ``python -S -X importtime`` on CPython 3.11 (2 vCPU):
-# a well-formed command line is read without argparse (``cli._read``),
-# and the CLI opens its files by name.
-SLOW_TO_IMPORT = {"argparse", "dataclasses", "inspect", "pathlib"}
+# takes about 2.4 ms under ``python -S -X importtime`` on CPython 3.11
+# (2 vCPU): a well-formed command line is read without it (``cli._read``).
+SLOW_TO_IMPORT = {"argparse", "dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("module", ["ipdyn", "ipdyn.cli"])

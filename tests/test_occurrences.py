@@ -15,14 +15,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from growth import (
-    expansions,
-    factors,
-    grow,
-    staircase,
-    target_length,
-    two_block_factors,
-)
+from growth import expansions, factors, grow, target_length, two_block_factors
 
 from ipdyn.dynamics import (
     ContainmentCheck,
@@ -1209,29 +1202,6 @@ def test_certified_queries_match_the_oracles():
 def fixed_point(sys_, seed):
     image = sys_.rules[seed]
     return image[0] == seed and len(image) > 1
-
-
-def sorted_staircase(stairs):
-    """A staircase with each origin's first occurrences sorted: they come
-    from sets, and ``_cover`` reads them in any order."""
-    caps, bases, origins = stairs
-    return caps, bases, [(lengths, sorted(firsts)) for lengths, firsts in origins]
-
-
-def test_staircase_matches_the_oracle():
-    systems = [make() for make in GROWTH_SYSTEMS.values()]
-    for i in range(210):
-        rng = random.Random(f"staircase-{i}")
-        rules = random_prolongable(rng, longest=rng.randint(2, 6))
-        systems += [SubstitutionSystem(rules, max_word_length=b) for b in (60, 300, 5000)]
-    checked = 0
-    for sys_ in systems:
-        for seed in sys_.seeds:
-            if fixed_point(sys_, seed):
-                got = sorted_staircase(sys_._staircase(seed))
-                assert got == sorted_staircase(staircase(sys_, seed)), (sys_, seed)
-                checked += 1
-    assert checked >= 630, checked
 
 
 def test_certified_spans_match_the_cuts():

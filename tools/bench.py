@@ -1,14 +1,14 @@
 """Paired benchmark runs of a parent revision against this checkout.
 
     python3 tools/bench.py --parent REV --out BENCH_<n>.json \
-        [--cli-pairs 10] [--warm-pairs 5] [--seconds 45] [--seed 101] \
-        [--workdir DIR]
+        [--seed 101] [--workdir DIR]
 
 Runs ``perfbench/run.py``, unchanged, from two trees: the committed files
 of ``REV`` (exported with ``git archive`` into ``--workdir``) and this
-checkout as it stands.  Each pair runs both trees once with
-``--trace 0`` on one seed, the side that runs first alternating from
-pair to pair; seeds count up from ``--seed``, one per pair.  One pair of
+checkout as it stands.  Each pair runs both trees once for ``SECONDS``
+with ``--trace 0`` on one seed, the side that runs first alternating
+from pair to pair; seeds count up from ``--seed``, one per pair, and
+``PAIRS`` sets how many pairs each workload runs.  One pair of
 ``--trace 1`` runs of ``cli-batch`` follows, for the per-layer metrics.
 
 The JSON file records the machine, every run (its seed, metrics, failed
@@ -16,8 +16,9 @@ and attempted ops and reference-loop readings), and per workload and
 end-to-end metric each side's median and quartiles, the change's wins
 (a tie counts for neither side), the relative change of the medians,
 the metric's bound from BENCHMARK.json, and whether a gain is shown:
-the change wins at least nine pairs in ten and the medians differ by
-more than the distance between the parent's quartiles.
+ten pairs or more, the change winning at least nine in ten, and
+medians that differ by more than the distance between the parent's
+quartiles.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = {"cli-batch": 10, "warm-sweep": 5}
+SECONDS = 45.0
 REFERENCE = re.compile(r"reference loop: ([\d.]+) ms before, ([\d.]+) ms after")
 
 
@@ -112,7 +115,8 @@ def summary(runs: list[dict], metrics: list[dict]) -> dict:
             "relative_change": delta / parent["median"],
             "bound": metric["bound"],
             "gain_shown": (
-                wins >= 0.9 * len(runs)
+                len(runs) >= 10
+                and wins >= 0.9 * len(runs)
                 and abs(delta) > spread
                 and (delta < 0) == lower
             ),
@@ -124,9 +128,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="revision to compare with")
     parser.add_argument("--out", required=True, help="the JSON file to write")
-    parser.add_argument("--cli-pairs", type=int, default=10, help="at least 2")
-    parser.add_argument("--warm-pairs", type=int, default=5, help="at least 2")
-    parser.add_argument("--seconds", type=float, default=45.0)
     parser.add_argument("--seed", type=int, default=101, help="the first pair's seed")
     parser.add_argument("--workdir", help="where the parent tree goes (default: a temp dir)")
     args = parser.parse_args()
@@ -147,19 +148,18 @@ def main() -> int:
             "platform": platform.platform(),
             "cpus": os.cpu_count(),
         },
-        "seconds": args.seconds,
+        "seconds": SECONDS,
         "workloads": {},
     }
-    counts = {"cli-batch": args.cli_pairs, "warm-sweep": args.warm_pairs}
-    for workload, count in counts.items():
+    for workload, count in PAIRS.items():
         seeds = range(args.seed, args.seed + count)
-        runs = pairs(trees, workload, count, seeds, args.seconds, trace=0)
+        runs = pairs(trees, workload, count, seeds, SECONDS, trace=0)
         report["workloads"][workload] = {
             "seeds": list(seeds),
             "summary": summary(runs, bench["end_to_end"]),
             "runs": runs,
         }
-    traced = pairs(trees, "cli-batch", 1, [args.seed], args.seconds, trace=1)
+    traced = pairs(trees, "cli-batch", 1, [args.seed], SECONDS, trace=1)
     report["workloads"]["cli-batch"]["traced"] = traced
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     if not args.workdir:
